@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .energy import GammaParam, SubsetState, apply_flip, init_state
+from .energy import GammaParam, SubsetState, apply_flip, delta_remove, init_state
 from .graphs import CHAIN_STREAM, Graph, PlantedInstance, gen_coupled, stream_rng
 
 __all__ = [
@@ -127,24 +127,16 @@ class Trajectory:
     terminal_n2: int
 
     def to_csv(self, out, labels: Optional[np.ndarray] = None) -> None:
-        """Write records as CSV; vertex column uses original labels when a
-        label map is given."""
-        close = False
-        if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-            out = open(out, "w")
-            close = True
-        try:
-            out.write(TRAJECTORY_CSV_HEADER + "\n")
-            for rec in self.records:
-                v = rec.move.vertex
-                if v is not None and labels is not None:
-                    v = int(labels[v])
-                vtxt = "" if v is None else str(v)
-                out.write(f"{rec.t},{rec.n1},{rec.n2},{rec.scaled_energy},"
-                          f"{rec.move.kind},{vtxt}\n")
-        finally:
-            if close:
-                out.close()
+        """Write records as CSV to a text stream; vertex column uses original
+        labels when a label map is given."""
+        out.write(TRAJECTORY_CSV_HEADER + "\n")
+        for rec in self.records:
+            v = rec.move.vertex
+            if v is not None and labels is not None:
+                v = int(labels[v])
+            vtxt = "" if v is None else str(v)
+            out.write(f"{rec.t},{rec.n1},{rec.n2},{rec.scaled_energy},"
+                      f"{rec.move.kind},{vtxt}\n")
 
     def csv_text(self, labels: Optional[np.ndarray] = None) -> str:
         buf = io.StringIO()
@@ -243,6 +235,15 @@ def gibbs_step(state: SubsetState, beta: float,
     return Move(kind, x, int(deltas[x])), state
 
 
+def _peel_step_u(state: SubsetState, u: float) -> Move:
+    """Remove a uniformly random minimum-degree member of the current set."""
+    degs = np.where(state.member, state.deg_into, np.iinfo(np.int64).max)
+    x = _choose(np.flatnonzero(degs == degs.min()), u)
+    move = Move("remove", x, delta_remove(state, x))
+    apply_flip(state, x)
+    return move
+
+
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
@@ -264,9 +265,14 @@ def _resolve_init(init, n: int) -> tuple[np.ndarray, Union[str, tuple]]:
     return members, verts
 
 
+class _MinDegreePeel:
+    """Driver kind of ``run_peel``; its moves are ``_peel_step_u``."""
+
+
 class _ChainDriver:
-    """Steps one chain and maintains its trajectory bookkeeping. Factored out
-    so coupled runs can drive two chains off shared uniforms."""
+    """Steps one chain and maintains its trajectory bookkeeping: overlap
+    counts, records and clique visits. Gradient descent, Gibbs and peeling
+    all step through it, and coupled runs drive two off shared uniforms."""
 
     def __init__(self, graph: Graph, k: int, init, kind: ChainKind,
                  gamma: GammaParam, record_every: int = 1):
@@ -295,17 +301,18 @@ class _ChainDriver:
         """Advance to step t; returns the applied move, or None on gd
         absorption. ``u`` overrides the gd choice draw (for coupled runs)."""
         was_at_pc = self._at_pc()
-        if isinstance(self.kind, GradientDescent):
-            if u is None:
-                u = rng.random()
+        if isinstance(self.kind, GibbsChain):
+            move, _ = gibbs_step(self.state, self.kind.beta, rng)
+        elif isinstance(self.kind, _MinDegreePeel):
+            move = _peel_step_u(self.state, rng.random())
+        else:
+            u = rng.random() if u is None else u
             move = _gd_step_u(self.state, u, self.kind.tie_policy, self.plateau_used)
             if move.kind == "stay":
                 self.absorbed = True
                 return None
             if move.scaled_delta == 0:
                 self.plateau_used += 1
-        else:
-            move, _ = gibbs_step(self.state, self.kind.beta, rng)
         self.steps = t
         self.last_move = move
         if move.vertex is not None:
@@ -405,101 +412,52 @@ class PeelDiagnostics:
     tau0: int
 
 
-def run_peel(instance: PlantedInstance, stop=None, seed: int = 0, *,
-             c1: Optional[float] = None,
+def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
+             seed: int = 0, *, c1: Optional[float] = None,
              gamma: Optional[GammaParam] = None
              ) -> tuple[Trajectory, PeelDiagnostics]:
     """Peel from the full vertex set, removing a uniformly random
     minimum-degree vertex of the surviving induced subgraph each step.
 
-    ``stop`` is a predicate on (state, step); an int means "stop once at most
-    that many non-clique vertices survive", None means peel until none do.
-    ``gamma`` only prices the trajectory's energy column (default 2).
+    Stops once at most ``stop`` non-clique vertices survive (None: once none
+    do). ``gamma`` only prices the trajectory's energy column (default 2).
     """
-    if stop is None:
-        threshold = 0
-        stop_fn = None
-    elif isinstance(stop, (int, np.integer)):
-        threshold = int(stop)
-        stop_fn = None
-    else:
-        stop_fn = stop
-    gamma = gamma or GammaParam(2, 1)
+    threshold = stop or 0
     rng = stream_rng(seed, CHAIN_STREAM)
     graph, k = instance.graph, instance.k
-    n = graph.n
     cont = instance.contamination
     m = cont.m if cont else 0
     q = cont.q if cont else 0.5
-    sqrt_n = math.sqrt(n)
-
-    state = init_state(graph, np.ones(n, dtype=bool), gamma)
-    n1, n23 = k, n - k
+    sqrt_n = math.sqrt(graph.n)
+    driver = _ChainDriver(graph, k, "full", _MinDegreePeel(),
+                          gamma or GammaParam(2, 1))
+    state = driver.state
     n2v = m  # contaminated survivors
-    records = [StepRecord(0, n1, n23, state.scaled_energy, Move("stay", None, 0))]
     counts = []
     removal_times = {}
     violated = np.zeros(k, dtype=bool)
-    first_pc = 0 if n23 == 0 else None
-
-    def snapshot():
-        if cont:
-            counts.append((n1, n2v, n23 - n2v))
-        else:
-            counts.append((n1, n23))
-
     t = 0
-    snapshot()
     while True:
-        if stop_fn is not None:
-            if stop_fn(state, t):
-                break
-        elif n23 <= threshold:
-            break
-        if state.size == 0:
+        n1, n23 = driver.n1, driver.n2
+        counts.append((n1, n2v, n23 - n2v) if cont else (n1, n23))
+        if n23 <= threshold or state.size == 0:
             break
         # Retention check on surviving clique vertices, before this removal.
         if c1 is not None and n1 > 0:
-            if cont:
-                bound = (n1 - 1) + q * n2v + 0.5 * (n23 - n2v) - c1 * sqrt_n
-            else:
-                bound = (n1 - 1) + 0.5 * n23 - c1 * sqrt_n
-            alive = state.member[:k]
-            low = state.deg_into[:k] < bound
-            violated |= alive & low
-        degs = np.where(state.member, state.deg_into, np.iinfo(np.int64).max)
-        dmin = degs.min()
-        x = _choose(np.flatnonzero(degs == dmin), rng.random())
-        energy_before = state.scaled_energy
-        apply_flip(state, x)
+            bound = (n1 - 1) + q * n2v + 0.5 * (n23 - n2v) - c1 * sqrt_n
+            violated |= state.member[:k] & (state.deg_into[:k] < bound)
         t += 1
+        x = driver.step(t, None, rng).vertex
         if x < k:
-            n1 -= 1
             removal_times[x] = t
-        else:
-            n23 -= 1
-            if x < k + m:
-                n2v -= 1
-        records.append(StepRecord(t, n1, n23, state.scaled_energy,
-                                  Move("remove", x,
-                                       state.scaled_energy - energy_before)))
-        snapshot()
-        if first_pc is None and n1 == k and n23 == 0:
-            first_pc = t
+        elif x < k + m:
+            n2v -= 1
 
-    tau0 = t
     for x in range(k):
-        removal_times.setdefault(x, tau0)
-    retained = None
-    if c1 is not None:
-        retained = {x for x in range(k) if not violated[x]}
-    traj = Trajectory(
-        records=records, absorbed=False, reached_pc=first_pc is not None,
-        steps=t, first_pc_step=first_pc, stop_reason="stopped",
-        init_spec="full", terminal_size=state.size, terminal_n1=n1,
-        terminal_n2=n23,
-    )
-    return traj, PeelDiagnostics(counts, removal_times, retained, c1, tau0)
+        removal_times.setdefault(x, t)
+    retained = None if c1 is None else {x for x in range(k) if not violated[x]}
+    return driver.finish("stopped"), PeelDiagnostics(counts, removal_times,
+                                                     retained, c1, t)
 
 
 # ---------------------------------------------------------------------------

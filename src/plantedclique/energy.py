@@ -100,9 +100,6 @@ class SubsetState:
                            self.size, self.internal_edges, self.deg_into.copy(),
                            self.scaled_energy)
 
-    def members(self) -> np.ndarray:
-        return np.flatnonzero(self.member)
-
     def __contains__(self, x: int) -> bool:
         return bool(self.member[x])
 
@@ -119,11 +116,6 @@ class SubsetState:
         add = p * self.size - w * self.deg_into
         rem = w * self.deg_into - p * (self.size - 1)
         return np.where(self.member, rem, add)
-
-    def overlap(self, mask: np.ndarray) -> tuple[int, int]:
-        """(|U ∩ mask|, |U \\ mask|) for a boolean vertex mask."""
-        inside = int(np.count_nonzero(self.member & mask))
-        return inside, self.size - inside
 
 
 def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],

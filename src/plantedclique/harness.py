@@ -9,6 +9,7 @@ field is the "created" timestamp in the header.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -356,10 +357,6 @@ class RunSummary:
     aggregates: dict
 
     @staticmethod
-    def from_rows(rows: list[dict]) -> "RunSummary":
-        return RunSummary(rows, RunSummary.compute_aggregates(rows))
-
-    @staticmethod
     def compute_aggregates(rows: list[dict]) -> dict:
         def med(values):
             values = [v for v in values if v is not None]
@@ -385,8 +382,12 @@ def _build_instance(config: ExperimentConfig, seed: int):
     return gen_contaminated(config.n, config.k, config.m, config.q, seed)
 
 
+# A cell maps (config, seed) to (seed, summary row, {file name: text}); cells
+# are module-level so worker pools can pickle them. Every row carries the
+# tau, first_divergence and retained_count keys, None where they do not apply.
+
+
 def _run_cell(config: ExperimentConfig, seed: int):
-    """One (config, seed) cell; module-level so worker pools can pickle it."""
     instance = _build_instance(config, seed)
     traj = run_chain(
         instance, config.init_value(), config.chain_kind(),
@@ -397,42 +398,93 @@ def _run_cell(config: ExperimentConfig, seed: int):
     labels = getattr(instance, "labels", None)
     row = {"seed": seed, **traj.summary_dict(),
            "tau": None, "first_divergence": None, "retained_count": None}
-    return seed, row, traj.csv_text(labels)
+    return seed, row, {f"traj_s{seed}.csv": traj.csv_text(labels)}
 
 
-def _summary_payload(config, rows) -> dict:
-    return {
-        "created": datetime.now(timezone.utc).isoformat(),
-        "params": dataclasses.asdict(config),
-        "rows": rows,
-        "aggregates": RunSummary.compute_aggregates(rows),
+def _peel_cell(stop_n2: int, c1: Optional[float], config: ExperimentConfig,
+               seed: int):
+    instance = _build_instance(config, seed)
+    traj, diag = run_peel(instance, stop_n2, seed, c1=c1,
+                          gamma=config.gamma_param())
+    header = "t,n1,n2,n3" if instance.contamination else "t,n1,n2"
+    counts = "".join(",".join(str(c) for c in (t, *split)) + "\n"
+                     for t, split in enumerate(diag.counts))
+    retained = None if diag.retained is None else sorted(diag.retained)
+    diag_payload = {
+        "tau0": diag.tau0,
+        "c1": diag.c1,
+        "retained_count": None if retained is None else len(retained),
+        "retained": retained,
+        "removal_times": {str(x): t for x, t in sorted(diag.removal_times.items())},
+    }
+    row = {"seed": seed, **traj.summary_dict(), "tau": None,
+           "first_divergence": None,
+           "retained_count": diag_payload["retained_count"]}
+    return seed, row, {
+        f"peel_s{seed}.csv": traj.csv_text(instance.labels),
+        f"peel_counts_s{seed}.csv": header + "\n" + counts,
+        f"peel_diag_s{seed}.json": json.dumps(diag_payload, indent=2) + "\n",
     }
 
 
-def _write_outputs(out_dir: Path, config, results, csv_prefix: str) -> RunSummary:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for seed, row, csv_text in sorted(results, key=lambda r: r[0]):
-        rows.append(row)
-        if csv_text is not None:
-            (out_dir / f"{csv_prefix}_s{seed}.csv").write_text(csv_text)
-    payload = _summary_payload(config, rows)
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
-    return RunSummary(rows, payload["aggregates"])
+def _coupled_cell(config: ExperimentConfig, seed: int):
+    res = run_coupled_gd(config.n, config.k, config.gamma_param(),
+                         config.tie(), config.max_steps, seed,
+                         init=config.init_value())
+    row = {"seed": seed, **res.planted.summary_dict(),
+           "tau": res.tau, "first_divergence": res.first_divergence,
+           "identical_before_tau": res.identical_before_tau,
+           "identical_through_absorption": res.identical_through_absorption,
+           "retained_count": None}
+    return seed, row, {f"coupled_planted_s{seed}.csv": res.planted.csv_text(),
+                       f"coupled_unplanted_s{seed}.csv": res.unplanted.csv_text()}
 
 
-def run_experiment(config: ExperimentConfig) -> RunSummary:
-    """Execute every (seed x config) cell, in parallel when jobs > 1, and
-    write per-run trajectory CSVs plus an aggregate summary.json. Results are
-    merged in seed order, so parallel and serial outputs are identical."""
+def _run_cells(config: ExperimentConfig, cell) -> RunSummary:
+    """Run ``cell`` for every seed, in parallel when jobs > 1, then write
+    each cell's files and one summary.json of the rows. Results are merged
+    in seed order, so parallel and serial outputs are identical."""
     config.validate()
     seeds = config.seed_list()
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_cell, [config] * len(seeds), seeds))
+            results = list(pool.map(cell, [config] * len(seeds), seeds))
     else:
-        results = [_run_cell(config, s) for s in seeds]
-    return _write_outputs(config.resolved_out_dir(), config, results, "traj")
+        results = [cell(config, s) for s in seeds]
+    out_dir = config.resolved_out_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for _, row, files in sorted(results, key=lambda r: r[0]):
+        rows.append(row)
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+    aggregates = RunSummary.compute_aggregates(rows)
+    payload = {
+        "created": datetime.now(timezone.utc).isoformat(),
+        "params": dataclasses.asdict(config),
+        "rows": rows,
+        "aggregates": aggregates,
+    }
+    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+    return RunSummary(rows, aggregates)
+
+
+def run_experiment(config: ExperimentConfig) -> RunSummary:
+    """Run the config's chain on every seed; writes traj_s<seed>.csv per
+    seed plus summary.json."""
+    return _run_cells(config, _run_cell)
+
+
+def run_peel_cells(config: ExperimentConfig, stop_n2: int, c1: Optional[float]
+                   ) -> RunSummary:
+    """Peel each seed's instance down to at most stop_n2 non-clique vertices;
+    writes trajectory, per-step count CSVs and retention diagnostics."""
+    return _run_cells(config, functools.partial(_peel_cell, stop_n2, c1))
+
+
+def run_coupled_cells(config: ExperimentConfig) -> RunSummary:
+    """Coupled planted/unplanted gradient descents per seed."""
+    return _run_cells(config, _coupled_cell)
 
 
 def run_sweep(config: ExperimentConfig, param: str,
@@ -452,70 +504,6 @@ def run_sweep(config: ExperimentConfig, param: str,
         cell.out_dir = str(base / f"{param}={value}")
         out[str(value)] = run_experiment(cell)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Peel and coupled cells (flag-driven verbs share the summary shape)
-# ---------------------------------------------------------------------------
-
-
-def run_peel_cells(config: ExperimentConfig, stop_n2: int, c1: Optional[float]
-                   ) -> RunSummary:
-    """Peel each seed's instance down to at most stop_n2 non-clique vertices;
-    writes trajectory, per-step count CSVs and retention diagnostics."""
-    config.validate()
-    out_dir = config.resolved_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for seed in config.seed_list():
-        instance = _build_instance(config, seed)
-        traj, diag = run_peel(instance, stop_n2, seed, c1=c1,
-                              gamma=config.gamma_param())
-        traj.to_csv(out_dir / f"peel_s{seed}.csv", instance.labels)
-        with open(out_dir / f"peel_counts_s{seed}.csv", "w") as f:
-            header = "t,n1,n2,n3" if instance.contamination else "t,n1,n2"
-            f.write(header + "\n")
-            for t, counts in enumerate(diag.counts):
-                f.write(",".join(str(c) for c in (t, *counts)) + "\n")
-        diag_payload = {
-            "tau0": diag.tau0,
-            "c1": diag.c1,
-            "retained_count": len(diag.retained) if diag.retained is not None else None,
-            "retained": sorted(diag.retained) if diag.retained is not None else None,
-            "removal_times": {str(x): t for x, t in sorted(diag.removal_times.items())},
-        }
-        (out_dir / f"peel_diag_s{seed}.json").write_text(
-            json.dumps(diag_payload, indent=2) + "\n")
-        rows.append({"seed": seed, **traj.summary_dict(), "tau": None,
-                     "first_divergence": None,
-                     "retained_count": diag_payload["retained_count"]})
-    payload = _summary_payload(config, rows)
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
-    return RunSummary(rows, payload["aggregates"])
-
-
-def run_coupled_cells(config: ExperimentConfig, max_steps: Optional[int] = None
-                      ) -> RunSummary:
-    """Coupled planted/unplanted gradient descents per seed."""
-    config.validate()
-    out_dir = config.resolved_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for seed in config.seed_list():
-        res = run_coupled_gd(config.n, config.k, config.gamma_param(),
-                             config.tie(), max_steps or config.max_steps, seed,
-                             init=config.init_value())
-        res.planted.to_csv(out_dir / f"coupled_planted_s{seed}.csv")
-        res.unplanted.to_csv(out_dir / f"coupled_unplanted_s{seed}.csv")
-        row = {"seed": seed, **res.planted.summary_dict(),
-               "tau": res.tau, "first_divergence": res.first_divergence,
-               "identical_before_tau": res.identical_before_tau,
-               "identical_through_absorption": res.identical_through_absorption,
-               "retained_count": None}
-        rows.append(row)
-    payload = _summary_payload(config, rows)
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
-    return RunSummary(rows, payload["aggregates"])
 
 
 # ---------------------------------------------------------------------------
