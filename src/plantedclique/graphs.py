@@ -97,6 +97,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         dense = np.zeros((n, n), dtype=bool)
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside [0, {n})")
             if u == v:
                 raise ValueError("self-loops are not allowed")
             dense[u, v] = dense[v, u] = True
@@ -401,6 +403,8 @@ def save_graph(path, obj: Union[Graph, PlantedInstance]) -> None:
 
 
 def load_graph(path) -> Union[Graph, PlantedInstance]:
+    """Read a ``save_graph`` file, rejecting adjacency that is not symmetric,
+    has a self-loop or sets padding bits past n."""
     with open(path, "rb") as f:
         header_line = f.readline()
         payload = f.read()
@@ -412,7 +416,10 @@ def load_graph(path) -> Union[Graph, PlantedInstance]:
     rows = np.frombuffer(payload, dtype=np.uint8)
     if rows.size != n * row_bytes:
         raise ValueError("payload size does not match header")
-    graph = Graph(n, rows.reshape(n, row_bytes).copy())
+    rows = rows.reshape(n, row_bytes)
+    graph = Graph.from_dense(np.unpackbits(rows, axis=1, count=n))
+    if not np.array_equal(graph.packed_rows, rows):
+        raise ValueError("adjacency has padding bits set past n")
     if header["model"] == "er":
         return graph
     cont = None

@@ -168,7 +168,7 @@ class LandscapeConfig:
     version: int = CONFIG_VERSION
     task: str = "landscape"
     mode: str = "brute"           # brute | scan | kappa
-    model: str = "planted"
+    model: str = "planted"        # only planted; brute and scan call gen_planted
     n: int = 12
     k: int = 8
     gamma: str = "2"
@@ -200,6 +200,9 @@ class LandscapeConfig:
             errors.append(("version", f"unsupported version {self.version}"))
         if self.mode not in ("brute", "scan", "kappa"):
             errors.append(("mode", f"unknown mode {self.mode!r}"))
+        if self.model != "planted":
+            errors.append(("model", f"landscape scans need model = planted, "
+                                    f"got {self.model!r}"))
         if self.mode == "kappa":
             try:
                 if not self.gamma_list():
@@ -493,6 +496,8 @@ def run_sweep(config: ExperimentConfig, param: str,
     each into its own subdirectory of the config's output directory."""
     if param not in ("gamma", "beta"):
         raise ConfigError([("param", f"can only sweep gamma or beta, got {param!r}")])
+    if param == "beta" and config.chain != "gibbs":
+        raise ConfigError([("param", f"beta does nothing for chain = {config.chain}")])
     base = config.resolved_out_dir()
     out = {}
     for value in values:

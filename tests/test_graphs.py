@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -237,3 +238,49 @@ def test_edge_list_uses_original_labels(tmp_path):
     lab = inst.labels
     orig[np.ix_(lab, lab)] = dense
     assert np.array_equal(back.to_dense(), orig)
+
+
+def _set_bits(path, row, byte, bits):
+    """OR ``bits`` into one byte of a saved graph's packed rows."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    n = json.loads(header)["n"]
+    rows = np.frombuffer(payload, dtype=np.uint8).reshape(n, -1).copy()
+    rows[row, byte] |= bits
+    path.write_bytes(header + b"\n" + rows.tobytes())
+
+
+def test_load_rejects_asymmetric_adjacency(tmp_path):
+    path = tmp_path / "g.bin"
+    save_graph(path, Graph.from_edges(13, [(0, 1)]))
+    _set_bits(path, 0, 0, 0b0010_0000)  # edge 0 -> 2 only
+    with pytest.raises(ValueError, match="symmetric"):
+        load_graph(path)
+
+
+def test_load_rejects_self_loop(tmp_path):
+    path = tmp_path / "g.bin"
+    save_graph(path, gen_er(13, 2))
+    _set_bits(path, 9, 1, 0b0100_0000)  # edge 9 -> 9
+    with pytest.raises(ValueError, match="self-loop"):
+        load_graph(path)
+
+
+def test_load_rejects_padding_bits(tmp_path):
+    path = tmp_path / "g.bin"
+    save_graph(path, gen_planted(13, 4, 1))
+    _set_bits(path, 0, 1, 0b0000_0111)  # vertices 13..15
+    with pytest.raises(ValueError, match="padding"):
+        load_graph(path)
+
+
+@pytest.mark.parametrize("edge", [(-1, 2), (2, 5), (7, 0)])
+def test_from_edges_rejects_out_of_range_labels(edge):
+    with pytest.raises(ValueError, match="outside"):
+        Graph.from_edges(5, [(0, 1), edge])
+
+
+def test_read_edge_list_rejects_negative_label(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n-1 2\n")
+    with pytest.raises(ValueError, match="outside"):
+        read_edge_list(path, n=5)

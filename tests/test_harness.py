@@ -155,6 +155,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_sweep(tiny_config(tmp_path), "n", ["10"])
 
+    def test_sweep_beta_rejected_for_gd(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            run_sweep(tiny_config(tmp_path), "beta", ["1", "2"])
+        assert [f for f, _ in err.value.errors] == ["param"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestPeelAndCoupledCells:
     def test_peel_cells_outputs(self, tmp_path):
@@ -187,6 +193,14 @@ class TestLandscapeRunner:
         text = (tmp_path / "kappa_table.csv").read_text().strip().split("\n")
         assert text[0] == "gamma,kappa,h_kappa"
         assert text[1].startswith("2,2/3,")
+
+    def test_model_other_than_planted_rejected(self, tmp_path):
+        for model in ("er", "contaminated", "planed"):
+            cfg = LandscapeConfig(mode="scan", model=model, n=24, k=6,
+                                  m_values="3", out_dir=str(tmp_path))
+            with pytest.raises(ConfigError) as err:
+                cfg.validate()
+            assert [f for f, _ in err.value.errors] == ["model"]
 
     def test_brute_mode(self, tmp_path):
         cfg = LandscapeConfig(mode="brute", n=10, k=6, gamma="2", seeds="0..4",
@@ -252,6 +266,16 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "gamma = 2" in out and "gamma = 4" in out
+
+    def test_sweep_verb_rejects_beta_for_gd(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, seeds="0")
+        path = tmp_path / "exp.cfg"
+        write_config(path, cfg)
+        rc = main(["sweep", "--config", str(path), "--param", "beta",
+                   "--values", "1,2,3"])
+        assert rc == 2
+        assert "config error: param" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_peel_verb(self, tmp_path):
         rc = main(["peel", "--n", "50", "--k", "10", "--seeds", "0..1",
