@@ -1,10 +1,13 @@
-"""Golden outputs: the sha256 of every file small CLI calls write.
+"""Golden outputs: the sha256 of every file small CLI calls write, and of the
+packed adjacency rows every generator returns.
 
 Each call runs in its own temporary directory with a relative output
 directory, so the ``params`` echo in summary.json is path-independent. The
 ``created`` timestamp line is the only part of a JSON file left out of its
 digest; every other byte counts. A refactor of the chains or the harness must
-leave all of these digests unchanged.
+leave all of these digests unchanged, and so must any change to the graph
+generators: the packed-rows cases straddle byte and 64-row boundaries in n,
+k and k + m.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from plantedclique import gen_contaminated, gen_coupled, gen_er, gen_planted
 from plantedclique.cli import main
 
 RUN_CONFIG = """\
@@ -69,6 +73,16 @@ CALLS = {
                                   "--out-dir", "out"]),
     "peel-no-stop": ({}, ["peel", "--n", "60", "--k", "12", "--seeds", "3",
                           "--out-dir", "out"]),
+    "generate-er": ({}, ["generate", "--model", "er", "--n", "70", "--seed",
+                         "3", "--out", "out/g.bin", "--edge-list",
+                         "out/g.txt"]),
+    "generate-planted": ({}, ["generate", "--model", "planted", "--n", "70",
+                              "--k", "12", "--seed", "4", "--out",
+                              "out/g.bin", "--edge-list", "out/g.txt"]),
+    "generate-contaminated": ({}, ["generate", "--model", "contaminated",
+                                   "--n", "70", "--k", "10", "--m", "60",
+                                   "--q", "0.7", "--seed", "5", "--out",
+                                   "out/g.bin", "--edge-list", "out/g.txt"]),
     "coupled": ({}, ["coupled", "--n", "150", "--k", "15", "--seeds", "0..2",
                      "--max-steps", "2000", "--out-dir", "out"]),
 }
@@ -79,6 +93,7 @@ _CREATED = re.compile(rb'^  "created": "[^"\n]*",\n', re.MULTILINE)
 def output_digests(argv, files, cwd: Path) -> dict:
     for name, text in files.items():
         (cwd / f"exp.{name}").write_text(text)
+    (cwd / "out").mkdir()
     assert main(argv) == 0
     out = {}
     for path in sorted((cwd / "out").rglob("*")):
@@ -107,6 +122,24 @@ GOLDEN = {
             '6550f372c78d989241a5272eeecea3bf5675bb6df9f7a177c968d16733f1c218',
         'summary.json':
             'b58eab5a555b13c4c281aed437514c10aad81be91eb765a10d2410d0a2ffa9a9',
+    },
+    'generate-contaminated': {
+        'g.bin':
+            '9e95c68cf0b26913cd31785e89622f2e999c4b583f338727453788fc08f28bce',
+        'g.txt':
+            'e5353860f2fcf74eacbbf4746a1997b4983ff6516aee9ee98acd7de11641b521',
+    },
+    'generate-er': {
+        'g.bin':
+            '0249331e0bd2ef9f256c8fd1491b7023d4bf312f52b54e15c0cd3d3290adb2a6',
+        'g.txt':
+            '45515bc4f4ac2c4df9394563d988e94a8d6f23afbb2592d200400e02322d2cb1',
+    },
+    'generate-planted': {
+        'g.bin':
+            '9fdde6b10a28d08084033c06bb001cd96ea4d819de07593d9fd83d497d3ee330',
+        'g.txt':
+            'dae091080ee7213b1074e9692024962c78b8671a8c1af5ed0017b562be32bff7',
     },
     'peel': {
         'peel_counts_s0.csv':
@@ -234,3 +267,115 @@ def test_jobs_change_only_the_params_echo():
     serial, parallel = GOLDEN["run-gd-full"], GOLDEN["run-jobs-2"]
     assert serial.keys() == parallel.keys()
     assert [k for k in serial if serial[k] != parallel[k]] == ["summary.json"]
+
+
+def packed_graphs(model, n, k, m, q, seed):
+    """The graphs one generator call returns: G0 then G for ``coupled``."""
+    if model == "er":
+        return [gen_er(n, seed)]
+    if model == "planted":
+        return [gen_planted(n, k, seed).graph]
+    if model == "coupled":
+        g0, instance = gen_coupled(n, k, seed)
+        return [g0, instance.graph]
+    return [gen_contaminated(n, k, m, q, seed).graph]
+
+
+# (model, n, k, m, q, seed) -> sha256 of each returned graph's packed rows
+PACKED_GOLDEN = {
+    ('er', 1, 0, 0, 0.5, 0): [
+        '6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d',
+    ],
+    ('er', 7, 0, 0, 0.5, 0): [
+        '41de98e5853b9451747c41e8b91bac4c283cfb4348fd43d4e4291722c553e3ca',
+    ],
+    ('er', 8, 0, 0, 0.5, 1): [
+        'c9bbd15f0789ec9f249f693e1f3d3f46740fb896638a93064e136595e6197f4b',
+    ],
+    ('er', 9, 0, 0, 0.5, 2): [
+        '9370a4db8f1aefcd7061a881c92a53ad15b297185c5b753714e791b9b66bf89f',
+    ],
+    ('er', 65, 0, 0, 0.5, 3): [
+        '64662f83634c5d04d4a51be623e517ca4f2ef0392c7267a3fe7c24e8742f4fa8',
+    ],
+    ('er', 1003, 0, 0, 0.5, 4): [
+        '01a446171d75304cd5622a79fbe799ad1a7bfcd4b96d2569508f5b243c87bfb6',
+    ],
+    ('planted', 1, 1, 0, 0.5, 0): [
+        '6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d',
+    ],
+    ('planted', 7, 3, 0, 0.5, 1): [
+        '17025c3cb322831e5b596105a2620c5f74b21a32746731117f3ee2eedece3361',
+    ],
+    ('planted', 8, 8, 0, 0.5, 2): [
+        '6d0b28665a798c4c3878e401e6f9da77ecf606673866f8e86fb10c69826748b8',
+    ],
+    ('planted', 9, 2, 0, 0.5, 3): [
+        '03dd972e6b4674efe9d7508872fb2f9ed3119dc710f4a2b1cacf8233930ca656',
+    ],
+    ('planted', 65, 1, 0, 0.5, 4): [
+        '56125245e9337da898005169e31bd85cb8f987943294d33c66b6c1e950acd16c',
+    ],
+    ('planted', 65, 64, 0, 0.5, 5): [
+        'a0ef78dd4e6ed44ccaebfa097b09ddd1e15d5799efd3d60cd97d671d0cf196e1',
+    ],
+    ('planted', 65, 65, 0, 0.5, 6): [
+        '06c6cfa625e8970aa64c61d9951e84d8091670c0b8b8ab9e43969c83ffb97945',
+    ],
+    ('planted', 1003, 70, 0, 0.5, 7): [
+        '8e0bec81ed5f9949286801223be64ee076067dfa11d290a2484d4a3dcd369c38',
+    ],
+    ('planted', 1003, 130, 0, 0.5, 8): [
+        'ec80051aa951292db55dee5c59d9bae63a0788eba5617ce03984f1cb161edfc2',
+    ],
+    ('coupled', 7, 3, 0, 0.5, 0): [
+        '41de98e5853b9451747c41e8b91bac4c283cfb4348fd43d4e4291722c553e3ca',
+        '462a83bfc0defe1c1eeb094f5fb67ac04be56ff0837e3988db835686dd4217bf',
+    ],
+    ('coupled', 9, 9, 0, 0.5, 1): [
+        'b96a571e3749e5659fc84818d73c33a8a29442632af9e6f6c33b99b9a58ad82c',
+        '5aaefc05f220e5aed78c06ec0d3dfd88fc06e7e5bd2728baac2a53d6baa8a774',
+    ],
+    ('coupled', 65, 20, 0, 0.5, 2): [
+        'a69c60f946bfe2403c24f682881f4c707d220b5438874d36f49d0538e1ce68a1',
+        'e30eed4c2374f15ffef7837c933692de5366a1257f72ceb99c644ac977fdb2dc',
+    ],
+    ('coupled', 65, 65, 0, 0.5, 3): [
+        '64662f83634c5d04d4a51be623e517ca4f2ef0392c7267a3fe7c24e8742f4fa8',
+        '06c6cfa625e8970aa64c61d9951e84d8091670c0b8b8ab9e43969c83ffb97945',
+    ],
+    ('coupled', 1003, 1, 0, 0.5, 4): [
+        '01a446171d75304cd5622a79fbe799ad1a7bfcd4b96d2569508f5b243c87bfb6',
+        '01a446171d75304cd5622a79fbe799ad1a7bfcd4b96d2569508f5b243c87bfb6',
+    ],
+    ('coupled', 1003, 70, 0, 0.5, 5): [
+        '84455a3d61bb4bbb322403e9ddd95d89386be6ed48c391bef124ba982a4b8b16',
+        '47764a061632dc3a5cf81d59a599e29d486962bacbd66e17a8013853ea67510f',
+    ],
+    ('contaminated', 9, 2, 3, 0.7, 0): [
+        '5cc9db9905080e00c9e95a6316a1fa12fcc390e111b940624c3ee851d3b62ab0',
+    ],
+    ('contaminated', 65, 30, 35, 0.75, 1): [
+        '7d5a8e3339200b0c8765e7ea1513952740767ecba1bace6da9a133a972ba06d0',
+    ],
+    ('contaminated', 65, 60, 5, 0.9, 2): [
+        '38462e9af8c475de4fad352ee75c3e96a528d59565cd62ae090c81272d784150',
+    ],
+    ('contaminated', 1003, 40, 50, 0.7, 3): [
+        'b75a7eebd327c379916d1f4b3b864abce21997d05a3360aaa4befeb64c35caf3',
+    ],
+    ('contaminated', 1003, 70, 80, 0.6, 4): [
+        '88f0c34d08cdba88977abc5771141b828a0464c00a14e24266b1eac65d096c98',
+    ],
+    ('contaminated', 1003, 100, 200, 0.55, 5): [
+        '046fe1bf7460a27d51d2fdd45dd164a2088519861a0418a65a9ad32cefeeb9c9',
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_GOLDEN),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_golden_packed_rows(case):
+    digests = [hashlib.sha256(g.packed_rows.tobytes()).hexdigest()
+               for g in packed_graphs(*case)]
+    assert digests == PACKED_GOLDEN[case]
