@@ -241,37 +241,54 @@ def _check_count(name: str, value: int, minimum: int = 0) -> int:
     return value
 
 
-def _upper_coins(n: int, rng: np.random.Generator, k: int = 0, m: int = 0,
-                 q: float = 0.5) -> np.ndarray:
-    """Strict-upper-triangle edge coins, row-major draw order.
+def _check_sizes(n: int, k: int, m: int = 0) -> tuple[int, int, int]:
+    n, k, m = _check_count("n", n, 1), _check_count("k", k, 1), _check_count("m", m)
+    if k + m > n:
+        raise ValueError(f"k + m = {k} + {m} exceeds n = {n}")
+    return n, k, m
 
-    Pairs with an endpoint in the contaminated block [k, k+m) use threshold q;
-    everything else uses 1/2. Clique-internal pairs are drawn too (and later
-    overridden), which keeps the draw sequence identical across models.
-    """
-    A = np.zeros((n, n), dtype=bool)
+
+# Rows per generation block; a multiple of 8, so block edges are byte edges.
+_BLOCK = 64
+
+
+def _packed_coins(n: int, rng: np.random.Generator, k: int = 0, m: int = 0,
+                  q: float = 0.5) -> np.ndarray:
+    """Packed symmetric adjacency of strict-upper-triangle edge coins, drawn
+    row-major. Pairs with an endpoint in the contaminated block [k, k+m) and
+    the other outside the clique use threshold q >= 1/2, all others 1/2.
+    Clique-internal pairs are drawn too (and later overridden), which keeps
+    the draw sequence identical across models."""
+    rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    upper = np.triu(np.ones((_BLOCK, n), dtype=bool), 1)
     cut = k + m
-    for i in range(n - 1):
-        u = rng.random(n - 1 - i)
-        if m == 0 or i >= cut:
-            A[i, i + 1 :] = u < 0.5
-        elif i < k:
-            thr = np.full(n - 1 - i, 0.5)
-            thr[k - i - 1 : cut - i - 1] = q
-            A[i, i + 1 :] = u < thr
-        else:
-            A[i, i + 1 :] = u < q
-    return A
+    for b in range(0, n, _BLOCK):
+        e = min(b + _BLOCK, n)
+        h = e - b
+        mask = upper[:h, : n - b]
+        u = rng.random(h * (n - b) - h * (h + 1) // 2)
+        coins = u < 0.5
+        if m and b < cut:
+            i, j = np.arange(b, e)[:, None], np.arange(b, n)
+            boosted = (k <= i) & (i < cut) | (i < k) & (k <= j) & (j < cut)
+            coins |= boosted[mask] & (u < q)
+        blk = np.zeros(mask.shape, dtype=bool)
+        blk[mask] = coins
+        blk[:, :h] |= blk[:, :h].T.copy()
+        rows[b:e, b >> 3 :] = np.packbits(blk, axis=1)
+        if e < n:
+            rows[e:, b >> 3 : e >> 3] = np.packbits(blk[:, h:].T.copy(), axis=1)
+    return rows
 
 
-def _force_clique(upper: np.ndarray, k: int) -> None:
-    if k >= 2:
-        upper[:k, :k] |= np.triu(np.ones((k, k), dtype=bool), 1)
-
-
-def _symmetrize(upper: np.ndarray) -> Graph:
-    full = upper | upper.T
-    return Graph(full.shape[0], np.packbits(full, axis=1))
+def _plant(rows: np.ndarray, k: int) -> np.ndarray:
+    """Set every pair inside 0..k-1 in packed rows, in place."""
+    kb = (k + 7) // 8
+    bits = np.tile(np.packbits(np.arange(8 * kb) < k), (k, 1))
+    v = np.arange(k)
+    bits[v, v >> 3] ^= (128 >> (v & 7)).astype(np.uint8)  # clear the diagonal
+    rows[:k, :kb] |= bits
+    return rows
 
 
 def _choose_labels(n: int, k: int, m: int, rng: np.random.Generator,
@@ -304,37 +321,27 @@ def _choose_labels(n: int, k: int, m: int, rng: np.random.Generator,
 def gen_er(n: int, seed: int) -> Graph:
     """Erdos-Renyi G(n, 1/2), reproducible from the seed."""
     n = _check_count("n", n, minimum=1)
-    upper = _upper_coins(n, stream_rng(seed, EDGE_STREAM))
-    return _symmetrize(upper)
+    return Graph(n, _packed_coins(n, stream_rng(seed, EDGE_STREAM)))
 
 
 def gen_planted(n: int, k: int, seed: int) -> PlantedInstance:
     """Planted clique G(n, 1/2, k): uniform k-subset forced complete, all
     other pairs independent fair coins."""
-    n = _check_count("n", n, minimum=1)
-    k = _check_count("k", k, minimum=1)
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
+    n, k, _ = _check_sizes(n, k)
     labels = _choose_labels(n, k, 0, stream_rng(seed, SUBSET_STREAM))
-    upper = _upper_coins(n, stream_rng(seed, EDGE_STREAM))
-    _force_clique(upper, k)
-    return PlantedInstance(_symmetrize(upper), k, labels, None, int(seed), "planted")
+    rows = _plant(_packed_coins(n, stream_rng(seed, EDGE_STREAM)), k)
+    return PlantedInstance(Graph(n, rows), k, labels, None, int(seed), "planted")
 
 
 def gen_coupled(n: int, k: int, seed: int) -> tuple[Graph, PlantedInstance]:
     """The coupled pair (G0, G): G0 is Erdos-Renyi and G adds exactly the
     missing clique-internal pairs. Both share one labeling (the instance's);
     edge sets agree off the clique by construction."""
-    n = _check_count("n", n, minimum=1)
-    k = _check_count("k", k, minimum=1)
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
+    n, k, _ = _check_sizes(n, k)
     labels = _choose_labels(n, k, 0, stream_rng(seed, SUBSET_STREAM))
-    upper = _upper_coins(n, stream_rng(seed, EDGE_STREAM))
-    g0 = _symmetrize(upper)
-    _force_clique(upper, k)
-    instance = PlantedInstance(_symmetrize(upper), k, labels, None, int(seed), "planted")
-    return g0, instance
+    rows = _packed_coins(n, stream_rng(seed, EDGE_STREAM))
+    planted = Graph(n, _plant(rows.copy(), k))
+    return Graph(n, rows), PlantedInstance(planted, k, labels, None, int(seed), "planted")
 
 
 def gen_contaminated(n: int, k: int, m: int, q: float, seed: int,
@@ -348,22 +355,15 @@ def gen_contaminated(n: int, k: int, m: int, q: float, seed: int,
     policy); a supplied set overlapping the clique is rejected. With q = 1/2
     or m = 0 the output is identical to ``gen_planted``.
     """
-    n = _check_count("n", n, minimum=1)
-    k = _check_count("k", k, minimum=1)
-    m = _check_count("m", m, minimum=0)
-    if k + m > n:
-        raise ValueError(f"k + m = {k + m} exceeds n = {n}")
+    n, k, m = _check_sizes(n, k, m)
     if not 0.5 <= q < 1.0:
         raise ValueError(f"q must lie in [1/2, 1), got {q}")
     if m == 0:
         return gen_planted(n, k, seed)
     labels = _choose_labels(n, k, m, stream_rng(seed, SUBSET_STREAM), v_orig=v_set)
-    upper = _upper_coins(n, stream_rng(seed, EDGE_STREAM), k=k, m=m, q=float(q))
-    _force_clique(upper, k)
-    return PlantedInstance(
-        _symmetrize(upper), k, labels, Contamination(m, float(q)), int(seed),
-        "contaminated",
-    )
+    rows = _packed_coins(n, stream_rng(seed, EDGE_STREAM), k=k, m=m, q=float(q))
+    return PlantedInstance(Graph(n, _plant(rows, k)), k, labels,
+                           Contamination(m, float(q)), int(seed), "contaminated")
 
 
 # ---------------------------------------------------------------------------
