@@ -223,13 +223,12 @@ class PlantedInstance:
         return self.labels[self.k : self.k + m]
 
     def validate(self) -> None:
-        """Assert structural invariants (clique complete, labels a bijection)."""
-        dense = self.graph.to_dense()
-        sub = dense[: self.k, : self.k]
-        if not (sub | np.eye(self.k, dtype=bool)).all():
-            raise AssertionError("planted clique is not complete")
-        if sorted(self.labels.tolist()) != list(range(self.n)):
-            raise AssertionError("labels are not a permutation")
+        """Raise ValueError unless 0..k-1 is a clique and labels a bijection."""
+        rows = self.graph.packed_rows[: self.k]
+        if not np.array_equal(_plant(rows.copy(), self.k), rows):
+            raise ValueError("planted clique is not complete")
+        if not np.array_equal(np.sort(self.labels), np.arange(self.n)):
+            raise ValueError("labels are not a permutation of range(n)")
 
 
 def _check_count(name: str, value: int, minimum: int = 0) -> int:
@@ -404,7 +403,9 @@ def save_graph(path, obj: Union[Graph, PlantedInstance]) -> None:
 
 def load_graph(path) -> Union[Graph, PlantedInstance]:
     """Read a ``save_graph`` file, rejecting adjacency that is not symmetric,
-    has a self-loop or sets padding bits past n."""
+    has a self-loop or sets padding bits past n, and an instance whose labels
+    are not a permutation of range(n) or whose first k vertices are not a
+    clique."""
     with open(path, "rb") as f:
         header_line = f.readline()
         payload = f.read()
@@ -425,8 +426,10 @@ def load_graph(path) -> Union[Graph, PlantedInstance]:
     cont = None
     if header["m"]:
         cont = Contamination(header["m"], header["q"])
-    return PlantedInstance(graph, header["k"], np.asarray(header["labels"]),
-                           cont, header["seed"], header["model"])
+    instance = PlantedInstance(graph, header["k"], np.asarray(header["labels"]),
+                               cont, header["seed"], header["model"])
+    instance.validate()
+    return instance
 
 
 def write_edge_list(path, obj: Union[Graph, PlantedInstance]) -> None:

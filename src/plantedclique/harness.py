@@ -493,22 +493,26 @@ def run_coupled_cells(config: ExperimentConfig) -> RunSummary:
 def run_sweep(config: ExperimentConfig, param: str,
               values: Sequence[str]) -> dict[str, RunSummary]:
     """Run the experiment once per swept value of ``param`` (gamma or beta),
-    each into its own subdirectory of the config's output directory."""
+    each into its own subdirectory of the config's output directory. Every
+    value is validated before any runs."""
     if param not in ("gamma", "beta"):
         raise ConfigError([("param", f"can only sweep gamma or beta, got {param!r}")])
     if param == "beta" and config.chain != "gibbs":
         raise ConfigError([("param", f"beta does nothing for chain = {config.chain}")])
     base = config.resolved_out_dir()
-    out = {}
+    cells = {}
     for value in values:
-        cell = dataclasses.replace(config)
+        cell = dataclasses.replace(config, out_dir=str(base / f"{param}={value}"))
         if param == "gamma":
             cell.gamma = str(value)
         else:
-            cell.beta = float(value)
-        cell.out_dir = str(base / f"{param}={value}")
-        out[str(value)] = run_experiment(cell)
-    return out
+            try:
+                cell.beta = float(value)
+            except ValueError:
+                raise ConfigError([("beta", f"not a number: {value!r}")]) from None
+        cell.validate()
+        cells[str(value)] = cell
+    return {value: run_experiment(cell) for value, cell in cells.items()}
 
 
 # ---------------------------------------------------------------------------

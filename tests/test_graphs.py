@@ -273,6 +273,36 @@ def test_load_rejects_padding_bits(tmp_path):
         load_graph(path)
 
 
+def _edit_header(path, **fields):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.dumps({**json.loads(header), **fields}).encode("ascii")
+    path.write_bytes(header + b"\n" + payload)
+
+
+def test_load_rejects_labels_that_are_not_a_permutation(tmp_path):
+    path = tmp_path / "g.bin"
+    save_graph(path, gen_planted(12, 3, 4))
+    _edit_header(path, labels=[0] * 12)
+    with pytest.raises(ValueError, match="permutation"):
+        load_graph(path)
+
+
+def test_load_rejects_k_beyond_the_planted_clique(tmp_path):
+    path = tmp_path / "g.bin"
+    inst = gen_planted(12, 3, 4)
+    assert not inst.graph.has_edge(3, 4)  # so vertices 0..4 are no clique
+    save_graph(path, inst)
+    _edit_header(path, k=5)
+    with pytest.raises(ValueError, match="clique"):
+        load_graph(path)
+
+
+def test_validate_passes_generated_instances():
+    for inst in (gen_planted(70, 66, 1), gen_contaminated(70, 10, 60, 0.7, 2),
+                 gen_planted(9, 1, 0)):
+        inst.validate()
+
+
 @pytest.mark.parametrize("edge", [(-1, 2), (2, 5), (7, 0)])
 def test_from_edges_rejects_out_of_range_labels(edge):
     with pytest.raises(ValueError, match="outside"):

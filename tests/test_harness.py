@@ -277,6 +277,24 @@ class TestCli:
         assert "config error: param" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("values", ["2,1", "4,x"])
+    def test_sweep_verb_validates_every_value_first(self, tmp_path, capsys,
+                                                    values):
+        cfg = tiny_config(tmp_path, seeds="0")
+        path = tmp_path / "exp.cfg"
+        write_config(path, cfg)
+        rc = main(["sweep", "--config", str(path), "--param", "gamma",
+                   "--values", values])
+        assert rc == 2
+        assert "config error: gamma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_beta_values_must_be_numbers(self, tmp_path):
+        cfg = tiny_config(tmp_path, chain="gibbs", beta=1.0, seeds="0")
+        with pytest.raises(ConfigError, match="not a number"):
+            run_sweep(cfg, "beta", ["2", "hot"])
+        assert not (tmp_path / "out").exists()
+
     def test_peel_verb(self, tmp_path):
         rc = main(["peel", "--n", "50", "--k", "10", "--seeds", "0..1",
                    "--stop-n2", "5", "--c1", "3.0",
