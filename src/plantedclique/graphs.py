@@ -6,6 +6,16 @@ are drawn row by row over the strict upper triangle, so models that share a
 seed share pair-level randomness exactly. This is what makes coupled
 planted/unplanted experiments and the q=1/2 contamination degeneracy hold
 bit-for-bit, not just in distribution.
+
+Generation never holds an n x n matrix. Rows are built in blocks of 64 (a
+multiple of 8, so block edges are byte edges). Block [b, e) draws all the
+coins of its rows' upper triangle with one ``rng.random`` call, which under
+PCG64 is the same sequence as one call per row. It writes bytes [b/8, end)
+of its own rows: the symmetrized (e-b) x (e-b) square, then the coins right
+of it. The transpose of those right-hand coins is packed into bytes
+[b/8, e/8) of every later row, which no other block writes. Earlier blocks
+have already filled bytes [0, b/8) of the block's rows the same way. The
+clique is then set on the packed bits of rows 0..k-1.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ __all__ = [
 # Versioned generator scheme. Substream i of master seed s is
 # PCG64(SeedSequence(s, spawn_key=(i,))). Stream 0 drives edge coins,
 # stream 1 subset choices (clique first, then the contaminated set),
-# stream 2 is reserved for chain randomness.
+# stream 2 chain randomness, and stream 3 the subset sampler of
+# landscape.enumerate_local_minima.
 GENERATOR_SCHEME = "pcg64-streams-v1"
 EDGE_STREAM = 0
 SUBSET_STREAM = 1
