@@ -7,7 +7,8 @@ directory, so the ``params`` echo in summary.json is path-independent. The
 digest; every other byte counts. A refactor of the chains or the harness must
 leave all of these digests unchanged, and so must any change to the graph
 generators: the packed-rows cases straddle byte and 64-row boundaries in n,
-k and k + m.
+k and k + m. The landscape-scan digests also pin the sampled estimator's draw
+stream, so a change to that sampler re-pins them once, on purpose.
 """
 
 import hashlib
@@ -85,6 +86,18 @@ CALLS = {
                                    "out/g.bin", "--edge-list", "out/g.txt"]),
     "coupled": ({}, ["coupled", "--n", "150", "--k", "15", "--seeds", "0..2",
                      "--max-steps", "2000", "--out-dir", "out"]),
+    # seed 5's unique argmin is not the clique
+    "landscape-brute": ({}, ["landscape", "--mode", "brute", "--n", "12",
+                             "--k", "8", "--gamma", "2", "--seeds", "0..5",
+                             "--out-dir", "out"]),
+    # C(48, 3) = 17296 fits the budget (exhaustive); C(48, 4) does not, so
+    # m = 4 pins the sampled estimator's draws
+    "landscape-scan": ({}, ["landscape", "--mode", "scan", "--n", "64",
+                            "--k", "16", "--gamma", "10", "--m-values", "3,4",
+                            "--budget", "20000", "--seeds", "0..1",
+                            "--out-dir", "out"]),
+    "landscape-kappa": ({}, ["landscape", "--preset", "kappa-table",
+                             "--out-dir", "out"]),
 }
 
 _CREATED = re.compile(rb'^  "created": "[^"\n]*",\n', re.MULTILINE)
@@ -140,6 +153,22 @@ GOLDEN = {
             '9fdde6b10a28d08084033c06bb001cd96ea4d819de07593d9fd83d497d3ee330',
         'g.txt':
             'dae091080ee7213b1074e9692024962c78b8671a8c1af5ed0017b562be32bff7',
+    },
+    'landscape-brute': {
+        'brute_force.csv':
+            'a1de5703e49630baf08a301d9d6040a68ebfed74c24360b365acc51a3b6e6fe6',
+        'brute_force_summary.json':
+            'dec5b6570af55f7b27c355433919aaebe76bae1b1b94765f9484f0ecdbfd230f',
+    },
+    'landscape-kappa': {
+        'kappa_table.csv':
+            '941c46acfbb4e4b763acb1b7a1a9c77572ae9cf7a428ca36f8bf820944b78eb2',
+    },
+    'landscape-scan': {
+        'scan_s0.csv':
+            '8c32faa66ecfa5c53c9d1bdde899b3935156eab1c4912ae34f5f4cf3435c9aba',
+        'scan_s1.csv':
+            '36385e49b75c5ca27c9b39753eaeac6fbf0baa08d0495e583491bc884041523a',
     },
     'peel': {
         'peel_counts_s0.csv':
