@@ -3,7 +3,7 @@ chains: graph models, exact integer-scaled energies, the chain dynamics,
 landscape analysis, and an experiment harness with a CLI."""
 
 from .chains import (CoupledResult, GibbsChain, GradientDescent, Move,
-                     PeelDiagnostics, StepRecord, TiePolicy, Trajectory,
+                     PeelDiagnostics, TiePolicy, Trajectory,
                      gd_step, gibbs_probabilities, gibbs_step, replay,
                      run_chain, run_coupled_gd, run_peel,
                      verify_hamming_descent, verify_removal_phase)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .energy import GammaParam, SubsetState, apply_flip, delta_remove, init_stat
 from .graphs import CHAIN_STREAM, Graph, PlantedInstance, gen_coupled, stream_rng
 
 __all__ = [
-    "Move", "StepRecord", "Trajectory", "TiePolicy", "GradientDescent",
+    "Move", "Trajectory", "TiePolicy", "GradientDescent",
     "GibbsChain", "PeelDiagnostics", "CoupledResult", "gd_step", "gibbs_step",
     "gibbs_probabilities", "run_chain", "run_peel", "run_coupled_gd", "replay",
     "RemovalPhaseReport", "HammingReport", "verify_removal_phase",
@@ -36,19 +36,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One transition: add(x), remove(z) or stay, with its scaled delta."""
 
     kind: str  # "add" | "remove" | "stay"
-    vertex: Optional[int]
+    vertex: Optional[int]  # None for a stay
     scaled_delta: int
 
-    def __post_init__(self):
-        if self.kind not in ("add", "remove", "stay"):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.kind == "stay" and self.scaled_delta != 0:
-            raise ValueError("stay moves have zero delta")
+
+_STAY = Move("stay", None, 0)
 
 
 @dataclass(frozen=True)
@@ -94,28 +90,26 @@ class GibbsChain:
 ChainKind = Union[GradientDescent, GibbsChain]
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: int
-    n1: int
-    n2: int
-    scaled_energy: int
-    move: Move
-
-
 TRAJECTORY_CSV_HEADER = "t,n1,n2,scaled_energy,move_kind,move_vertex"
 
 
 @dataclass
 class Trajectory:
-    """Per-step overlap/energy records plus terminal flags.
+    """Per-step overlap/energy columns plus terminal flags.
 
-    Record 0 is the initial state with a placeholder stay move; record t >= 1
-    is the state after step t. ``steps`` counts applied moves, so a chain
-    absorbed on its first attempt has steps == 0.
+    Row 0 is the initial state with a placeholder stay; a later row is the
+    state after step ``t`` and the move it applied (``vertex`` -1 for none).
+    ``scaled_energy`` holds exact Python ints, which can exceed int64.
+    ``steps`` counts applied moves, so a chain absorbed on its first attempt
+    has steps == 0.
     """
 
-    records: list[StepRecord]
+    t: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    scaled_energy: np.ndarray
+    kind: np.ndarray
+    vertex: np.ndarray
     absorbed: bool
     reached_pc: bool
     steps: int
@@ -127,16 +121,17 @@ class Trajectory:
     terminal_n2: int
 
     def to_csv(self, out, labels: Optional[np.ndarray] = None) -> None:
-        """Write records as CSV to a text stream; vertex column uses original
+        """Write the rows as CSV to a text stream; vertex column uses original
         labels when a label map is given."""
+        vertex = self.vertex
+        if labels is not None:
+            vertex = np.where(vertex < 0, -1, np.asarray(labels)[vertex])
         out.write(TRAJECTORY_CSV_HEADER + "\n")
-        for rec in self.records:
-            v = rec.move.vertex
-            if v is not None and labels is not None:
-                v = int(labels[v])
-            vtxt = "" if v is None else str(v)
-            out.write(f"{rec.t},{rec.n1},{rec.n2},{rec.scaled_energy},"
-                      f"{rec.move.kind},{vtxt}\n")
+        out.writelines(
+            f"{t},{n1},{n2},{e},{kind},{'' if v < 0 else v}\n"
+            for t, n1, n2, e, kind, v in zip(
+                self.t.tolist(), self.n1.tolist(), self.n2.tolist(),
+                self.scaled_energy, self.kind.tolist(), vertex.tolist()))
 
     def csv_text(self, labels: Optional[np.ndarray] = None) -> str:
         buf = io.StringIO()
@@ -174,10 +169,10 @@ def _gd_step_u(state: SubsetState, u: float, tie_policy: TiePolicy,
     deltas = state.all_flip_deltas()
     dmin = int(deltas.min())
     if dmin > 0:
-        return Move("stay", None, 0)
+        return _STAY
     if dmin == 0 and (tie_policy.kind != "drift"
                       or plateau_used >= tie_policy.max_plateau_steps):
-        return Move("stay", None, 0)
+        return _STAY
     x = _choose(np.flatnonzero(deltas == dmin), u)
     kind = "remove" if state.member[x] else "add"
     apply_flip(state, x)
@@ -225,7 +220,7 @@ def gibbs_step(state: SubsetState, beta: float,
     probs = _gibbs_probs(deltas, state.gamma.q_den, beta)
     r = rng.random()
     if r < probs[0]:
-        return Move("stay", None, 0), state
+        return _STAY, state
     acc = np.cumsum(probs[1:])
     x = int(np.searchsorted(acc, r - probs[0], side="right"))
     if x >= state.graph.n:  # guard against float round-off at the top end
@@ -271,8 +266,9 @@ class _MinDegreePeel:
 
 class _ChainDriver:
     """Steps one chain and maintains its trajectory bookkeeping: overlap
-    counts, records and clique visits. Gradient descent, Gibbs and peeling
-    all step through it, and coupled runs drive two off shared uniforms."""
+    counts, the trajectory columns and clique visits. Gradient descent, Gibbs
+    and peeling all step through it, and coupled runs drive two off shared
+    uniforms."""
 
     def __init__(self, graph: Graph, k: int, init, kind: ChainKind,
                  gamma: GammaParam, record_every: int = 1):
@@ -289,9 +285,18 @@ class _ChainDriver:
         self.first_pc_step = 0 if self._at_pc() else None
         self.pc_run = 0
         self.init_spec = init_spec
-        self.last_move = Move("stay", None, 0)
-        self.records = [StepRecord(0, self.n1, self.n2,
-                                   self.state.scaled_energy, self.last_move)]
+        self.last_move = _STAY
+        self.ts, self.n1s, self.n2s = [], [], []
+        self.energies, self.kinds, self.vertices = [], [], []
+        self._record(0, _STAY)
+
+    def _record(self, t: int, move: Move) -> None:
+        self.ts.append(t)
+        self.n1s.append(self.n1)
+        self.n2s.append(self.n2)
+        self.energies.append(self.state.scaled_energy)
+        self.kinds.append(move.kind)
+        self.vertices.append(-1 if move.vertex is None else move.vertex)
 
     def _at_pc(self) -> bool:
         return self.k > 0 and self.n1 == self.k and self.n2 == 0
@@ -330,17 +335,19 @@ class _ChainDriver:
         else:
             self.pc_run = 0
         if t % self.record_every == 0:
-            self.records.append(StepRecord(t, self.n1, self.n2,
-                                           self.state.scaled_energy, move))
+            self._record(t, move)
         return move
 
     def finish(self, stop_reason: str) -> Trajectory:
-        if self.records[-1].t != self.steps:
-            self.records.append(StepRecord(self.steps, self.n1, self.n2,
-                                           self.state.scaled_energy,
-                                           self.last_move))
+        if self.ts[-1] != self.steps:
+            self._record(self.steps, self.last_move)
         return Trajectory(
-            records=self.records,
+            t=np.array(self.ts, dtype=np.int64),
+            n1=np.array(self.n1s, dtype=np.int64),
+            n2=np.array(self.n2s, dtype=np.int64),
+            scaled_energy=np.array(self.energies, dtype=object),
+            kind=np.array(self.kinds),
+            vertex=np.array(self.vertices, dtype=np.int64),
             absorbed=self.absorbed,
             reached_pc=self.first_pc_step is not None,
             steps=self.steps,
@@ -432,32 +439,29 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
     driver = _ChainDriver(graph, k, "full", _MinDegreePeel(),
                           gamma or GammaParam(2, 1))
     state = driver.state
-    n2v = m  # contaminated survivors
-    counts = []
-    removal_times = {}
     violated = np.zeros(k, dtype=bool)
-    t = 0
-    while True:
+    while driver.n2 > threshold and state.size > 0:
         n1, n23 = driver.n1, driver.n2
-        counts.append((n1, n2v, n23 - n2v) if cont else (n1, n23))
-        if n23 <= threshold or state.size == 0:
-            break
         # Retention check on surviving clique vertices, before this removal.
         if c1 is not None and n1 > 0:
+            n2v = np.count_nonzero(state.member[k:k + m])  # contaminated
             bound = (n1 - 1) + q * n2v + 0.5 * (n23 - n2v) - c1 * sqrt_n
             violated |= state.member[:k] & (state.deg_into[:k] < bound)
-        t += 1
-        x = driver.step(t, None, rng).vertex
-        if x < k:
-            removal_times[x] = t
-        elif x < k + m:
-            n2v -= 1
+        driver.step(driver.steps + 1, None, rng)
+    traj = driver.finish("stopped")
 
-    for x in range(k):
-        removal_times.setdefault(x, t)
+    # Every step is a recorded removal, so row t is the set after step t.
+    split = [traj.n1, traj.n2]
+    if cont:
+        n2v = m - np.cumsum((traj.vertex >= k) & (traj.vertex < k + m))
+        split = [traj.n1, n2v, traj.n2 - n2v]
+    counts = list(zip(*(col.tolist() for col in split)))
+    clique = (traj.vertex >= 0) & (traj.vertex < k)
+    removal_times = dict.fromkeys(range(k), traj.steps)
+    removal_times.update(zip(traj.vertex[clique].tolist(),
+                             traj.t[clique].tolist()))
     retained = None if c1 is None else {x for x in range(k) if not violated[x]}
-    return driver.finish("stopped"), PeelDiagnostics(counts, removal_times,
-                                                     retained, c1, t)
+    return traj, PeelDiagnostics(counts, removal_times, retained, c1, traj.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +530,15 @@ def replay(instance_graph: Union[Graph, PlantedInstance], trajectory: Trajectory
     graph = instance_graph.graph if isinstance(instance_graph, PlantedInstance) else instance_graph
     members, _ = _resolve_init(trajectory.init_spec, graph.n)
     state = init_state(graph, members, gamma)
-    for rec in trajectory.records[1:]:
-        if upto is not None and rec.t > upto:
+    for t, x, energy in zip(trajectory.t[1:].tolist(),
+                            trajectory.vertex[1:].tolist(),
+                            trajectory.scaled_energy[1:]):
+        if upto is not None and t > upto:
             break
-        if rec.move.vertex is not None:
-            apply_flip(state, rec.move.vertex)
-        if state.scaled_energy != rec.scaled_energy:
-            raise AssertionError(f"replay diverged at step {rec.t}")
+        if x >= 0:
+            apply_flip(state, x)
+        if state.scaled_energy != energy:
+            raise AssertionError(f"replay diverged at step {t}")
     return state
 
 
@@ -554,24 +560,20 @@ def verify_removal_phase(instance: PlantedInstance, trajectory: Trajectory,
     (which is exactly the argmin of the removal energies)."""
     members, _ = _resolve_init(trajectory.init_spec, instance.n)
     state = init_state(instance.graph, members, gamma)
-    checked = violations = 0
-    first_bad = None
-    n2 = trajectory.records[0].n2
-    for rec in trajectory.records[1:]:
+    checked, bad = 0, []
+    # row i's move is taken from row i - 1's state
+    for t, n2, kind, x in zip(trajectory.t[1:].tolist(),
+                              trajectory.n2[:-1].tolist(),
+                              trajectory.kind[1:].tolist(),
+                              trajectory.vertex[1:].tolist()):
         if n2 > n2_threshold:
             checked += 1
-            bad = rec.move.kind != "remove"
-            if not bad:
-                degs = state.deg_into[state.member]
-                bad = int(state.deg_into[rec.move.vertex]) != int(degs.min())
-            if bad:
-                violations += 1
-                if first_bad is None:
-                    first_bad = rec.t
-        if rec.move.vertex is not None:
-            apply_flip(state, rec.move.vertex)
-        n2 = rec.n2
-    return RemovalPhaseReport(checked, violations, first_bad)
+            if kind != "remove" or (state.deg_into[x]
+                                    != state.deg_into[state.member].min()):
+                bad.append(t)
+        if x >= 0:
+            apply_flip(state, x)
+    return RemovalPhaseReport(checked, len(bad), bad[0] if bad else None)
 
 
 @dataclass
@@ -592,30 +594,19 @@ def verify_hamming_descent(trajectory: Trajectory, k: int, gamma: GammaParam,
                            xi: float = 0.2) -> HammingReport:
     """From the first step where n1 >= max(gamma * n2 + 2, (1 - xi) * k),
     check the Hamming distance to the clique strictly decreases to zero."""
-    p, qd = gamma.p, gamma.q_den
-    entered = None
-    checked = violations = 0
-    first_bad = None
-    reached = False
-    prev_d = None
-    for rec in trajectory.records:
-        d = (k - rec.n1) + rec.n2
-        if entered is None:
-            if qd * rec.n1 >= p * rec.n2 + 2 * qd and rec.n1 >= (1 - xi) * k:
-                entered = rec.t
-                prev_d = d
-            continue
-        if prev_d == 0:
-            break
-        checked += 1
-        if d >= prev_d:
-            violations += 1
-            if first_bad is None:
-                first_bad = rec.t
-        prev_d = d
-        if d == 0:
-            reached = True
-            break
-    if entered is not None and prev_d == 0:
-        reached = True
-    return HammingReport(entered, checked, violations, first_bad, reached)
+    n1, n2 = trajectory.n1, trajectory.n2
+    # object arrays keep the gamma test exact however large q_den is
+    above = (gamma.q_den * n1.astype(object)
+             >= gamma.p * n2.astype(object) + 2 * gamma.q_den)
+    start = np.flatnonzero(above.astype(bool) & (n1 >= (1 - xi) * k))
+    if start.size == 0:
+        return HammingReport(None, 0, 0, None, False)
+    i = int(start[0])
+    d = ((k - n1) + n2)[i:]
+    zeros = np.flatnonzero(d == 0)
+    # check every row after entry up to the first at the clique
+    end = int(zeros[0]) if zeros.size else d.size - 1
+    bad = np.flatnonzero(d[1:end + 1] >= d[:end])
+    first_bad = int(trajectory.t[i + 1 + bad[0]]) if bad.size else None
+    return HammingReport(int(trajectory.t[i]), end, int(bad.size), first_bad,
+                         zeros.size > 0)

@@ -44,14 +44,35 @@ def miss_probability(n, k, visited) -> Fraction:
 
 def added_vertices(traj) -> set:
     """Every vertex a fully recorded trajectory ever added."""
-    return {r.move.vertex for r in traj.records if r.move.kind == "add"}
+    return set(traj.vertex[traj.kind == "add"].tolist())
 
 
 def first_clique_add(traj, k):
     """First step at which the trajectory adds a vertex of the clique 0..k-1,
     or None if it never does."""
-    return next((r.t for r in traj.records
-                 if r.move.kind == "add" and r.move.vertex < k), None)
+    rows = np.flatnonzero((traj.kind == "add") & (traj.vertex < k))
+    return int(traj.t[rows[0]]) if rows.size else None
+
+
+def moves(traj) -> list:
+    """(kind, vertex, scaled delta) of every step of a fully recorded
+    trajectory, with vertex -1 for stays."""
+    return list(zip(traj.kind[1:].tolist(), traj.vertex[1:].tolist(),
+                    np.diff(traj.scaled_energy).tolist()))
+
+
+def terminal_members(traj, n) -> set:
+    """The final vertex set of a fully recorded trajectory, rebuilt from its
+    start and its add/remove rows in plain Python."""
+    init = traj.init_spec
+    members = set(range(n)) if init == "full" else \
+        set() if init == "empty" else set(init)
+    for kind, v in zip(traj.kind.tolist(), traj.vertex.tolist()):
+        if kind == "add":
+            members.add(v)
+        elif kind == "remove":
+            members.remove(v)
+    return members
 
 
 def graph_from_edges(n, edges) -> Graph:

@@ -13,7 +13,7 @@ from plantedclique import (GammaParam, GibbsChain, GradientDescent, Move,
 from plantedclique.chains import TRAJECTORY_CSV_HEADER
 
 from conftest import (first_clique_add, graph_from_edges, miss_probability,
-                      py_scaled_energy)
+                      moves, py_scaled_energy, terminal_members)
 
 ONE_EDGE3 = graph_from_edges(3, [(0, 1)])
 
@@ -161,17 +161,36 @@ class TestRunChain:
     def test_gd_energy_strictly_decreases(self):
         inst = gen_planted(150, 25, 2)
         traj = run_chain(inst, "full", GradientDescent(), GammaParam(4), 400, 2)
-        energies = [r.scaled_energy for r in traj.records]
+        energies = traj.scaled_energy.tolist()
         assert all(b < a for a, b in zip(energies, energies[1:]))
-        deltas = [r.move.scaled_delta for r in traj.records[1:]]
-        assert all(d < 0 for d in deltas)
+        assert "stay" not in traj.kind[1:]
 
-    def test_trajectory_telescopes(self):
+    def test_replay_matches_every_recorded_energy(self):
         inst = gen_planted(100, 20, 5)
-        traj = run_chain(inst, "full", GradientDescent(), GammaParam(4), 300, 5)
-        for prev, cur in zip(traj.records, traj.records[1:]):
-            assert cur.scaled_energy == prev.scaled_energy + cur.move.scaled_delta
-            assert abs((cur.n1 + cur.n2) - (prev.n1 + prev.n2)) <= 1
+        gam = GammaParam(4)
+        traj = run_chain(inst, "full", GradientDescent(), gam, 300, 5)
+        replay(inst, traj, gam)  # raises at the first row it disagrees with
+        assert np.all(np.abs(np.diff(traj.n1 + traj.n2)) <= 1)
+
+    def test_terminal_energy_matches_oracle(self):
+        inst = gen_planted(100, 20, 5)
+        gam = GammaParam(4)
+        traj = run_chain(inst, "full", GradientDescent(), gam, 300, 5)
+        members = terminal_members(traj, inst.n)
+        assert traj.scaled_energy[-1] == \
+            py_scaled_energy(inst.graph.to_dense(), members, gam)
+
+    def test_energies_stay_exact_beyond_int64(self):
+        # this gamma's q_den is 10**15, so the full set's scaled energy is
+        # far above 2**63; an int64 column would wrap or raise
+        inst = gen_planted(300, 20, 0)
+        gam = GammaParam.from_value("3.000000000000001")
+        traj = run_chain(inst, "full", GradientDescent(), gam, 1000, 0)
+        rows = traj.csv_text().strip().split("\n")[1:]
+        energies = [int(row.split(",")[3]) for row in rows]
+        assert max(energies) > 2 ** 63
+        assert energies == traj.scaled_energy.tolist()
+        assert replay(inst, traj, gam).scaled_energy == energies[-1]
 
     def test_absorbed_terminal_state_is_absorbing(self):
         inst = gen_planted(120, 12, 7)
@@ -186,7 +205,7 @@ class TestRunChain:
     def test_explicit_init(self):
         inst = gen_planted(50, 10, 1)
         traj = run_chain(inst, range(10), GradientDescent(), GammaParam(3), 50, 1)
-        assert traj.records[0].n1 == 10 and traj.records[0].n2 == 0
+        assert traj.n1[0] == 10 and traj.n2[0] == 0
         assert traj.first_pc_step == 0
 
     def test_max_steps_reported_not_raised(self):
@@ -206,25 +225,24 @@ class TestRunChain:
     def test_gibbs_stay_moves_recorded(self):
         inst = gen_planted(30, 6, 2)
         traj = run_chain(inst, "empty", GibbsChain(0.0), GammaParam(2), 60, 2)
-        kinds = {r.move.kind for r in traj.records[1:]}
-        assert "stay" in kinds  # ~1/(n+1) of infinite-temperature moves
+        assert "stay" in traj.kind[1:]  # ~1/(n+1) of infinite-temperature moves
 
     def test_bare_graph_runs(self):
         g = gen_er(60, 11)
         traj = run_chain(g, "empty", GradientDescent(TiePolicy.drift(1)),
                          GammaParam(4), 500, 11)
         assert traj.absorbed and not traj.reached_pc
-        assert all(r.n1 == 0 for r in traj.records)
+        assert not traj.n1.any()
 
     def test_record_every_downsamples_but_keeps_terminal(self):
         inst = gen_planted(100, 20, 9)
         full = run_chain(inst, "full", GradientDescent(), GammaParam(4), 300, 9)
         thin = run_chain(inst, "full", GradientDescent(), GammaParam(4), 300, 9,
                          record_every=7)
-        assert [r.t for r in thin.records][:2] == [0, 7]
-        assert thin.records[-1].t == full.steps
+        assert thin.t[:2].tolist() == [0, 7]
+        assert thin.t[-1] == full.steps
         assert thin.steps == full.steps
-        assert len(thin.records) < len(full.records)
+        assert len(thin.t) < len(full.t)
 
     def test_csv_format(self):
         inst = gen_planted(40, 8, 6)
@@ -232,12 +250,11 @@ class TestRunChain:
         text = traj.csv_text(inst.labels)
         lines = text.strip().split("\n")
         assert lines[0] == TRAJECTORY_CSV_HEADER
-        assert len(lines) == len(traj.records) + 1
+        assert len(lines) == len(traj.t) + 1
         t, n1, n2, e, kind, vertex = lines[1].split(",")
         assert (t, kind, vertex) == ("0", "stay", "")
         # vertex column is in original labels
-        rec = traj.records[1]
-        assert lines[2].split(",")[5] == str(inst.labels[rec.move.vertex])
+        assert lines[2].split(",")[5] == str(inst.labels[traj.vertex[1]])
 
 
 class TestPeel:
@@ -248,7 +265,7 @@ class TestPeel:
         seen = set()
         for seed in range(30):
             traj, _ = run_peel(inst, stop=None, seed=seed)
-            first = traj.records[1].move.vertex
+            first = traj.vertex[1]
             assert first in (0, 2)  # degree-1 endpoints
             seen.add(first)
         assert seen == {0, 2}
@@ -279,11 +296,19 @@ class TestPeel:
             good += len(diag.retained) >= 0.9 * 90
         assert good >= 3
 
-    def test_peel_trajectory_telescopes(self):
+    def test_peel_replay_matches_every_recorded_energy(self):
         inst = gen_planted(120, 20, 4)
-        traj, _ = run_peel(inst, stop=15, seed=4, gamma=GammaParam(3))
-        for prev, cur in zip(traj.records, traj.records[1:]):
-            assert cur.scaled_energy == prev.scaled_energy + cur.move.scaled_delta
+        gam = GammaParam(3)
+        traj, _ = run_peel(inst, stop=15, seed=4, gamma=gam)
+        replay(inst, traj, gam)  # raises at the first row it disagrees with
+
+    def test_peel_terminal_energy_matches_oracle(self):
+        inst = gen_planted(120, 20, 4)
+        gam = GammaParam(3)
+        traj, _ = run_peel(inst, stop=15, seed=4, gamma=gam)
+        members = terminal_members(traj, inst.n)
+        assert traj.scaled_energy[-1] == \
+            py_scaled_energy(inst.graph.to_dense(), members, gam)
 
     def test_contaminated_counts_have_three_parts(self):
         from plantedclique import gen_contaminated
@@ -300,13 +325,13 @@ class TestPeel:
         threshold = 60
         traj_gd = run_chain(inst, "full", GradientDescent(), gam, 600, 5)
         traj_peel, _ = run_peel(inst, stop=threshold, seed=5)
-        n2 = traj_gd.records[0].n2
-        for rec_gd, rec_peel in zip(traj_gd.records[1:], traj_peel.records[1:]):
+        # row i applies step i, taken while n2 was the previous row's
+        steps = zip(traj_gd.n2[:-1], traj_gd.kind[1:], traj_gd.vertex[1:],
+                    traj_peel.vertex[1:])
+        for n2, kind, v_gd, v_peel in steps:
             if n2 <= threshold:
                 break
-            assert rec_gd.move.kind == "remove"
-            assert rec_gd.move.vertex == rec_peel.move.vertex
-            n2 = rec_gd.n2
+            assert kind == "remove" and v_gd == v_peel
 
 
 class TestCoupled:
@@ -314,8 +339,7 @@ class TestCoupled:
         res = run_coupled_gd(40, 1, GammaParam(4), TiePolicy.drift(1), 500, 3)
         assert res.first_divergence is None
         assert res.identical_before_tau and res.identical_through_absorption
-        assert [r.move for r in res.planted.records] == \
-               [r.move for r in res.unplanted.records]
+        assert moves(res.planted) == moves(res.unplanted)
 
     def test_identical_before_tau(self):
         for seed in range(8):
@@ -332,7 +356,7 @@ class TestCoupled:
             alone = run_chain(gen_planted(150, 30, seed), "empty",
                               GradientDescent(TiePolicy.drift(1)),
                               GammaParam(4), 2000, seed)
-            assert res.planted.records == alone.records
+            assert res.planted.csv_text() == alone.csv_text()
 
     def test_miss_probability_hand_count(self):
         # 3-subsets of 10 vertices avoiding 4 given ones: C(6, 3) of C(10, 3)
