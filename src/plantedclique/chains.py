@@ -276,7 +276,7 @@ class _ChainDriver:
         self.state = init_state(graph, members, gamma)
         self.kind = kind
         self.k = k
-        self.record_every = max(1, int(record_every))
+        self.record_every = record_every
         self.n1 = int(np.count_nonzero(members[:k]))
         self.n2 = self.state.size - self.n1
         self.plateau_used = 0
@@ -374,6 +374,8 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     if isinstance(instance, Graph):
         graph, k = instance, 0
     else:
@@ -490,6 +492,8 @@ def run_coupled_gd(n: int, k: int, gamma: GammaParam, tie_policy: TiePolicy,
     trajectories coincide while their candidate sets do."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     g0, instance = gen_coupled(n, k, seed)
     rng = stream_rng(seed, CHAIN_STREAM)
     kind = GradientDescent(tie_policy)

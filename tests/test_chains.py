@@ -244,6 +244,16 @@ class TestRunChain:
         assert thin.steps == full.steps
         assert len(thin.t) < len(full.t)
 
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_record_every_below_one_rejected(self, record_every):
+        inst = gen_planted(40, 8, 0)
+        with pytest.raises(ValueError, match="record_every"):
+            run_chain(inst, "full", GradientDescent(), GammaParam(4), 100, 0,
+                      record_every=record_every)
+        with pytest.raises(ValueError, match="record_every"):
+            run_coupled_gd(40, 8, GammaParam(4), TiePolicy.drift(1), 100, 0,
+                           record_every=record_every)
+
     def test_csv_format(self):
         inst = gen_planted(40, 8, 6)
         traj = run_chain(inst, "full", GradientDescent(), GammaParam(3), 100, 6)
