@@ -140,8 +140,6 @@ def _add_config_flags(p):
 def _add_model_flags(p, need_k=True):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=need_k, default=0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--seeds", default="0..9")
     p.add_argument("--gamma", default="4")
     p.add_argument("--max-steps", type=int, default=20000, dest="max_steps")
@@ -180,13 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peel", help="min-degree peeling diagnostics")
     _add_model_flags(p)
+    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--stop-n2", type=int, default=0, dest="stop_n2",
                    help="stop once at most this many non-clique vertices remain")
     p.add_argument("--c1", type=float, default=None,
                    help="degree-retention slack in units of sqrt(n)")
     p.set_defaults(fn=_cmd_peel)
 
-    p = sub.add_parser("coupled", help="coupled planted/unplanted descents")
+    # no abbreviations: "--m" would otherwise be taken for --max-steps
+    p = sub.add_parser("coupled", help="coupled planted/unplanted descents",
+                       allow_abbrev=False)
     _add_model_flags(p)
     p.add_argument("--tie", default="drift:1")
     p.add_argument("--init", default="empty")

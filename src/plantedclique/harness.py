@@ -486,7 +486,11 @@ def run_peel_cells(config: ExperimentConfig, stop_n2: int, c1: Optional[float]
 
 
 def run_coupled_cells(config: ExperimentConfig) -> RunSummary:
-    """Coupled planted/unplanted gradient descents per seed."""
+    """Coupled planted/unplanted gradient descents per seed. The pair comes
+    from ``gen_coupled``, so the config's model must be planted."""
+    if config.model != "planted":
+        raise ConfigError([("model", f"coupled runs need model = planted, "
+                                     f"got {config.model!r}")])
     return _run_cells(config, _coupled_cell)
 
 

@@ -308,6 +308,24 @@ class TestCli:
         assert rc == 0
         assert "identical through absorption" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--m", "5"], ["--q", "0.9"]])
+    def test_coupled_verb_has_no_contamination_flags(self, tmp_path, capsys,
+                                                     flag):
+        # the coupled pair is always plain planted; these flags did nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["coupled", "--n", "100", "--k", "10", *flag, "--seeds",
+                  "0..1", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_coupled_cells_need_planted_model(self, tmp_path):
+        cfg = tiny_config(tmp_path, model="contaminated", m=5, q=0.9,
+                          init="empty", tie_policy="drift:1", seeds="0")
+        with pytest.raises(ConfigError, match="model = planted"):
+            run_coupled_cells(cfg)
+        assert not Path(cfg.out_dir).exists()
+
     def test_landscape_verb_kappa(self, tmp_path):
         rc = main(["landscape", "--mode", "kappa", "--gammas", "2,3",
                    "--out-dir", str(tmp_path / "l")])
