@@ -412,6 +412,23 @@ def save_graph(path, obj: Union[Graph, PlantedInstance]) -> None:
         f.write(rows.tobytes())
 
 
+def _check_adjacency(rows: np.ndarray, n: int) -> None:
+    """Reject packed rows with a self-loop, an asymmetric pair or padding
+    bits set past n. Each block of ``_BLOCK`` rows is compared with the
+    matching column slab, so no n x n array is built."""
+    v = np.arange(n)
+    if ((rows[v, v >> 3] >> (7 - (v & 7))) & 1).any():
+        raise ValueError("self-loops are not allowed")
+    for b in range(0, n, _BLOCK):
+        e = min(b + _BLOCK, n)
+        block = np.unpackbits(rows[b:e], axis=1, count=n)
+        slab = np.unpackbits(rows[:, b >> 3 : (e + 7) >> 3], axis=1, count=e - b)
+        if not np.array_equal(block, slab.T):
+            raise ValueError("adjacency must be symmetric")
+    if n % 8 and (rows[:, -1] & (0xFF >> n % 8)).any():
+        raise ValueError("adjacency has padding bits set past n")
+
+
 def load_graph(path) -> Union[Graph, PlantedInstance]:
     """Read a ``save_graph`` file, rejecting adjacency that is not symmetric,
     has a self-loop or sets padding bits past n, and an instance whose labels
@@ -429,9 +446,8 @@ def load_graph(path) -> Union[Graph, PlantedInstance]:
     if rows.size != n * row_bytes:
         raise ValueError("payload size does not match header")
     rows = rows.reshape(n, row_bytes)
-    graph = Graph.from_dense(np.unpackbits(rows, axis=1, count=n))
-    if not np.array_equal(graph.packed_rows, rows):
-        raise ValueError("adjacency has padding bits set past n")
+    _check_adjacency(rows, n)
+    graph = Graph(n, rows)
     if header["model"] == "er":
         return graph
     cont = None

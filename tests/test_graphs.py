@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,36 @@ def test_load_rejects_padding_bits(tmp_path):
     _set_bits(path, 0, 1, 0b0000_0111)  # vertices 13..15
     with pytest.raises(ValueError, match="padding"):
         load_graph(path)
+
+
+@pytest.mark.parametrize("row, byte, bits, match", [
+    (3, 12, 0b0000_1000, "symmetric"),   # edge 3 -> 100, a later row block
+    (100, 0, 0b0001_0000, "symmetric"),  # edge 100 -> 3
+    (129, 16, 0b0100_0000, "self-loop"),  # edge 129 -> 129, the last block
+    (77, 16, 0b0000_0001, "padding"),    # vertex 135 of 130
+])
+def test_load_checks_every_row_block(tmp_path, row, byte, bits, match):
+    path = tmp_path / "g.bin"
+    save_graph(path, Graph.from_edges(130, [(0, 1), (64, 127)]))
+    _set_bits(path, row, byte, bits)
+    with pytest.raises(ValueError, match=match):
+        load_graph(path)
+
+
+def test_load_never_holds_a_dense_matrix(tmp_path):
+    # a dense boolean n x n matrix alone is n^2 bytes; the file is n^2 / 8
+    n = 8000
+    path = tmp_path / "g.bin"
+    inst = gen_planted(n, 90, 0)
+    save_graph(path, inst)
+    tracemalloc.start()
+    try:
+        back = load_graph(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.graph == inst.graph
+    assert peak < n * n // 2
 
 
 def _edit_header(path, **fields):
