@@ -98,11 +98,9 @@ class Graph:
         dense = np.asarray(dense, dtype=bool)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        if dense.diagonal().any():
-            raise ValueError("self-loops are not allowed")
-        if not np.array_equal(dense, dense.T):
-            raise ValueError("adjacency must be symmetric")
-        return cls(dense.shape[0], np.packbits(dense, axis=1))
+        rows = np.packbits(dense, axis=1)
+        _check_adjacency(rows, dense.shape[0])
+        return cls(dense.shape[0], rows)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
