@@ -211,14 +211,41 @@ def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
     return _gibbs_probs(state.all_flip_deltas(), state.gamma.q_den, beta)
 
 
-def gibbs_step(state: SubsetState, beta: float,
-               rng: np.random.Generator) -> tuple[Move, SubsetState]:
+class _Uniforms:
+    """One generator's uniforms, fetched 4096 at a time and handed out in
+    order: under PCG64 ``rng.random(B)`` is the same sequence as B single
+    draws. ``drawn`` counts the draws handed out."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.buf, self.pos, self.drawn = rng, np.empty(0), 0, 0
+
+    def random(self, stay_below: float = 0.0, limit: int = 1) -> float:
+        """Consume draws up to the first one >= ``stay_below``, at most
+        ``limit`` of them, and return the last one consumed."""
+        while True:
+            if self.pos == self.buf.size:
+                self.buf, self.pos = self.rng.random(4096), 0
+            seg = self.buf[self.pos:self.pos + limit]
+            hit = seg >= stay_below
+            j = int(hit.argmax())
+            take = j + 1 if hit[j] else seg.size
+            self.pos += take
+            self.drawn += take
+            limit -= take
+            if hit[j] or limit == 0:
+                return float(seg[take - 1])
+
+
+def gibbs_step(state: SubsetState, beta: float, rng,
+               *, max_stays: int = 1) -> tuple[Move, SubsetState]:
     """One neighbourhood-Gibbs step at inverse temperature beta. Candidates
     are the state itself and all n single flips. Mutates the state in place;
-    consumes exactly one uniform draw."""
+    consumes exactly one uniform draw. With ``max_stays`` L > 1 (``rng`` a
+    ``_Uniforms``) it takes up to L steps, one draw each, from this one
+    probability vector: the run of stays and the move that ends it."""
     deltas = state.all_flip_deltas()
     probs = _gibbs_probs(deltas, state.gamma.q_den, beta)
-    r = rng.random()
+    r = rng.random() if max_stays == 1 else rng.random(probs[0], max_stays)
     if r < probs[0]:
         return _STAY, state
     acc = np.cumsum(probs[1:])
@@ -298,16 +325,34 @@ class _ChainDriver:
         self.kinds.append(move.kind)
         self.vertices.append(-1 if move.vertex is None else move.vertex)
 
+    def _record_stays(self, t: int, count: int, energy: int) -> None:
+        """Record steps t .. t+count-1 as stays at ``energy``."""
+        every = self.record_every
+        ts = range(-(-t // every) * every, t + count, every)
+        self.ts.extend(ts)
+        for col, value in ((self.n1s, self.n1), (self.n2s, self.n2),
+                           (self.energies, energy),
+                           (self.kinds, "stay"), (self.vertices, -1)):
+            col.extend([value] * len(ts))
+        if self._at_pc():
+            self.pc_run += count
+
     def _at_pc(self) -> bool:
         return self.k > 0 and self.n1 == self.k and self.n2 == 0
 
-    def step(self, t: int, u: Optional[float],
-             rng: Optional[np.random.Generator]) -> Optional[Move]:
-        """Advance to step t; returns the applied move, or None on gd
+    def step(self, t: int, u: Optional[float], rng,
+             max_stays: int = 1) -> Optional[Move]:
+        """Advance from step t (to ``steps``, past up to ``max_stays - 1``
+        leading Gibbs stays); returns the applied move, or None on gd
         absorption. ``u`` overrides the gd choice draw (for coupled runs)."""
         was_at_pc = self._at_pc()
         if isinstance(self.kind, GibbsChain):
-            move, _ = gibbs_step(self.state, self.kind.beta, rng)
+            drawn, energy = rng.drawn, self.state.scaled_energy
+            move, _ = gibbs_step(self.state, self.kind.beta, rng,
+                                 max_stays=max_stays)
+            lead = rng.drawn - drawn - 1  # stays before the step that gave move
+            self._record_stays(t, lead, energy)
+            t += lead
         elif isinstance(self.kind, _MinDegreePeel):
             move = _peel_step_u(self.state, rng.random())
         else:
@@ -380,18 +425,21 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
         graph, k = instance, 0
     else:
         graph, k = instance.graph, instance.k
-    if isinstance(kind, GibbsChain) and hold_window is None:
-        hold_window = 10 * graph.n
     rng = stream_rng(seed, CHAIN_STREAM)
+    hold = 0
+    if isinstance(kind, GibbsChain):
+        hold = 10 * graph.n if hold_window is None else hold_window
+        rng = _Uniforms(rng)
     driver = _ChainDriver(graph, k, init, kind, gamma, record_every)
     reason = "max_steps"
-    for t in range(1, max_steps + 1):
-        move = driver.step(t, None, rng)
-        if move is None:
+    while driver.steps < max_steps:
+        cap = max_steps - driver.steps
+        if hold and driver._at_pc():
+            cap = min(cap, hold - driver.pc_run)
+        if driver.step(driver.steps + 1, None, rng, cap) is None:
             reason = "absorbed"
             break
-        if (isinstance(kind, GibbsChain) and hold_window
-                and driver.pc_run >= hold_window):
+        if hold and driver.pc_run >= hold:
             reason = "held"
             break
     return driver.finish(reason)

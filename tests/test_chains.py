@@ -4,18 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plantedclique import (GammaParam, GibbsChain, GradientDescent, Move,
-                           TiePolicy, gd_step, gen_er, gen_planted,
-                           gibbs_probabilities, gibbs_step, init_state,
-                           local_min_check, replay, run_chain, run_coupled_gd,
-                           run_peel, stream_rng, verify_hamming_descent,
-                           verify_removal_phase)
-from plantedclique.chains import TRAJECTORY_CSV_HEADER
+from plantedclique import (GammaParam, GibbsChain, GradientDescent, Graph,
+                           Move, SubsetState, TiePolicy, Trajectory, gd_step,
+                           gen_er, gen_planted, gibbs_probabilities,
+                           gibbs_step, init_state, local_min_check, replay,
+                           run_chain, run_coupled_gd, run_peel, stream_rng,
+                           verify_hamming_descent, verify_removal_phase)
+from plantedclique.chains import TRAJECTORY_CSV_HEADER, _Uniforms
 
 from conftest import (first_clique_add, graph_from_edges, miss_probability,
                       moves, py_scaled_energy, terminal_members)
 
 ONE_EDGE3 = graph_from_edges(3, [(0, 1)])
+HOT_200 = 10 * math.log(200)  # low enough a temperature to hold the clique
 
 
 class TestTiePolicy:
@@ -140,6 +141,117 @@ class TestGibbsStep:
                 lhs = nu_w * probs[1 + i]
                 rhs = math.exp(-beta * H(other)) * Z(other) * probs_o[1 + i]
                 assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def reference_gibbs_run(instance, init, beta, gamma, max_steps, seed, hold,
+                        record_every) -> Trajectory:
+    """The Gibbs run as the chain defines it, one draw per step through the
+    public three-argument ``gibbs_step``: a row every ``record_every`` steps
+    plus the terminal row, stopping after ``max_steps`` or once the chain
+    has stayed at the clique for ``hold`` further steps (0: never)."""
+    graph, k = ((instance, 0) if isinstance(instance, Graph)
+                else (instance.graph, instance.k))
+    members = {"full": range(graph.n), "empty": ()}.get(init, init)
+    state = init_state(graph, members, gamma)
+    rng = stream_rng(seed, 2)
+
+    def overlap():
+        n1 = int(state.member[:k].sum())
+        return n1, state.size - n1, k > 0 and n1 == k and state.size == n1
+
+    n1, n2, at_pc = overlap()
+    rows = [(0, n1, n2, state.scaled_energy, "stay", -1)]
+    first_pc, run, reason = (0 if at_pc else None), 0, "max_steps"
+    for t in range(1, max_steps + 1):
+        was_at_pc = at_pc
+        move, _ = gibbs_step(state, beta, rng)
+        n1, n2, at_pc = overlap()
+        run = run + 1 if at_pc and was_at_pc else 0
+        if at_pc and first_pc is None:
+            first_pc = t
+        row = (t, n1, n2, state.scaled_energy, move.kind,
+               -1 if move.vertex is None else move.vertex)
+        if t % record_every == 0:
+            rows.append(row)
+        if hold and run >= hold:
+            reason = "held"
+            break
+    if rows[-1][0] != t:
+        rows.append(row)
+    t_col, n1_col, n2_col, energy, kind, vertex = zip(*rows)
+    return Trajectory(np.array(t_col), np.array(n1_col), np.array(n2_col),
+                      np.array(energy, dtype=object), np.array(kind),
+                      np.array(vertex), False, first_pc is not None, t,
+                      first_pc, reason, init, state.size, n1, n2)
+
+
+class TestEventSkippingGibbs:
+    @pytest.mark.parametrize("beta", [0.5, 1, 2, 3, 5, 10, 30])
+    @pytest.mark.parametrize("record_every", [1, 2, 3, 5, 7])
+    def test_matches_one_draw_reference(self, beta, record_every):
+        inst = gen_planted(40, 8, 3)
+        args = (inst, "full", beta, GammaParam(4), 300, 3, 400, record_every)
+        self._check(*args)
+
+    @pytest.mark.parametrize("n, k, init, beta, max_steps, hold, every, seed", [
+        # gibbs-hold shape: reach the clique, then a 10 n hold in stay runs
+        (200, 30, "full", HOT_200, 4000, 2000, 1, 0),
+        (200, 30, "full", HOT_200, 4000, 2000, 7, 1),
+        # max_steps ends inside the hold's stay run
+        (200, 30, "full", HOT_200, 1200, 2000, 3, 0),
+        # the hold ends a stay run that is not a record_every multiple long
+        (200, 30, "full", HOT_200, 4000, 333, 5, 2),
+        (200, 30, "full", HOT_200, 4000, 1, 2, 2),
+        # no hold: the chain stays at the clique until max_steps
+        (200, 30, "full", HOT_200, 3000, 0, 4, 3),
+        (100, 20, (0, 1, 2, 3, 50), 3.0, 800, 40, 2, 5),
+        (100, 20, "empty", 3.0, 800, 40, 3, 6),
+        (80, 0, "empty", 2.0, 500, 800, 3, 7),  # bare graph
+    ])
+    def test_matches_one_draw_reference_at_clique(self, n, k, init, beta,
+                                                  max_steps, hold, every, seed):
+        inst = gen_er(n, seed) if k == 0 else gen_planted(n, k, seed)
+        self._check(inst, init, beta, GammaParam(4), max_steps, seed, hold,
+                    every)
+
+    @staticmethod
+    def _check(inst, init, beta, gamma, max_steps, seed, hold, record_every):
+        ref = reference_gibbs_run(inst, init, beta, gamma, max_steps, seed,
+                                  hold, record_every)
+        traj = run_chain(inst, init, GibbsChain(beta), gamma, max_steps, seed,
+                         hold_window=hold, record_every=record_every)
+        assert traj.csv_text() == ref.csv_text()
+        assert traj.summary_dict() == ref.summary_dict()
+
+    def test_buffered_uniforms_match_single_draws(self):
+        ref = stream_rng(3, 2)
+        singles = np.array([ref.random() for _ in range(20000)])
+        src = _Uniforms(stream_rng(3, 2))
+        calls = ([(0.0, 1)] * 3000 + [(2.0, 6000), (0.999, 10 ** 6), (0.5, 3)]
+                 + [(0.9, 50)] * 100 + [(2.0, 4096), (0.0, 7)])
+        pos = 0
+        for stay_below, limit in calls:
+            u = src.random(stay_below, limit)
+            hits = np.flatnonzero(singles[pos:pos + limit] >= stay_below)
+            pos += int(hits[0]) + 1 if hits.size else limit
+            assert u == singles[pos - 1] and src.drawn == pos
+        assert pos > 3 * 4096  # the calls crossed several refills
+
+    def test_one_delta_scan_per_visited_state(self, monkeypatch):
+        scans = []
+        real = SubsetState.all_flip_deltas
+        monkeypatch.setattr(SubsetState, "all_flip_deltas",
+                            lambda self: scans.append(1) or real(self))
+        inst = gen_planted(200, 30, 0)
+        traj = run_chain(inst, "full", GibbsChain(10 * math.log(200)),
+                         GammaParam(4), 20000, 0, hold_window=10000)
+        kinds = traj.kind[1:]
+        stay = kinds == "stay"
+        moved = int((~stay).sum())
+        stay_runs = int(stay[0]) + int((stay[1:] & ~stay[:-1]).sum())
+        assert traj.stop_reason == "held" and len(kinds) == traj.steps
+        assert len(scans) <= moved + stay_runs + 1
+        assert len(scans) < traj.steps / 10
 
 
 class TestRunChain:
