@@ -69,6 +69,14 @@ class GammaParam:
         """Scaled coefficient on internal edge counts, p + q_den."""
         return self.p + self.q_den
 
+    def check_fits(self, n: int) -> None:
+        """Raise ValueError unless (p + q_den) * n <= 2**62. Then every
+        flip delta on n vertices, and the Gibbs shift ``deltas - dmin``,
+        fits in int64."""
+        if self.edge_weight * n > 2**62:
+            raise ValueError(f"gamma = {self} is too fine for n = {n}: "
+                             f"(p + q_den) * n must be <= 2**62")
+
     def __str__(self) -> str:
         return str(self.p) if self.q_den == 1 else f"{self.p}/{self.q_den}"
 
@@ -122,6 +130,7 @@ def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],
                gamma: GammaParam) -> SubsetState:
     """Build a consistent state for subset u (vertex iterable or bool mask)."""
     n = graph.n
+    gamma.check_fits(n)
     member = np.zeros(n, dtype=bool)
     if isinstance(u, np.ndarray) and u.dtype == bool:
         if u.shape != (n,):

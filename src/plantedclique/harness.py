@@ -120,12 +120,16 @@ class ExperimentConfig:
                 errors.append(("m", f"k + m = {self.k + self.m} exceeds n"))
             if not 0.5 <= self.q < 1.0:
                 errors.append(("q", f"q must lie in [1/2, 1), got {self.q}"))
-        elif self.m != 0:
-            errors.append(("m", f"model {self.model} takes m = 0"))
+        else:
+            if self.m != 0:
+                errors.append(("m", f"model {self.model} takes m = 0"))
+            if self.q != 0.5:
+                errors.append(("q", f"model {self.model} takes q = 0.5, "
+                                    f"got {self.q}"))
         if self.chain not in ("gd", "gibbs"):
             errors.append(("chain", f"unknown chain {self.chain!r}"))
         try:
-            self.gamma_param()
+            self.gamma_param().check_fits(self.n)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             errors.append(("gamma", str(exc)))
         if self.chain == "gibbs":
@@ -215,7 +219,7 @@ class LandscapeConfig:
             if not 1 <= self.k <= self.n:
                 errors.append(("k", f"need 1 <= k <= n"))
             try:
-                self.gamma_param()
+                self.gamma_param().check_fits(self.n)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 errors.append(("gamma", str(exc)))
             try:

@@ -44,6 +44,15 @@ TRIANGLE = graph_from_edges(6, [(0, 1), (0, 2), (1, 2)])
 
 
 class TestInitState:
+    def test_gamma_too_fine_for_n_rejected(self):
+        g = graph_from_edges(4, [(0, 1), (2, 3)])
+        edge = GammaParam(2**59 + 1, 2**59 - 1)  # (p + q_den) * 4 == 2**62
+        state = init_state(g, range(3), edge)
+        flips = [delta_remove(state, x) for x in range(3)] + [delta_add(state, 3)]
+        assert state.all_flip_deltas().tolist() == flips
+        with pytest.raises(ValueError, match="too fine"):
+            init_state(g, [0], GammaParam(2**59 + 3, 2**59 - 1))
+
     def test_empty_subset(self):
         st_ = init_state(TRIANGLE, [], GammaParam(3))
         assert st_.size == 0 and st_.internal_edges == 0

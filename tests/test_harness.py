@@ -75,6 +75,25 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, model="contaminated", m=10, q=0.3).validate()
 
+    @pytest.mark.parametrize("model", ["planted", "er"])
+    def test_q_needs_the_contaminated_model(self, tmp_path, model):
+        cfg = tiny_config(tmp_path, model=model, k=0 if model == "er" else 30,
+                          q=0.9)
+        with pytest.raises(ConfigError, match="takes q = 0.5"):
+            cfg.validate()
+
+    def test_gamma_too_fine_for_n_rejected(self, tmp_path):
+        # (p + q_den) * n is about 2 * 10**19 > 2**62; this used to pass and
+        # then die with an OverflowError inside all_flip_deltas
+        cfg = tiny_config(tmp_path, n=5000, k=70, gamma="3.000000000000001")
+        with pytest.raises(ConfigError, match="gamma.*too fine"):
+            cfg.validate()
+        tiny_config(tmp_path, n=300, gamma="3.000000000000001").validate()
+        scan = LandscapeConfig(mode="scan", n=5000, k=70, m_values="6",
+                               gamma="3.000000000000001")
+        with pytest.raises(ConfigError, match="gamma.*too fine"):
+            scan.validate()
+
     def test_seed_parsing(self, tmp_path):
         assert tiny_config(tmp_path, seeds="0..3").seed_list() == [0, 1, 2, 3]
         assert tiny_config(tmp_path, seeds="4,1,9").seed_list() == [4, 1, 9]
@@ -301,6 +320,26 @@ class TestCli:
                    "--out-dir", str(tmp_path / "peel")])
         assert rc == 0
         assert (tmp_path / "peel" / "peel_s0.csv").exists()
+
+    def test_peel_verb_rejects_q_without_m(self, tmp_path, capsys):
+        # --q only means something for the contaminated model (--m >= 1)
+        rc = main(["peel", "--n", "60", "--k", "10", "--q", "0.9", "--seeds",
+                   "0", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: q" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(q=0.9), "q"),
+        (dict(n=5000, k=70, gamma="3.000000000000001"), "gamma"),
+    ])
+    def test_run_verb_rejects_config_before_writing(self, tmp_path, capsys,
+                                                    overrides, field):
+        path = tmp_path / "exp.cfg"
+        write_config(path, tiny_config(tmp_path, seeds="0", **overrides))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_coupled_verb(self, tmp_path, capsys):
         rc = main(["coupled", "--n", "80", "--k", "8", "--seeds", "0..1",
