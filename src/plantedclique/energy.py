@@ -108,9 +108,6 @@ class SubsetState:
                            self.size, self.internal_edges, self.deg_into.copy(),
                            self.scaled_energy)
 
-    def __contains__(self, x: int) -> bool:
-        return bool(self.member[x])
-
     def energy(self) -> Fraction:
         """Unscaled H(U) as an exact rational."""
         return Fraction(self.scaled_energy, self.gamma.q_den)

@@ -43,6 +43,7 @@ __all__ = [
     "EDGE_STREAM",
     "SUBSET_STREAM",
     "CHAIN_STREAM",
+    "SAMPLER_STREAM",
 ]
 
 # Versioned generator scheme. Substream i of master seed s is
@@ -54,6 +55,7 @@ GENERATOR_SCHEME = "pcg64-streams-v1"
 EDGE_STREAM = 0
 SUBSET_STREAM = 1
 CHAIN_STREAM = 2
+SAMPLER_STREAM = 3
 
 _MAX_SEED = 2**64 - 1
 
@@ -144,11 +146,14 @@ class Graph:
         if member.shape != (self.n,):
             raise ValueError("membership mask has wrong length")
         mask = np.packbits(member)
-        return np.bitwise_count(self._rows & mask).sum(axis=1, dtype=np.int64)
-
-    def edges_inside(self, member: np.ndarray) -> int:
-        member = np.asarray(member, dtype=bool)
-        return int(self.deg_into(member)[member].sum()) // 2
+        out = np.empty(self.n, dtype=np.int64)
+        buf = np.empty((_BLOCK, mask.size), dtype=np.uint8)
+        for b in range(0, self.n, _BLOCK):
+            chunk = buf[: min(_BLOCK, self.n - b)]
+            np.bitwise_and(self._rows[b : b + _BLOCK], mask, out=chunk)
+            np.bitwise_count(chunk, out=chunk).sum(axis=1, dtype=np.int64,
+                                                   out=out[b : b + _BLOCK])
+        return out
 
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(self._rows, axis=1, count=self.n).view(bool)

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .energy import GammaParam, init_state
-from .graphs import Graph, stream_rng
+from .graphs import SAMPLER_STREAM, Graph, stream_rng
 
 __all__ = ["LocalMinReport", "ComplexityEstimate", "binary_entropy",
            "local_min_check", "brute_force_min", "enumerate_local_minima"]
@@ -210,7 +210,7 @@ def enumerate_local_minima(graph: Graph, m: int, forbidden: Iterable[int],
         )
         return found, est
 
-    rng = stream_rng(seed, 3)
+    rng = stream_rng(seed, SAMPLER_STREAM)
     hits: set = set()
     n_hits = 0
     remaining = budget

@@ -127,7 +127,7 @@ class TestDeltas:
         st_ = init_state(g, np.flatnonzero(rng.random(30) < 0.4), GammaParam(9, 4))
         deltas = st_.all_flip_deltas()
         for x in range(30):
-            expected = delta_remove(st_, x) if x in st_ else delta_add(st_, x)
+            expected = delta_remove(st_, x) if st_.member[x] else delta_add(st_, x)
             assert deltas[x] == expected
 
     def test_wrong_side_rejected(self):

@@ -189,6 +189,24 @@ def test_graph_queries_match_dense(rng):
     assert not inst.graph.has_edge(4, 4)
 
 
+def test_deg_into_needs_no_n_by_n_temporaries():
+    # rows & mask and its popcount would each be n^2 / 8 = 8 MB here
+    n = 8000
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, 256, (n, n // 8), dtype=np.uint8)
+    graph = Graph(n, rows)
+    member = rng.random(n) < 0.5
+    tracemalloc.start()
+    try:
+        deg = graph.deg_into(member)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expect = np.bitwise_count(rows & np.packbits(member)).sum(axis=1)
+    assert deg.dtype == np.int64 and np.array_equal(deg, expect)
+    assert peak < 2**20
+
+
 def test_graph_is_immutable():
     g = gen_er(10, 0)
     with pytest.raises(ValueError):
