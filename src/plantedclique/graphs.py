@@ -463,19 +463,21 @@ def load_graph(path) -> Union[Graph, PlantedInstance]:
 
 
 def write_edge_list(path, obj: Union[Graph, PlantedInstance]) -> None:
-    """One 0-indexed "u v" pair per line; instances report original labels."""
+    """One 0-indexed "u v" pair per line with u < v, sorted; instances report
+    original labels. Streams one write per label u: its larger-labelled
+    neighbours, in order, from u's packed row."""
     if isinstance(obj, PlantedInstance):
         graph, labels = obj.graph, obj.labels
     else:
         graph, labels = obj, np.arange(obj.n)
-    dense = graph.to_dense()
-    us, vs = np.nonzero(np.triu(dense, 1))
-    pairs = np.stack([labels[us], labels[vs]], axis=1)
-    pairs = np.sort(pairs, axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    internal = np.argsort(labels)  # original label -> internal vertex
+    names = np.array([str(v) for v in range(graph.n)], dtype=object)
     with open(path, "w") as f:
-        for u, v in pairs[order]:
-            f.write(f"{u} {v}\n")
+        for u, x in enumerate(internal.tolist()):
+            vs = labels[graph.row01(x).view(bool)]
+            vs = np.sort(vs[vs > u])
+            if vs.size:
+                f.write(f"{u} " + f"\n{u} ".join(names[vs]) + "\n")
 
 
 def read_edge_list(path, n: Optional[int] = None) -> Graph:

@@ -259,6 +259,21 @@ def test_edge_list_uses_original_labels(tmp_path):
     assert np.array_equal(back.to_dense(), orig)
 
 
+def test_edge_list_streams_without_dense_arrays(tmp_path):
+    # the dense n x n matrix alone is n^2 bytes, the all-edges array more
+    n = 4000
+    inst = gen_planted(n, 60, 1)
+    path = tmp_path / "g.txt"
+    tracemalloc.start()
+    try:
+        write_edge_list(path, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 8
+    assert path.read_bytes().count(b"\n") == inst.graph.num_edges()
+
+
 def _set_bits(path, row, byte, bits):
     """OR ``bits`` into one byte of a saved graph's packed rows."""
     header, payload = path.read_bytes().split(b"\n", 1)
