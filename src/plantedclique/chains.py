@@ -421,6 +421,8 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
         raise ValueError("max_steps must be >= 1")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    if hold_window is not None and hold_window < 0:
+        raise ValueError("hold_window must be >= 0")
     if isinstance(instance, Graph):
         graph, k = instance, 0
     else:

@@ -334,6 +334,13 @@ class TestRunChain:
         assert traj.reached_pc and traj.terminal_n1 == 30 and traj.terminal_n2 == 0
         assert traj.steps == traj.first_pc_step + 300
 
+    def test_negative_hold_window_rejected(self):
+        # a negative hold once ended the run as "held" after one step
+        inst = gen_planted(40, 8, 0)
+        with pytest.raises(ValueError, match="hold_window"):
+            run_chain(inst, "full", GibbsChain(1.0), GammaParam(4), 100, 0,
+                      hold_window=-1)
+
     def test_gibbs_stay_moves_recorded(self):
         inst = gen_planted(30, 6, 2)
         traj = run_chain(inst, "empty", GibbsChain(0.0), GammaParam(2), 60, 2)
