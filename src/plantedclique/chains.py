@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .energy import GammaParam, SubsetState, apply_flip, delta_remove, init_state
+from .energy import GammaParam, SubsetState, apply_flip, init_state
 from .graphs import CHAIN_STREAM, Graph, PlantedInstance, gen_coupled, stream_rng
 
 __all__ = [
@@ -252,16 +252,16 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     x = int(np.searchsorted(acc, r - probs[0], side="right"))
     if x >= state.graph.n:  # guard against float round-off at the top end
         x = state.graph.n - 1
-    kind = "remove" if state.member[x] else "add"
-    apply_flip(state, x)
-    return Move(kind, x, int(deltas[x])), state
+    move = Move("remove" if state.member[x] else "add", x, int(deltas[x]))
+    apply_flip(state, x)  # updates ``deltas`` in place, so read it first
+    return move, state
 
 
 def _peel_step_u(state: SubsetState, u: float) -> Move:
-    """Remove a uniformly random minimum-degree member of the current set."""
-    degs = np.where(state.member, state.deg_into, np.iinfo(np.int64).max)
-    x = _choose(np.flatnonzero(degs == degs.min()), u)
-    move = Move("remove", x, delta_remove(state, x))
+    """Remove a uniformly random least-remove-delta (so min-degree) member."""
+    dels = np.where(state.member, state.all_flip_deltas(), np.iinfo(np.int64).max)
+    x = _choose(np.flatnonzero(dels == dels.min()), u)
+    move = Move("remove", x, int(dels[x]))
     apply_flip(state, x)
     return move
 
@@ -491,6 +491,7 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
     driver = _ChainDriver(graph, k, "full", _MinDegreePeel(),
                           gamma or GammaParam(2, 1))
     state = driver.state
+    p, w = state.gamma.p, state.gamma.edge_weight  # members' degrees from deltas
     violated = np.zeros(k, dtype=bool)
     while driver.n2 > threshold and state.size > 0:
         n1, n23 = driver.n1, driver.n2
@@ -498,7 +499,8 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
         if c1 is not None and n1 > 0:
             n2v = np.count_nonzero(state.member[k:k + m])  # contaminated
             bound = (n1 - 1) + q * n2v + 0.5 * (n23 - n2v) - c1 * sqrt_n
-            violated |= state.member[:k] & (state.deg_into[:k] < bound)
+            deg = (state.all_flip_deltas()[:k] + p * (state.size - 1)) // w
+            violated |= state.member[:k] & (deg < bound)
         driver.step(driver.steps + 1, None, rng)
     traj = driver.finish("stopped")
 
@@ -610,8 +612,8 @@ class RemovalPhaseReport:
 def verify_removal_phase(instance: PlantedInstance, trajectory: Trajectory,
                          gamma: GammaParam, n2_threshold: float) -> RemovalPhaseReport:
     """Check that while more than ``n2_threshold`` non-clique vertices remain,
-    every move removes a vertex of minimum degree within the current set
-    (which is exactly the argmin of the removal energies)."""
+    every move removes a vertex of minimum degree within the current set,
+    which is exactly the argmin of the removal deltas."""
     members, _ = _resolve_init(trajectory.init_spec, instance.n)
     state = init_state(instance.graph, members, gamma)
     checked, bad = 0, []
@@ -622,8 +624,8 @@ def verify_removal_phase(instance: PlantedInstance, trajectory: Trajectory,
                               trajectory.vertex[1:].tolist()):
         if n2 > n2_threshold:
             checked += 1
-            if kind != "remove" or (state.deg_into[x]
-                                    != state.deg_into[state.member].min()):
+            d = state.all_flip_deltas()
+            if kind != "remove" or d[x] != d[state.member].min():
                 bad.append(t)
         if x >= 0:
             apply_flip(state, x)

@@ -6,8 +6,11 @@ The objective on a subset U is
 
 and everything here works with the integer scaling q_den * H(U)
 = p * C(|U|, 2) - (p + q_den) * |E(U)|, so energy comparisons, argmins and
-tie decisions are exact. Single-flip deltas come from cached per-vertex
-degrees in O(1); applying a flip refreshes the caches in O(n / 8) byte ops.
+tie decisions are exact. A state caches every single-flip delta d_y (add:
+p|U| - w|E(y,U)|, remove: w|E(y,U)| - p(|U|-1), w = p + q_den). Flipping x
+negates d_x and moves every other d_y by s * sigma_y * (p - w * [xy edge]),
+s = +1 for an add and -1 for a remove, sigma_y = -1 inside U and +1 outside:
+three int64 passes over one unpacked row. Degrees and |E(U)| are derived.
 """
 
 from __future__ import annotations
@@ -82,45 +85,54 @@ class GammaParam:
 
 
 class SubsetState:
-    """A subset U with cached degrees into it and its scaled energy.
+    """A subset U with its cached flip-delta vector and its scaled energy.
 
     Mutable and single-owner: hand it between threads if you like, but never
-    mutate concurrently. ``deg_into[x]`` equals |E(x, U)| for every vertex x,
-    member or not, so both add- and remove-deltas are O(1) lookups.
+    mutate concurrently. ``apply_flip`` moves the deltas by the rule above:
+    ``_side`` holds its factors sigma * p and sigma * w, ``_buf`` its scratch.
     """
 
-    __slots__ = ("graph", "gamma", "member", "size", "internal_edges",
-                 "deg_into", "scaled_energy")
+    __slots__ = ("graph", "gamma", "member", "size", "scaled_energy",
+                 "_deltas", "_view", "_side", "_buf")
 
     def __init__(self, graph: Graph, gamma: GammaParam, member: np.ndarray,
-                 size: int, internal_edges: int, deg_into: np.ndarray,
-                 scaled_energy: int):
+                 size: int, deltas: np.ndarray, scaled_energy: int):
         self.graph = graph
         self.gamma = gamma
         self.member = member
         self.size = size
-        self.internal_edges = internal_edges
-        self.deg_into = deg_into
         self.scaled_energy = scaled_energy
+        self._deltas = deltas
+        self._view = deltas.view()
+        self._view.setflags(write=False)
+        self._side = np.outer([gamma.p, gamma.edge_weight], np.where(member, -1, 1))
+        self._buf = np.empty_like(deltas)
 
     def copy(self) -> "SubsetState":
         return SubsetState(self.graph, self.gamma, self.member.copy(),
-                           self.size, self.internal_edges, self.deg_into.copy(),
-                           self.scaled_energy)
+                           self.size, self._deltas.copy(), self.scaled_energy)
 
     def energy(self) -> Fraction:
         """Unscaled H(U) as an exact rational."""
         return Fraction(self.scaled_energy, self.gamma.q_den)
 
     def all_flip_deltas(self) -> np.ndarray:
-        """Scaled energy change of every single flip, as an int64 vector:
-        entry x is the add-delta if x is outside U, the remove-delta if
-        inside."""
-        p = self.gamma.p
-        w = self.gamma.edge_weight
-        add = p * self.size - w * self.deg_into
-        rem = w * self.deg_into - p * (self.size - 1)
-        return np.where(self.member, rem, add)
+        """Scaled energy change of every single flip, as a read-only int64
+        view of the cache: entry x is the add-delta if x is outside U, the
+        remove-delta if inside. The next ``apply_flip`` updates it in place."""
+        return self._view
+
+    @property
+    def deg_into(self) -> np.ndarray:
+        """|E(x, U)| for every vertex x."""
+        p, w, s, d = self.gamma.p, self.gamma.edge_weight, self.size, self._deltas
+        return np.where(self.member, d + p * (s - 1), p * s - d) // w
+
+    @property
+    def internal_edges(self) -> int:
+        """|E(U)|, from scaled_energy = p * C(|U|, 2) - w * |E(U)|."""
+        g, s = self.gamma, self.size
+        return (g.p * (s * (s - 1) // 2) - self.scaled_energy) // g.edge_weight
 
 
 def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],
@@ -141,41 +153,36 @@ def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],
             member[idx] = True
     deg = graph.deg_into(member)
     size = int(np.count_nonzero(member))
-    internal = int(deg[member].sum()) // 2
-    scaled = gamma.p * (size * (size - 1) // 2) - gamma.edge_weight * internal
-    return SubsetState(graph, gamma, member, size, internal, deg, scaled)
+    p, w = gamma.p, gamma.edge_weight
+    scaled = p * (size * (size - 1) // 2) - w * (int(deg[member].sum()) // 2)
+    deltas = np.where(member, w * deg - p * (size - 1), p * size - w * deg)
+    return SubsetState(graph, gamma, member, size, deltas, scaled)
 
 
 def delta_add(state: SubsetState, x: int) -> int:
     """Scaled energy change of adding x: -(p + q_den)|E(x,U)| + p|U|."""
     if state.member[x]:
         raise ValueError(f"vertex {x} is already in the subset")
-    g = state.gamma
-    return g.p * state.size - g.edge_weight * int(state.deg_into[x])
+    return int(state._deltas[x])
 
 
 def delta_remove(state: SubsetState, z: int) -> int:
     """Scaled energy change of removing z: (p + q_den)|E(z,U)| - p(|U|-1)."""
     if not state.member[z]:
         raise ValueError(f"vertex {z} is not in the subset")
-    g = state.gamma
-    return g.edge_weight * int(state.deg_into[z]) - g.p * (state.size - 1)
+    return int(state._deltas[z])
 
 
 def apply_flip(state: SubsetState, x: int) -> SubsetState:
-    """Toggle membership of x, updating all caches incrementally in place."""
-    row = state.graph.row01(x)
-    d = int(state.deg_into[x])
-    if state.member[x]:
-        state.scaled_energy += state.gamma.edge_weight * d - state.gamma.p * (state.size - 1)
-        state.internal_edges -= d
-        state.size -= 1
-        state.member[x] = False
-        np.subtract(state.deg_into, row, out=state.deg_into)
-    else:
-        state.scaled_energy += state.gamma.p * state.size - state.gamma.edge_weight * d
-        state.internal_edges += d
-        state.size += 1
-        state.member[x] = True
-        np.add(state.deg_into, row, out=state.deg_into)
+    """Toggle membership of x, updating the caches in place."""
+    d, buf, (sp, sw) = state._deltas, state._buf, state._side
+    dx, remove = int(d[x]), bool(state.member[x])
+    np.multiply(state.graph.row01(x), sw, out=buf)
+    np.subtract(sp, buf, out=buf)  # sigma * (p - w * row)
+    (np.subtract if remove else np.add)(d, buf, out=d)
+    state.size += -1 if remove else 1
+    state.member[x] = not remove
+    state.scaled_energy += dx
+    d[x] = -dx
+    sp[x], sw[x] = -sp[x], -sw[x]
     return state

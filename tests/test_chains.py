@@ -10,7 +10,7 @@ from plantedclique import (GammaParam, GibbsChain, GradientDescent, Graph,
                            gibbs_step, init_state, local_min_check, replay,
                            run_chain, run_coupled_gd, run_peel, stream_rng,
                            verify_hamming_descent, verify_removal_phase)
-from plantedclique.chains import TRAJECTORY_CSV_HEADER, _Uniforms
+from plantedclique.chains import TRAJECTORY_CSV_HEADER, _peel_step_u, _Uniforms
 
 from conftest import (first_clique_add, graph_from_edges, miss_probability,
                       moves, py_scaled_energy, terminal_members)
@@ -528,3 +528,68 @@ class TestCheckers:
         terminal = replay(inst, traj, gam)
         assert terminal.size == traj.terminal_size
         assert int(terminal.member[:18].sum()) == traj.terminal_n1
+
+
+class TestDeltaCacheUse:
+    """Chains read the cached flip deltas; none rebuilds them per step."""
+
+    @staticmethod
+    def _steps(step, n=130, init="full", count=60):
+        inst = gen_planted(n, 20, 5)
+        state = init_state(inst.graph, np.full(n, init == "full"), GammaParam(7, 2))
+        for _ in range(count):
+            energy = state.scaled_energy
+            move = step(state)
+            if move.kind == "stay":
+                assert move.scaled_delta == 0 and state.scaled_energy == energy
+                continue
+            assert move.scaled_delta == state.scaled_energy - energy
+            yield move
+
+    def test_gd_move_delta_is_the_energy_change(self):
+        rng = stream_rng(1, 2)
+        policy = TiePolicy.drift(5)
+        kinds = {m.kind for m in self._steps(
+            lambda st: gd_step(st, rng, policy)[0], init="empty")}
+        assert "add" in kinds
+
+    @pytest.mark.parametrize("max_stays", [1, 50])
+    def test_gibbs_move_delta_is_the_energy_change(self, max_stays):
+        rng = stream_rng(2, 2) if max_stays == 1 else _Uniforms(stream_rng(2, 2))
+        kinds = {m.kind for m in self._steps(
+            lambda st: gibbs_step(st, 0.3, rng, max_stays=max_stays)[0],
+            init="empty", count=200)}
+        assert kinds == {"add", "remove"}
+
+    def test_peel_move_delta_is_the_energy_change(self):
+        rng = stream_rng(3, 2)
+        moved = list(self._steps(lambda st: _peel_step_u(st, rng.random())))
+        assert len(moved) == 60 and all(m.kind == "remove" for m in moved)
+
+    def test_gd_run_builds_degrees_once(self, monkeypatch):
+        degree_builds, views = [], []
+        real_deg_into = Graph.deg_into
+        real_deltas = SubsetState.all_flip_deltas
+        monkeypatch.setattr(Graph, "deg_into", lambda self, member: (
+            degree_builds.append(1) or real_deg_into(self, member)))
+        monkeypatch.setattr(SubsetState, "all_flip_deltas", lambda self: (
+            views.append(real_deltas(self)) or views[-1]))
+        monkeypatch.setattr(SubsetState, "deg_into", property(
+            lambda self: pytest.fail("a chain step derived every degree")))
+        inst = gen_planted(400, 50, 2)
+        traj = run_chain(inst, "full", GradientDescent(), GammaParam(4), 10**4, 2)
+        assert traj.absorbed and traj.steps > 300
+        assert len(degree_builds) == 1  # init_state's
+        assert len(views) == traj.steps + 1
+        assert all(v is views[0] for v in views)  # the one cached vector
+
+    def test_checkers_never_derive_every_degree(self, monkeypatch):
+        inst = gen_planted(300, 50, 6)
+        gam = GammaParam(4)
+        traj = run_chain(inst, "full", GradientDescent(), gam, 10**4, 6)
+        monkeypatch.setattr(SubsetState, "deg_into", property(
+            lambda self: pytest.fail("a checker derived every degree")))
+        rep = verify_removal_phase(inst, traj, gam, n2_threshold=60)
+        assert rep.ok and rep.checked_steps > 100
+        _, diag = run_peel(inst, stop=30, seed=6, c1=3.0)
+        assert len(diag.retained) >= 45

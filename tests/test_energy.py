@@ -198,3 +198,51 @@ def test_incremental_energy_always_matches_recompute(seed, n, flips, gam_raw):
         assert state.scaled_energy == fresh.scaled_energy
         assert state.internal_edges == fresh.internal_edges
         assert np.array_equal(state.deg_into, fresh.deg_into)
+
+
+class TestDeltaCache:
+    """The flip-delta vector is kept by apply_flip, never rebuilt; it and the
+    degrees derived from it must match a fresh build at every step."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
+    @pytest.mark.parametrize("gamma", ["4", "7/2", "3.000000000000001"])
+    @pytest.mark.parametrize("init", ["full", "empty", "explicit"])
+    def test_cache_matches_fresh_build(self, n, gamma, init):
+        gam = GammaParam.from_value(gamma)
+        g = gen_er(n, n)
+        rng = np.random.default_rng(n)
+        start = {"full": np.ones(n, dtype=bool), "empty": np.zeros(n, dtype=bool),
+                 "explicit": rng.random(n) < 0.3}[init]
+        state = init_state(g, start, gam)
+        for x in rng.integers(0, n, size=40).tolist():
+            apply_flip(state, x)
+            fresh = init_state(g, state.member.copy(), gam)
+            assert np.array_equal(state.all_flip_deltas(), fresh.all_flip_deltas())
+            assert np.array_equal(state.deg_into, g.deg_into(state.member))
+            assert state.internal_edges == fresh.internal_edges
+            assert state.scaled_energy == fresh.scaled_energy
+
+    def test_copy_is_independent(self):
+        g = gen_er(70, 1)
+        state = init_state(g, range(0, 70, 2), GammaParam(7, 2))
+        twin = state.copy()
+        before = (state.member.copy(), state.all_flip_deltas().copy(),
+                  state.size, state.scaled_energy)
+        for x in (1, 2, 69):
+            apply_flip(twin, x)
+        assert np.array_equal(state.member, before[0])
+        assert np.array_equal(state.all_flip_deltas(), before[1])
+        assert (state.size, state.scaled_energy) == before[2:]
+        apply_flip(state, 5)  # and the source's flips leave the copy alone
+        fresh = init_state(g, twin.member.copy(), GammaParam(7, 2))
+        assert np.array_equal(twin.all_flip_deltas(), fresh.all_flip_deltas())
+
+    def test_deltas_are_read_only(self):
+        state = init_state(TRIANGLE, [0, 1], GammaParam(3))
+        deltas = state.all_flip_deltas()
+        with pytest.raises(ValueError):
+            deltas[0] = 7
+        with pytest.raises(ValueError):
+            deltas += 1
+        fresh = init_state(TRIANGLE, [0, 1], GammaParam(3))
+        assert np.array_equal(deltas, fresh.all_flip_deltas())
