@@ -21,6 +21,7 @@ clique is then set on the packed bits of rows 0..k-1.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -106,14 +107,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        dense = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has a vertex outside [0, {n})")
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            dense[u, v] = dense[v, u] = True
-        return cls(n, np.packbits(dense, axis=1))
+        rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        _set_edges(rows, np.asarray(list(edges), dtype=np.int64).reshape(-1, 2))
+        return cls(n, rows)
 
     @property
     def packed_rows(self) -> np.ndarray:
@@ -480,20 +476,40 @@ def write_edge_list(path, obj: Union[Graph, PlantedInstance]) -> None:
                 f.write(f"{u} " + f"\n{u} ".join(names[vs]) + "\n")
 
 
-def read_edge_list(path, n: Optional[int] = None) -> Graph:
-    """Read a "u v" per line edge list into a Graph with identity labels."""
-    edges = []
-    top = -1
+def _set_edges(rows: np.ndarray, uv: np.ndarray) -> None:
+    """Set both bits of every edge of an (m, 2) label array in packed rows."""
+    n = rows.shape[0]
+    bad = ((uv < 0) | (uv >= n)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"edge {uv[bad][0].tolist()} has a vertex outside [0, {n})")
+    if (uv[:, 0] == uv[:, 1]).any():
+        raise ValueError("self-loops are not allowed")
+    for a, b in (uv.T, uv.T[::-1]):
+        np.bitwise_or.at(rows, (a, b >> 3), (128 >> (b & 7)).astype(np.uint8))
+
+
+def _edge_chunks(path, lines: int = 4096):
+    """Yield the "u v" lines of an edge list, blank lines and "#" comments
+    skipped, as (m, 2) int64 arrays of at most ``lines`` rows."""
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, v = (int(tok) for tok in line.split())
-            edges.append((u, v))
-            top = max(top, u, v)
+        source, uv = (line for line in f), np.empty((lines, 2))  # not file-like,
+        while len(uv) == lines:  # so loadtxt reads no further than it parses
+            with warnings.catch_warnings():  # an empty last chunk warns
+                warnings.simplefilter("ignore", UserWarning)
+                uv = np.loadtxt(source, np.int64, comments="#", ndmin=2, max_rows=lines)
+            if uv.size and uv.shape[1] != 2:
+                raise ValueError("each edge-list line must hold two labels")
+            yield uv.reshape(-1, 2)
+
+
+def read_edge_list(path, n: Optional[int] = None) -> Graph:
+    """Read a "u v" per line edge list into a Graph with identity labels, in
+    chunks straight into packed rows; without ``n``, a first pass finds it."""
     if n is None:
-        n = top + 1
+        n = max(int(uv.max(initial=-1)) for uv in _edge_chunks(path)) + 1
     if n < 1:
         raise ValueError("edge list implies an empty graph; pass n explicitly")
-    return Graph.from_edges(n, edges)
+    rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    for uv in _edge_chunks(path):
+        _set_edges(rows, uv)
+    return Graph(n, rows)

@@ -378,3 +378,59 @@ def test_read_edge_list_rejects_negative_label(tmp_path):
     path.write_text("0 1\n-1 2\n")
     with pytest.raises(ValueError, match="outside"):
         read_edge_list(path, n=5)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 130])
+def test_edge_list_roundtrip_across_byte_edges(tmp_path, n):
+    path = tmp_path / "g.txt"
+    for g in (gen_er(n, n), Graph.from_edges(n, [(0, n - 1)] if n > 1 else [])):
+        write_edge_list(path, g)
+        assert read_edge_list(path, n=n) == g
+        if g.num_edges() and g.degrees()[-1]:
+            assert read_edge_list(path) == g  # n inferred from the largest label
+
+
+def test_read_edge_list_needs_no_dense_arrays(tmp_path):
+    # the packed rows it returns are n^2 / 8 bytes; the dense matrix was n^2
+    # and the parsed list of about 10^6 edge tuples far more
+    n = 2000
+    path = tmp_path / "g.txt"
+    g = gen_er(n, 3)
+    write_edge_list(path, g)
+    tracemalloc.start()
+    try:
+        back = read_edge_list(path, n=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert peak < back.packed_rows.nbytes + n * n // 8
+
+
+def test_read_edge_list_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# an edge list\n\n0 1\n   \n  # indented\n1 3\n")
+    assert read_edge_list(path) == Graph.from_edges(4, [(0, 1), (1, 3)])
+
+
+@pytest.mark.parametrize("text, match", [
+    ("0 1\n2 2\n", "self-loop"),
+    ("0 1\n1 5\n", "outside"),
+    ("0 1 2\n", "two labels"),
+    ("3\n", "two labels"),
+    ("0 1\n1 2 3\n", "columns"),
+    ("0 x\n", "convert"),
+    ("# nothing\n", "empty graph"),
+])
+def test_read_edge_list_rejects_bad_lines(tmp_path, text, match):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_edge_list(path, n=None if "nothing" in text else 5)
+
+
+def test_read_edge_list_rejects_a_bad_line_in_a_later_chunk(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n" * 5000 + "4 4\n")
+    with pytest.raises(ValueError, match="self-loop"):
+        read_edge_list(path)
