@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from plantedclique import (GammaParam, binary_entropy, brute_force_min,
                            enumerate_local_minima, gen_er, gen_planted,
                            init_state, local_min_check)
+from plantedclique.graphs import SAMPLER_STREAM, stream_rng
+from plantedclique.landscape import (ComplexityEstimate, _predicted_exponent,
+                                     check_sample_rate)
 
 from conftest import graph_from_edges
 
@@ -203,3 +207,132 @@ class TestEnumerateLocalMinima:
             enumerate_local_minima(g, 3, [], GammaParam(2), 0)
         with pytest.raises(ValueError):
             enumerate_local_minima(g, 11, [], GammaParam(2), 100)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the former pure-Python DP and sort-based sampler
+# ---------------------------------------------------------------------------
+
+EQUIV_GAMMAS = ("2", "3", "7/2", "10", "3.000000000000001",
+                "1099511627777/1099511627776")
+
+
+def ref_brute_force_min(graph, gamma):
+    """Global minimum by one Python pass over every bitmask, in mask order."""
+    n = graph.n
+    adj = [sum(1 << int(j) for j in graph.neighbors(i)) for i in range(n)]
+    p, w = gamma.p, gamma.edge_weight
+    edges = [0] * (1 << n)
+    best, argmins = 0, [0]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        edges[mask] = e = edges[rest] + (adj[low.bit_length() - 1] & rest).bit_count()
+        s = mask.bit_count()
+        h = p * (s * (s - 1) // 2) - w * e
+        if h < best:
+            best, argmins = h, [mask]
+        elif h == best:
+            argmins.append(mask)
+    return best, [frozenset(i for i in range(n) if mask >> i & 1) for mask in argmins]
+
+
+def ref_minima(dense, idx, gamma):
+    """Strict local minima among the rows of idx, by dense gathers."""
+    p, w, m = gamma.p, gamma.edge_weight, idx.shape[1]
+    internal = dense[idx[:, :, None], idx[:, None, :]].sum(axis=2, dtype=np.int64)
+    found = []
+    for row in idx[(w * internal > p * (m - 1)).all(axis=1)]:
+        deg = dense[:, row].sum(axis=1, dtype=np.int64)
+        outside = np.ones(dense.shape[0], dtype=bool)
+        outside[row] = False
+        if (w * deg[outside] < p * m).all():
+            found.append(frozenset(int(v) for v in row))
+    return found
+
+
+def ref_enumerate_local_minima(graph, m, forbidden, gamma, budget, seed=0):
+    """Exhaustive chunks of combinations, or rejection sampling that sorts each
+    draw and drops rows with a repeat, with the same estimate."""
+    pool = np.array([v for v in range(graph.n) if v not in set(forbidden)])
+    total, dense, batch = math.comb(pool.size, m), graph.to_dense(), 1 << 15
+    pred = _predicted_exponent(graph.n, m, gamma)
+    if total <= budget:
+        found, it = [], itertools.combinations(pool.tolist(), m)
+        while chunk := list(itertools.islice(it, batch)):
+            found.extend(ref_minima(dense, np.array(chunk), gamma))
+        return found, ComplexityEstimate(m, len(found), float(len(found)), 0.0,
+                                         pred, False, total, total)
+    rng = stream_rng(seed, SAMPLER_STREAM)
+    hits, n_hits, remaining = set(), 0, budget
+    while remaining > 0:
+        r = min(batch, 2 * remaining + 16)
+        draw = np.sort(rng.integers(0, pool.size, size=(r, m), dtype=np.int64), axis=1)
+        take = draw[(np.diff(draw, axis=1) > 0).all(axis=1)][:remaining]
+        found = ref_minima(dense, pool[take], gamma)
+        n_hits += len(found)
+        hits.update(found)
+        remaining -= take.shape[0]
+    phat = n_hits / budget
+    return sorted(hits, key=sorted), ComplexityEstimate(
+        m, n_hits, total * phat, total * math.sqrt(phat * (1.0 - phat) / budget),
+        pred, True, budget, total)
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("gamma", EQUIV_GAMMAS)
+    def test_brute_force_min_matches_the_python_dp(self, gamma):
+        gam = GammaParam.from_value(gamma)
+        graphs = [graph_from_edges(9, []), Graph_complete(9)]
+        for n, seed in itertools.product((1, 6, 11, 14), (0, 1)):
+            graphs += [gen_er(n, seed), gen_planted(n, max(1, n // 2), seed).graph]
+        for g in graphs:
+            assert brute_force_min(g, gam) == ref_brute_force_min(g, gam)
+
+    def test_brute_force_ties_across_sizes_come_in_mask_order(self):
+        # at gamma = 3, H = 3 (non-edges) - edges: K5 minus edge {3, 4} and a
+        # separate K4 on {5..8} all reach -6, so sizes 4 and 5 tie and the
+        # size-5 mask 31 lies between the size-4 masks 23 and 480
+        edges = [e for e in itertools.combinations(range(5), 2) if e != (3, 4)]
+        edges += list(itertools.combinations(range(5, 9), 2))
+        best, argmins = brute_force_min(graph_from_edges(9, edges), GammaParam(3))
+        assert best == -6
+        assert argmins == [frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4}),
+                           frozenset(range(5)), frozenset(range(5, 9))]
+
+    def test_brute_force_min_stays_below_ten_bytes_per_subset(self):
+        # edges uint16, sizes uint8 and a uint32 half range: an int64 energy
+        # array alone would be 8 bytes per subset
+        g = gen_planted(20, 8, 0).graph
+        tracemalloc.start()
+        try:
+            brute_force_min(g, GammaParam(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * (1 << 20)
+
+    @pytest.mark.parametrize("n", [20, 64, 80])
+    @pytest.mark.parametrize("gamma", [2, 10])
+    def test_enumerate_local_minima_matches_the_sort_based_sampler(self, n, gamma):
+        gam = GammaParam(gamma)
+        for seed in range(3):
+            inst = gen_planted(n, n // 4, seed)
+            for m in range(2, 10):
+                got = enumerate_local_minima(inst.graph, m, inst.pc, gam, 3000, seed)
+                want = ref_enumerate_local_minima(inst.graph, m, inst.pc, gam,
+                                                  3000, seed)
+                assert got == want, (seed, m)
+
+
+class TestSampleRateGuard:
+    def test_boundary_at_a_pool_of_48(self):
+        check_sample_rate(48, 19, 1)
+        with pytest.raises(ValueError, match="1/64"):
+            check_sample_rate(48, 20, 1)
+        check_sample_rate(48, 40, math.comb(48, 40))  # enumerated, not sampled
+
+    def test_enumerate_refuses_a_size_sampling_cannot_reach(self):
+        inst = gen_planted(64, 16, 0)
+        with pytest.raises(ValueError, match="1/64"):
+            enumerate_local_minima(inst.graph, 40, inst.pc, GammaParam(10), 400000)
