@@ -504,12 +504,16 @@ def _edge_chunks(path, lines: int = 4096):
 
 def read_edge_list(path, n: Optional[int] = None) -> Graph:
     """Read a "u v" per line edge list into a Graph with identity labels, in
-    chunks straight into packed rows; without ``n``, a first pass finds it."""
-    if n is None:
-        n = max(int(uv.max(initial=-1)) for uv in _edge_chunks(path)) + 1
-    if n < 1:
-        raise ValueError("edge list implies an empty graph; pass n explicitly")
-    rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    one pass of chunks straight into packed rows; without ``n``, the rows grow
+    to exactly the largest label seen so far plus one."""
+    start = max(n or 0, 0)  # a given n < 1 fails the label or the size check
+    rows = np.zeros((start, (start + 7) // 8), dtype=np.uint8)
     for uv in _edge_chunks(path):
+        top = int(uv.max(initial=-1)) + 1
+        if n is None and top > len(rows):
+            rows = np.pad(rows, [(0, top - len(rows)),
+                                 (0, (top + 7) // 8 - rows.shape[1])])
         _set_edges(rows, uv)
-    return Graph(n, rows)
+    if len(rows) < 1:
+        raise ValueError("edge list implies an empty graph; pass n explicitly")
+    return Graph(len(rows), rows)

@@ -25,7 +25,8 @@ from .chains import (GibbsChain, GradientDescent, TiePolicy, run_chain,
                      run_coupled_gd, run_peel)
 from .energy import GammaParam
 from .graphs import gen_contaminated, gen_er, gen_planted
-from .landscape import binary_entropy, brute_force_min, enumerate_local_minima
+from .landscape import (binary_entropy, brute_force_min, check_sample_rate,
+                        enumerate_local_minima)
 
 __all__ = ["ExperimentConfig", "LandscapeConfig", "RunSummary", "ConfigError",
            "parse_config", "parse_config_text", "write_config", "config_text",
@@ -234,6 +235,8 @@ class LandscapeConfig:
             try:
                 if not self.m_list():
                     errors.append(("m_values", "scan mode needs subset sizes"))
+                for m in self.m_list():
+                    check_sample_rate(self.n - self.k, m, self.budget)
             except ValueError as exc:
                 errors.append(("m_values", str(exc)))
             if self.budget < 1:

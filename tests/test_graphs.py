@@ -9,6 +9,8 @@ from plantedclique import (Graph, PlantedInstance, gen_contaminated,
                            gen_coupled, gen_er, gen_planted, load_graph,
                            read_edge_list, save_graph, write_edge_list)
 
+from plantedclique import graphs
+
 from conftest import py_deg_into
 
 
@@ -405,6 +407,34 @@ def test_read_edge_list_needs_no_dense_arrays(tmp_path):
         tracemalloc.stop()
     assert back == g
     assert peak < back.packed_rows.nbytes + n * n // 8
+
+
+def test_read_edge_list_infers_n_in_one_pass(tmp_path, monkeypatch):
+    # without n the packed rows grow to the largest label seen so far, so
+    # the file is parsed once, within the same memory bound as with n
+    n = 2000
+    path = tmp_path / "g.txt"
+    g = gen_planted(n, 40, 5).graph
+    write_edge_list(path, g)
+    passes = []
+    chunks = graphs._edge_chunks
+    monkeypatch.setattr(graphs, "_edge_chunks",
+                        lambda *args: passes.append(args) or chunks(*args))
+    tracemalloc.start()
+    try:
+        back = read_edge_list(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(passes) == 1
+    assert back == read_edge_list(path, n=n) == g
+    assert peak < back.packed_rows.nbytes + n * n // 8
+
+
+def test_read_edge_list_grows_rows_in_a_later_chunk(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n" * 5000 + "7 130\n")
+    assert read_edge_list(path) == Graph.from_edges(131, [(0, 1), (7, 130)])
 
 
 def test_read_edge_list_skips_comments_and_blank_lines(tmp_path):

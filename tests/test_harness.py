@@ -371,6 +371,22 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "l" / "kappa_table.csv").exists()
 
+    def test_landscape_scan_refuses_sizes_sampling_cannot_reach(self, tmp_path,
+                                                                capsys):
+        # m = 40 of a 48-vertex pool keeps 1.7e-11 of the sampler's draws
+        out = tmp_path / "l"
+        flags = ["landscape", "--mode", "scan", "--n", "64", "--k", "16",
+                 "--gamma", "10", "--seeds", "0", "--out-dir", str(out)]
+        assert main(flags + ["--m-values", "40"]) == 2
+        assert "config error: m_values" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="1/64"):
+            LandscapeConfig(mode="scan", n=64, k=16, m_values="6..8,20").validate()
+        # m = 6..8, as in the landscape-scan-n64 preset, criterion 8 and the
+        # benchmark, still runs
+        assert main(flags + ["--m-values", "6..8", "--budget", "2000"]) == 0
+        assert len((out / "scan_s0.csv").read_text().splitlines()) == 4
+
     def test_landscape_verb_with_preset_guard(self, tmp_path, capsys):
         # run verb must refuse a landscape config
         cfg = LandscapeConfig(out_dir=str(tmp_path))
