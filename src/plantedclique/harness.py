@@ -56,8 +56,45 @@ def default_out_dir() -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Config:
+    """What both config kinds share: gamma, seeds, out_dir and their checks."""
+
+    def gamma_param(self) -> GammaParam:
+        return GammaParam.from_value(self.gamma)
+
+    def seed_list(self) -> list[int]:
+        return _parse_seeds(self.seeds)
+
+    def resolved_out_dir(self) -> Path:
+        return Path(self.out_dir or default_out_dir())
+
+    def _shared_errors(self, sized: bool = True) -> list[tuple[str, str]]:
+        """(field, message) pairs for version and, if ``sized``, n, gamma and seeds."""
+        errors = []
+        if self.version != CONFIG_VERSION:
+            errors.append(("version", f"unsupported version {self.version}"))
+        if not sized:
+            return errors
+        if self.n < 1:
+            errors.append(("n", "n must be >= 1"))
+        try:
+            self.gamma_param().check_fits(self.n)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            errors.append(("gamma", str(exc)))
+        try:
+            seeds = self.seed_list()
+            bad = [s for s in seeds if not 0 <= s < 2**64]
+            if not seeds:
+                errors.append(("seeds", "no seeds specified"))
+            elif bad:
+                errors.append(("seeds", f"seed {bad[0]} is outside 0..2^64 - 1"))
+        except ValueError as exc:
+            errors.append(("seeds", str(exc)))
+        return errors
+
+
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Config):
     """One chain experiment: a graph model, a chain, an init and a seed set."""
 
     version: int = CONFIG_VERSION
@@ -79,12 +116,6 @@ class ExperimentConfig:
     out_dir: str = ""
     jobs: int = 1
 
-    def gamma_param(self) -> GammaParam:
-        return GammaParam.from_value(self.gamma)
-
-    def seed_list(self) -> list[int]:
-        return _parse_seeds(self.seeds)
-
     def tie(self) -> TiePolicy:
         return _parse_tie(self.tie_policy)
 
@@ -96,19 +127,12 @@ class ExperimentConfig:
     def init_value(self):
         return _parse_init(self.init)
 
-    def resolved_out_dir(self) -> Path:
-        return Path(self.out_dir or default_out_dir())
-
     def validate(self) -> None:
-        errors = []
-        if self.version != CONFIG_VERSION:
-            errors.append(("version", f"unsupported version {self.version}"))
+        errors = self._shared_errors()
         if self.task != "run":
             errors.append(("task", f"expected task = run, got {self.task!r}"))
         if self.model not in ("er", "planted", "contaminated"):
             errors.append(("model", f"unknown model {self.model!r}"))
-        if self.n < 1:
-            errors.append(("n", "n must be >= 1"))
         if self.model == "er":
             if self.k != 0:
                 errors.append(("k", "model er takes k = 0"))
@@ -129,10 +153,6 @@ class ExperimentConfig:
                                     f"got {self.q}"))
         if self.chain not in ("gd", "gibbs"):
             errors.append(("chain", f"unknown chain {self.chain!r}"))
-        try:
-            self.gamma_param().check_fits(self.n)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            errors.append(("gamma", str(exc)))
         if self.chain == "gibbs":
             if not (math.isfinite(self.beta) and self.beta >= 0):
                 errors.append(("beta", f"beta must be finite and >= 0, got {self.beta}"))
@@ -150,12 +170,6 @@ class ExperimentConfig:
             errors.append(("init", str(exc)))
         if self.max_steps < 1:
             errors.append(("max_steps", "max_steps must be >= 1"))
-        try:
-            seeds = self.seed_list()
-            if not seeds:
-                errors.append(("seeds", "no seeds specified"))
-        except ValueError as exc:
-            errors.append(("seeds", str(exc)))
         if self.hold_window < 0:
             errors.append(("hold_window", "hold_window must be >= 0"))
         if self.record_every < 1:
@@ -167,7 +181,7 @@ class ExperimentConfig:
 
 
 @dataclass
-class LandscapeConfig:
+class LandscapeConfig(_Config):
     """A landscape scan: brute-force oracle, local-minima scan or kappa table."""
 
     version: int = CONFIG_VERSION
@@ -183,12 +197,6 @@ class LandscapeConfig:
     seeds: str = "0..9"
     out_dir: str = ""
 
-    def gamma_param(self) -> GammaParam:
-        return GammaParam.from_value(self.gamma)
-
-    def seed_list(self) -> list[int]:
-        return _parse_seeds(self.seeds)
-
     def m_list(self) -> list[int]:
         return _parse_seeds(self.m_values)
 
@@ -196,13 +204,9 @@ class LandscapeConfig:
         return [GammaParam.from_value(tok.strip())
                 for tok in self.gammas.split(",") if tok.strip()]
 
-    def resolved_out_dir(self) -> Path:
-        return Path(self.out_dir or default_out_dir())
-
     def validate(self) -> None:
-        errors = []
-        if self.version != CONFIG_VERSION:
-            errors.append(("version", f"unsupported version {self.version}"))
+        # kappa mode reads only the gamma list, so n, gamma and seeds go unchecked
+        errors = self._shared_errors(sized=self.mode != "kappa")
         if self.mode not in ("brute", "scan", "kappa"):
             errors.append(("mode", f"unknown mode {self.mode!r}"))
         if self.model != "planted":
@@ -214,21 +218,8 @@ class LandscapeConfig:
                     errors.append(("gammas", "kappa mode needs a gamma list"))
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 errors.append(("gammas", str(exc)))
-        else:
-            if self.n < 1:
-                errors.append(("n", "n must be >= 1"))
-            if not 1 <= self.k <= self.n:
-                errors.append(("k", f"need 1 <= k <= n"))
-            try:
-                self.gamma_param().check_fits(self.n)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
-                errors.append(("gamma", str(exc)))
-            try:
-                seeds = self.seed_list()
-                if not seeds:
-                    errors.append(("seeds", "no seeds specified"))
-            except ValueError as exc:
-                errors.append(("seeds", str(exc)))
+        elif not 1 <= self.k <= self.n:
+            errors.append(("k", f"need 1 <= k <= n"))
         if self.mode == "brute" and self.n > 24:
             errors.append(("n", "brute mode is limited to n <= 24"))
         if self.mode == "scan":
@@ -236,6 +227,9 @@ class LandscapeConfig:
                 if not self.m_list():
                     errors.append(("m_values", "scan mode needs subset sizes"))
                 for m in self.m_list():
+                    if not 1 <= m <= self.n - self.k:
+                        raise ValueError(f"subset size {m} is outside 1..n - k = "
+                                         f"1..{self.n - self.k}")
                     check_sample_rate(self.n - self.k, m, self.budget)
             except ValueError as exc:
                 errors.append(("m_values", str(exc)))

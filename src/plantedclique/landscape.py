@@ -78,7 +78,7 @@ def brute_force_min(graph: Graph, gamma: GammaParam
     n = graph.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is limited to n <= {_BRUTE_FORCE_LIMIT}, got {n}")
-    adj = _adjacency_words(graph.to_dense())
+    adj = np.bitwise_or.reduce(graph.to_dense() << np.arange(n, dtype=np.uint64), axis=1)
     low = np.arange(1 << n >> 1, dtype=np.uint32)
     edges = np.zeros(1 << n, dtype=np.uint16)
     size = np.zeros(1 << n, dtype=np.uint8)
@@ -127,54 +127,56 @@ def _predicted_exponent(n: int, m: int, gamma: GammaParam) -> Optional[float]:
     return 1.0 - 0.5 * c * (1.0 - h)
 
 
-def _adjacency_words(dense: np.ndarray) -> np.ndarray:
-    """Per-vertex neighbourhood as one uint64 word (n <= 64 only)."""
-    shifts = np.arange(dense.shape[0], dtype=np.uint64)
-    return np.bitwise_or.reduce(dense.astype(np.uint64) << shifts[None, :], axis=1)
+def _bit_words(packed: np.ndarray) -> np.ndarray:
+    """Packed rows zero-padded to W = ceil(n / 64) uint64 words, as (W, rows), in
+    the packed bit layout; ``np.unpackbits`` of a row's bytes gives vertex order."""
+    padded = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return np.ascontiguousarray(padded.view(np.uint64).T)
 
 
-def _word_minima(adj64: np.ndarray, pool: np.ndarray, rows: np.ndarray,
-                 limit: int, gamma: GammaParam) -> tuple[list[frozenset], int]:
+def _popcount(words) -> np.ndarray:
+    """Set bits over one array per word (uint8 for W = 1, no extra pass)."""
+    count = np.bitwise_count(words[0])
+    for x in words[1:]:
+        count = count + np.bitwise_count(x).astype(np.int64)
+    return count
+
+
+def _word_minima(words: np.ndarray, adj: np.ndarray, bits: np.ndarray,
+                 rows: np.ndarray, limit: int, gamma: GammaParam
+                 ) -> tuple[list[frozenset], int]:
     """Strict local minima among the first ``limit`` rows of pool indices
-    without a repeat, in row order, and the number of rows taken (n <= 64).
+    without a repeat, in row order, and the number of rows taken.
 
-    A row is distinct iff its vertex mask has m bits. One popcount per column
-    keeps the rows whose member has inside degree d > p (m - 1) // w; the few
-    survivors get the outside check d <= (p m - 1) // w (the exact kappa
-    thresholds w d > p (m - 1) and w d < p m).
+    ``words`` holds every vertex's neighbourhood, and ``adj`` and ``bits``
+    the pool vertices' neighbourhoods and own bits (``_bit_words``). A row's
+    mask is one vector per word and is distinct iff it has m bits. One
+    popcount per column keeps the rows whose member has inside degree
+    d > p (m - 1) // w; the few survivors get the outside check
+    d <= (p m - 1) // w (the exact kappa thresholds w d > p (m - 1) and
+    w d < p m) in blocks of up to 2^20 words.
     """
     p, w, m = gamma.p, gamma.edge_weight, rows.shape[1]
-    bits = np.uint64(1) << pool.astype(np.uint64)
-    masks = bits[rows[:, 0]]
+    masks = [b[rows[:, 0]] for b in bits]
     for j in range(1, m):
-        masks |= bits[rows[:, j]]
-    take = np.flatnonzero(np.bitwise_count(masks) == m)[:limit]
-    rows, masks = rows[take], masks[take]
+        for x, b in zip(masks, bits):
+            x |= b[rows[:, j]]
+    taken = keep = np.flatnonzero(_popcount(masks) == m)[:limit]
     for j in range(m):
-        ok = np.bitwise_count(adj64[pool[rows[:, j]]] & masks) > p * (m - 1) // w
-        rows, masks = rows[ok], masks[ok]
-    inside = (masks[:, None] >> np.arange(adj64.size, dtype=np.uint64)) & 1 == 1
-    deg = np.bitwise_count(adj64 & masks[:, None])
-    strict = inside[(inside | (deg <= (p * m - 1) // w)).all(axis=1)]
-    return [frozenset(np.flatnonzero(r).tolist()) for r in strict], take.size
-
-
-def _dense_minima(dense: np.ndarray, pool: np.ndarray, rows: np.ndarray,
-                  limit: int, gamma: GammaParam) -> tuple[list[frozenset], int]:
-    """``_word_minima`` for any n: distinct rows by sorting, degrees by dense
-    gathers."""
-    p, w, m = gamma.p, gamma.edge_weight, rows.shape[1]
-    take = np.flatnonzero((np.diff(np.sort(rows, axis=1), axis=1) > 0).all(axis=1))[:limit]
-    idx = pool[rows[take]]
-    internal = dense[idx[:, :, None], idx[:, None, :]].sum(axis=2, dtype=np.int64)
-    found = []
-    for row in idx[(w * internal > p * (m - 1)).all(axis=1)]:
-        deg = dense[:, row].sum(axis=1, dtype=np.int64)
-        outside = np.ones(dense.shape[0], dtype=bool)
-        outside[row] = False
-        if (w * deg[outside] < p * m).all():
-            found.append(frozenset(int(v) for v in row))
-    return found, take.size
+        if not keep.size:  # most chunks run out of rows after a few columns
+            break
+        col = rows[keep, j]
+        ok = _popcount([a[col] & x[keep] for a, x in zip(adj, masks)]) > p * (m - 1) // w
+        keep = keep[ok]
+    found, step = [], max(1, (1 << 20) // words.size)  # (step, n, W) words: 8 MB
+    for b in range(0, keep.size, step):
+        h = np.stack([x[keep[b : b + step]] for x in masks], axis=1)
+        inside = np.unpackbits(h.view(np.uint8), axis=1, count=words.shape[1]).view(bool)
+        deg = np.bitwise_count(words.T[None] & h[:, None]).sum(axis=2)
+        strict = inside[(inside | (deg <= (p * m - 1) // w)).all(axis=1)]
+        found += [frozenset(np.flatnonzero(r).tolist()) for r in strict]
+    return found, taken.size
 
 
 def check_sample_rate(pool: int, m: int, budget: int) -> None:
@@ -197,7 +199,8 @@ def enumerate_local_minima(graph: Graph, m: int, forbidden: Iterable[int],
     error; the returned list then holds the distinct minima the sample hit.
     Sampling is by rejection of draws with a repeat, so a size whose
     distinct-draw rate is below 1/64 raises ValueError (``check_sample_rate``).
-    Graphs with n <= 64 hold each subset as one uint64 vertex mask.
+    Every n runs the one ``_word_minima`` kernel: a subset is ceil(n / 64)
+    uint64 words in the packed-row bit layout, and no n x n array is built.
     """
     if m < 1:
         raise ValueError("subset size must be >= 1")
@@ -210,16 +213,18 @@ def enumerate_local_minima(graph: Graph, m: int, forbidden: Iterable[int],
         raise ValueError(f"no size-{m} subsets avoid the forbidden set")
     check_sample_rate(pool.size, m, budget)
     total = math.comb(pool.size, m)
-    dense = graph.to_dense()
-    adj, minima = ((_adjacency_words(dense), _word_minima) if graph.n <= 64
-                   else (dense, _dense_minima))
+    # the word tables are built once per call, not once per chunk
+    words = _bit_words(graph.packed_rows)
+    own = np.zeros((pool.size, words.shape[0] * 8), dtype=np.uint8)
+    own[np.arange(pool.size), pool >> 3] = 0x80 >> (pool & 7)  # packbits order
+    adj, bits = words[:, pool], _bit_words(own)
     batch = 1 << 15
 
     if total <= budget:
         found = []
         it = itertools.combinations(range(pool.size), m)
         while chunk := list(itertools.islice(it, batch)):
-            found.extend(minima(adj, pool, np.array(chunk), batch, gamma)[0])
+            found.extend(_word_minima(words, adj, bits, np.array(chunk), batch, gamma)[0])
         est = ComplexityEstimate(
             m=m, observed_count=len(found), count_estimate=float(len(found)),
             stderr=0.0, predicted_exponent=_predicted_exponent(graph.n, m, gamma),
@@ -236,7 +241,7 @@ def enumerate_local_minima(graph: Graph, m: int, forbidden: Iterable[int],
         # without a repeat are uniform m-subsets
         r = min(batch, 2 * remaining + 16)
         draw = rng.integers(0, pool.size, size=(r, m), dtype=np.int64)
-        found, taken = minima(adj, pool, draw, remaining, gamma)
+        found, taken = _word_minima(words, adj, bits, draw, remaining, gamma)
         n_hits += len(found)
         hits.update(found)
         remaining -= taken

@@ -371,21 +371,48 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "l" / "kappa_table.csv").exists()
 
-    def test_landscape_scan_refuses_sizes_sampling_cannot_reach(self, tmp_path,
-                                                                capsys):
-        # m = 40 of a 48-vertex pool keeps 1.7e-11 of the sampler's draws
-        out = tmp_path / "l"
-        flags = ["landscape", "--mode", "scan", "--n", "64", "--k", "16",
-                 "--gamma", "10", "--seeds", "0", "--out-dir", str(out)]
-        assert main(flags + ["--m-values", "40"]) == 2
-        assert "config error: m_values" in capsys.readouterr().err
-        assert not out.exists()
-        with pytest.raises(ConfigError, match="1/64"):
-            LandscapeConfig(mode="scan", n=64, k=16, m_values="6..8,20").validate()
+    @pytest.mark.parametrize("n, k, sizes, why, fine", [
+        # m = 40 of a 48-vertex pool keeps 1.7e-11 of the sampler's draws;
         # m = 6..8, as in the landscape-scan-n64 preset, criterion 8 and the
         # benchmark, still runs
-        assert main(flags + ["--m-values", "6..8", "--budget", "2000"]) == 0
+        (64, 16, "40", "1/64", "6..8"),
+        # a 12-vertex pool has no subset of size 0 or 13, and the m = 3 row
+        # must not be written before the refusal
+        (20, 8, "3,13", "outside 1..n - k", "3..5"),
+        (20, 8, "0", "outside 1..n - k", "10..12"),
+    ], ids=["m40", "m13", "m0"])
+    def test_landscape_scan_refuses_sizes_sampling_cannot_reach(
+            self, tmp_path, capsys, n, k, sizes, why, fine):
+        out = tmp_path / "l"
+        flags = ["landscape", "--mode", "scan", "--n", str(n), "--k", str(k),
+                 "--gamma", "10", "--seeds", "0", "--out-dir", str(out)]
+        assert main(flags + ["--m-values", sizes]) == 2
+        assert "config error: m_values" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match=why):
+            LandscapeConfig(mode="scan", n=n, k=k, m_values=f"{fine},{sizes}").validate()
+        assert main(flags + ["--m-values", fine, "--budget", "2000"]) == 0
         assert len((out / "scan_s0.csv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("verb", [["peel", "--n", "30", "--k", "6"],
+                                      ["landscape", "--mode", "brute", "--n",
+                                       "10", "--k", "4"]],
+                             ids=["peel", "brute"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_verbs_refuse_seeds_outside_64_bits(self, tmp_path, capsys, verb,
+                                                seed):
+        out = tmp_path / "out"
+        assert main(verb + [f"--seeds=0,{seed}", "--out-dir", str(out)]) == 2
+        assert "config error: seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_64_bit_seed_is_valid(self, tmp_path):
+        top = str(2**64 - 1)
+        ExperimentConfig(seeds=top).validate()
+        LandscapeConfig(mode="brute", seeds=top).validate()
+        LandscapeConfig(mode="scan", m_values="3", seeds=top).validate()
+        with pytest.raises(ConfigError, match="seeds"):
+            ExperimentConfig(seeds=f"{top}..{2**64}").validate()
 
     def test_landscape_verb_with_preset_guard(self, tmp_path, capsys):
         # run verb must refuse a landscape config

@@ -9,7 +9,7 @@ import pytest
 from plantedclique import (GammaParam, binary_entropy, brute_force_min,
                            enumerate_local_minima, gen_er, gen_planted,
                            init_state, local_min_check)
-from plantedclique.graphs import SAMPLER_STREAM, stream_rng
+from plantedclique.graphs import SAMPLER_STREAM, Graph, stream_rng
 from plantedclique.landscape import (ComplexityEstimate, _predicted_exponent,
                                      check_sample_rate)
 
@@ -312,7 +312,7 @@ class TestKernelsMatchReference:
             tracemalloc.stop()
         assert peak < 10 * (1 << 20)
 
-    @pytest.mark.parametrize("n", [20, 64, 80])
+    @pytest.mark.parametrize("n", [20, 64, 80, 130])
     @pytest.mark.parametrize("gamma", [2, 10])
     def test_enumerate_local_minima_matches_the_sort_based_sampler(self, n, gamma):
         gam = GammaParam(gamma)
@@ -323,6 +323,24 @@ class TestKernelsMatchReference:
                 want = ref_enumerate_local_minima(inst.graph, m, inst.pc, gam,
                                                   3000, seed)
                 assert got == want, (seed, m)
+
+
+    def test_sizes_past_255_count_bits_without_wrapping(self):
+        # the planted 257-clique is the one strict local minimum of its size;
+        # a uint8 sum of the per-word popcounts would wrap 257 to 1
+        inst = gen_planted(258, 257, 0)
+        found, est = enumerate_local_minima(inst.graph, 257, [], GammaParam(10), 10**4)
+        assert found == [frozenset(inst.pc.tolist())] and not est.sampled
+
+    def test_enumerate_local_minima_never_builds_the_dense_matrix(self, monkeypatch):
+        monkeypatch.setattr(Graph, "to_dense", lambda self: pytest.fail(
+            "enumerate_local_minima built an n x n matrix"))
+        for n in (64, 130):
+            inst = gen_planted(n, n // 4, 0)
+            for m, budget in ((2, 10**6), (6, 3000)):
+                _, est = enumerate_local_minima(inst.graph, m, inst.pc,
+                                                GammaParam(10), budget)
+                assert est.sampled == (m == 6)
 
 
 class TestSampleRateGuard:
