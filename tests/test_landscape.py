@@ -324,7 +324,6 @@ class TestKernelsMatchReference:
                                                   3000, seed)
                 assert got == want, (seed, m)
 
-
     def test_sizes_past_255_count_bits_without_wrapping(self):
         # the planted 257-clique is the one strict local minimum of its size;
         # a uint8 sum of the per-word popcounts would wrap 257 to 1
