@@ -68,13 +68,9 @@ class _Config:
     def resolved_out_dir(self) -> Path:
         return Path(self.out_dir or default_out_dir())
 
-    def _shared_errors(self, sized: bool = True) -> list[tuple[str, str]]:
-        """(field, message) pairs for version and, if ``sized``, n, gamma and seeds."""
+    def _shared_errors(self) -> list[tuple[str, str]]:
+        """(field, message) pairs for n, gamma and seeds."""
         errors = []
-        if self.version != CONFIG_VERSION:
-            errors.append(("version", f"unsupported version {self.version}"))
-        if not sized:
-            return errors
         if self.n < 1:
             errors.append(("n", "n must be >= 1"))
         try:
@@ -129,6 +125,8 @@ class ExperimentConfig(_Config):
 
     def validate(self) -> None:
         errors = self._shared_errors()
+        if self.version != CONFIG_VERSION:
+            errors.append(("version", f"unsupported version {self.version}"))
         if self.task != "run":
             errors.append(("task", f"expected task = run, got {self.task!r}"))
         if self.model not in ("er", "planted", "contaminated"):
@@ -206,7 +204,9 @@ class LandscapeConfig(_Config):
 
     def validate(self) -> None:
         # kappa mode reads only the gamma list, so n, gamma and seeds go unchecked
-        errors = self._shared_errors(sized=self.mode != "kappa")
+        errors = self._shared_errors() if self.mode != "kappa" else []
+        if self.version != CONFIG_VERSION:
+            errors.append(("version", f"unsupported version {self.version}"))
         if self.mode not in ("brute", "scan", "kappa"):
             errors.append(("mode", f"unknown mode {self.mode!r}"))
         if self.model != "planted":

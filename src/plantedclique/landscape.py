@@ -155,7 +155,7 @@ def _word_minima(words: np.ndarray, adj: np.ndarray, bits: np.ndarray,
     popcount per column keeps the rows whose member has inside degree
     d > p (m - 1) // w; the few survivors get the outside check
     d <= (p m - 1) // w (the exact kappa thresholds w d > p (m - 1) and
-    w d < p m) in blocks of up to 2^20 words.
+    w d < p m) in blocks of up to 2^19 words.
     """
     p, w, m = gamma.p, gamma.edge_weight, rows.shape[1]
     masks = [b[rows[:, 0]] for b in bits]
@@ -169,11 +169,11 @@ def _word_minima(words: np.ndarray, adj: np.ndarray, bits: np.ndarray,
         col = rows[keep, j]
         ok = _popcount([a[col] & x[keep] for a, x in zip(adj, masks)]) > p * (m - 1) // w
         keep = keep[ok]
-    found, step = [], max(1, (1 << 20) // words.size)  # (step, n, W) words: 8 MB
+    found, step = [], max(1, (1 << 19) // words.size)  # (step, n, W) words: 4 MB
     for b in range(0, keep.size, step):
         h = np.stack([x[keep[b : b + step]] for x in masks], axis=1)
         inside = np.unpackbits(h.view(np.uint8), axis=1, count=words.shape[1]).view(bool)
-        deg = np.bitwise_count(words.T[None] & h[:, None]).sum(axis=2)
+        deg = np.bitwise_count(words.T[None] & h[:, None]).sum(axis=2, dtype=np.uint32)
         strict = inside[(inside | (deg <= (p * m - 1) // w)).all(axis=1)]
         found += [frozenset(np.flatnonzero(r).tolist()) for r in strict]
     return found, taken.size

@@ -371,18 +371,19 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "l" / "kappa_table.csv").exists()
 
-    @pytest.mark.parametrize("n, k, sizes, why, fine", [
-        # m = 40 of a 48-vertex pool keeps 1.7e-11 of the sampler's draws;
-        # m = 6..8, as in the landscape-scan-n64 preset, criterion 8 and the
-        # benchmark, still runs
-        (64, 16, "40", "1/64", "6..8"),
+    @pytest.mark.parametrize("n, k, sizes, refused, why, fine", [
+        # m = 40 of a 48-vertex pool keeps 1.7e-11 of the sampler's draws, and
+        # m = 20 is the exact 1/64 boundary of that pool (it keeps 3.6% of the
+        # draws from all 64 vertices); m = 6..8, as in the landscape-scan-n64
+        # preset, criterion 8 and the benchmark, still runs
+        (64, 16, "40", "20", "1/64", "6..8"),
         # a 12-vertex pool has no subset of size 0 or 13, and the m = 3 row
         # must not be written before the refusal
-        (20, 8, "3,13", "outside 1..n - k", "3..5"),
-        (20, 8, "0", "outside 1..n - k", "10..12"),
+        (20, 8, "3,13", "13", "outside 1..n - k", "3..5"),
+        (20, 8, "0", "0", "outside 1..n - k", "10..12"),
     ], ids=["m40", "m13", "m0"])
     def test_landscape_scan_refuses_sizes_sampling_cannot_reach(
-            self, tmp_path, capsys, n, k, sizes, why, fine):
+            self, tmp_path, capsys, n, k, sizes, refused, why, fine):
         out = tmp_path / "l"
         flags = ["landscape", "--mode", "scan", "--n", str(n), "--k", str(k),
                  "--gamma", "10", "--seeds", "0", "--out-dir", str(out)]
@@ -390,7 +391,7 @@ class TestCli:
         assert "config error: m_values" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(ConfigError, match=why):
-            LandscapeConfig(mode="scan", n=n, k=k, m_values=f"{fine},{sizes}").validate()
+            LandscapeConfig(mode="scan", n=n, k=k, m_values=f"{fine},{refused}").validate()
         assert main(flags + ["--m-values", fine, "--budget", "2000"]) == 0
         assert len((out / "scan_s0.csv").read_text().splitlines()) == 4
 

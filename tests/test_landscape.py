@@ -324,6 +324,17 @@ class TestKernelsMatchReference:
                                                   3000, seed)
                 assert got == want, (seed, m)
 
+    def test_exhaustive_outside_check_over_many_blocks_matches_reference(self):
+        # a sparse n = 300 graph (five words a row): every edge of the pool
+        # passes the inside filter at gamma = 10, about 2200 survivors against
+        # outside-check blocks of 349 rows, and about 1000 edges are minima
+        rng = np.random.default_rng(0)
+        pairs = np.array(list(itertools.combinations(range(300), 2)))
+        g = graph_from_edges(300, pairs[rng.random(len(pairs)) < 0.05].tolist())
+        got = enumerate_local_minima(g, 2, range(10), GammaParam(10), 10**6)
+        assert not got[1].sampled and got[1].observed_count > 900
+        assert got == ref_enumerate_local_minima(g, 2, range(10), GammaParam(10), 10**6)
+
     def test_sizes_past_255_count_bits_without_wrapping(self):
         # the planted 257-clique is the one strict local minimum of its size;
         # a uint8 sum of the per-word popcounts would wrap 257 to 1
