@@ -166,14 +166,13 @@ def _choose(candidates: np.ndarray, u: float) -> int:
 
 def _gd_step_u(state: SubsetState, u: float, tie_policy: TiePolicy,
                plateau_used: int) -> Move:
-    deltas = state.all_flip_deltas()
-    dmin = int(deltas.min())
+    dmin, candidates = state.best_flips()
     if dmin > 0:
         return _STAY
     if dmin == 0 and (tie_policy.kind != "drift"
                       or plateau_used >= tie_policy.max_plateau_steps):
         return _STAY
-    x = _choose(np.flatnonzero(deltas == dmin), u)
+    x = _choose(candidates, u)
     kind = "remove" if state.member[x] else "add"
     apply_flip(state, x)
     return Move(kind, x, dmin)
@@ -190,25 +189,22 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
     return move, state
 
 
-def _gibbs_probs(deltas: np.ndarray, q_den: int, beta: float) -> np.ndarray:
+def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
+    """Transition distribution over the n+1 candidates [stay, flip 0, ...,
+    flip n-1], proportional to exp(-beta * H(candidate)). Exponents are
+    shifted by the minimum candidate energy for stability."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite (the beta -> inf limit is gd_step)")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
+    deltas = state.all_flip_deltas()
     dmin = min(int(deltas.min()), 0)
-    scale = beta / q_den
+    scale = beta / state.gamma.q_den
     weights = np.empty(deltas.size + 1)
     weights[0] = math.exp(-scale * (0 - dmin))
     np.exp(-scale * (deltas - dmin), out=weights[1:])
     weights /= weights.sum()
     return weights
-
-
-def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
-    """Transition distribution over the n+1 candidates [stay, flip 0, ...,
-    flip n-1], proportional to exp(-beta * H(candidate)). Exponents are
-    shifted by the minimum candidate energy for stability."""
-    return _gibbs_probs(state.all_flip_deltas(), state.gamma.q_den, beta)
 
 
 class _Uniforms:
@@ -226,13 +222,14 @@ class _Uniforms:
             if self.pos == self.buf.size:
                 self.buf, self.pos = self.rng.random(4096), 0
             seg = self.buf[self.pos:self.pos + limit]
-            hit = seg >= stay_below
-            j = int(hit.argmax())
-            take = j + 1 if hit[j] else seg.size
+            # the first draw usually ends the run: scan only when it does not
+            j = 0 if seg[0] >= stay_below else int((seg >= stay_below).argmax())
+            hit = seg[j] >= stay_below
+            take = j + 1 if hit else seg.size
             self.pos += take
             self.drawn += take
             limit -= take
-            if hit[j] or limit == 0:
+            if hit or limit == 0:
                 return float(seg[take - 1])
 
 
@@ -243,27 +240,25 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     consumes exactly one uniform draw. With ``max_stays`` L > 1 (``rng`` a
     ``_Uniforms``) it takes up to L steps, one draw each, from this one
     probability vector: the run of stays and the move that ends it."""
-    deltas = state.all_flip_deltas()
-    probs = _gibbs_probs(deltas, state.gamma.q_den, beta)
+    probs = gibbs_probabilities(state, beta)
     r = rng.random() if max_stays == 1 else rng.random(probs[0], max_stays)
     if r < probs[0]:
         return _STAY, state
-    acc = np.cumsum(probs[1:])
-    x = int(np.searchsorted(acc, r - probs[0], side="right"))
+    acc = probs[1:].cumsum()  # methods skip numpy's Python-level wrappers
+    x = int(acc.searchsorted(r - probs[0], side="right"))
     if x >= state.graph.n:  # guard against float round-off at the top end
         x = state.graph.n - 1
-    move = Move("remove" if state.member[x] else "add", x, int(deltas[x]))
-    apply_flip(state, x)  # updates ``deltas`` in place, so read it first
-    return move, state
+    kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
+    apply_flip(state, x)
+    return Move(kind, x, state.scaled_energy - energy), state
 
 
 def _peel_step_u(state: SubsetState, u: float) -> Move:
-    """Remove a uniformly random least-remove-delta (so min-degree) member."""
-    dels = np.where(state.member, state.all_flip_deltas(), np.iinfo(np.int64).max)
-    x = _choose(np.flatnonzero(dels == dels.min()), u)
-    move = Move("remove", x, int(dels[x]))
+    """Remove a uniformly random min-degree member (the least keys)."""
+    key, energy = state.key, state.scaled_energy
+    x = _choose(np.flatnonzero(key == key[key.argmin()]), u)
     apply_flip(state, x)
-    return move
+    return Move("remove", x, state.scaled_energy - energy)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +486,6 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
     driver = _ChainDriver(graph, k, "full", _MinDegreePeel(),
                           gamma or GammaParam(2, 1))
     state = driver.state
-    p, w = state.gamma.p, state.gamma.edge_weight  # members' degrees from deltas
     violated = np.zeros(k, dtype=bool)
     while driver.n2 > threshold and state.size > 0:
         n1, n23 = driver.n1, driver.n2
@@ -499,8 +493,7 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
         if c1 is not None and n1 > 0:
             n2v = np.count_nonzero(state.member[k:k + m])  # contaminated
             bound = (n1 - 1) + q * n2v + 0.5 * (n23 - n2v) - c1 * sqrt_n
-            deg = (state.all_flip_deltas()[:k] + p * (state.size - 1)) // w
-            violated |= state.member[:k] & (deg < bound)
+            violated |= state.member[:k] & (state.key[:k] < bound)  # degrees
         driver.step(driver.steps + 1, None, rng)
     traj = driver.finish("stopped")
 
@@ -624,8 +617,8 @@ def verify_removal_phase(instance: PlantedInstance, trajectory: Trajectory,
                               trajectory.vertex[1:].tolist()):
         if n2 > n2_threshold:
             checked += 1
-            d = state.all_flip_deltas()
-            if kind != "remove" or d[x] != d[state.member].min():
+            key = state.key  # members' keys are their degrees, below the rest
+            if kind != "remove" or not state.member[x] or key[x] != key.min():
                 bad.append(t)
         if x >= 0:
             apply_flip(state, x)

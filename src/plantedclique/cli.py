@@ -20,8 +20,7 @@ import json
 import sys
 
 from . import harness
-from .graphs import (gen_contaminated, gen_er, gen_planted, save_graph,
-                     write_edge_list)
+from .graphs import save_graph, write_edge_list
 from .harness import (ConfigError, ExperimentConfig, LandscapeConfig,
                       load_preset, parse_config, preset_names)
 
@@ -45,21 +44,21 @@ def _load_config(args, expected):
 
 
 def _cmd_generate(args) -> int:
-    if args.model == "er":
-        obj = gen_er(args.n, args.seed)
-    elif args.model == "planted":
-        obj = gen_planted(args.n, args.k, args.seed)
-    else:
-        obj = gen_contaminated(args.n, args.k, args.m, args.q, args.seed)
+    if not args.out and not args.edge_list:
+        print("nothing to do: pass --out and/or --edge-list", file=sys.stderr)
+        return 2
+    # a run config checks the flags, so bad ones exit 2 before any work
+    config = ExperimentConfig(model=args.model, n=args.n,
+                              k=0 if args.model == "er" else args.k,
+                              m=args.m, q=args.q, seeds=str(args.seed))
+    config.validate()
+    obj = harness.build_instance(config, args.seed)
     if args.out:
         save_graph(args.out, obj)
         print(f"wrote {args.out}")
     if args.edge_list:
         write_edge_list(args.edge_list, obj)
         print(f"wrote {args.edge_list}")
-    if not args.out and not args.edge_list:
-        print("nothing to do: pass --out and/or --edge-list", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -6,11 +6,12 @@ The objective on a subset U is
 
 and everything here works with the integer scaling q_den * H(U)
 = p * C(|U|, 2) - (p + q_den) * |E(U)|, so energy comparisons, argmins and
-tie decisions are exact. A state caches every single-flip delta d_y (add:
-p|U| - w|E(y,U)|, remove: w|E(y,U)| - p(|U|-1), w = p + q_den). Flipping x
-negates d_x and moves every other d_y by s * sigma_y * (p - w * [xy edge]),
-s = +1 for an add and -1 for a remove, sigma_y = -1 inside U and +1 outside:
-three int64 passes over one unpacked row. Degrees and |E(U)| are derived.
+tie decisions are exact. A state keeps one int32 key per vertex y: |E(y,U)|,
+plus n if y is outside U. A flip of x adds row x to every key (removal:
+subtracts it) and moves key[x] by n: one pass over one unpacked row. A flip
+delta depends on the key alone (remove: w * key - p(|U|-1); add:
+p|U| - w(key - n), w = p + q_den), rising with it inside U and falling
+outside, so the best flip sits at the smallest or the largest key.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class GammaParam:
 
     def check_fits(self, n: int) -> None:
         """Raise ValueError unless (p + q_den) * n <= 2**62. Then every
-        flip delta on n vertices, and the Gibbs shift ``deltas - dmin``,
-        fits in int64."""
+        flip delta on n vertices, every product w * key (key < 2n) and the
+        Gibbs shift ``deltas - dmin`` fit in int64."""
         if self.edge_weight * n > 2**62:
             raise ValueError(f"gamma = {self} is too fine for n = {n}: "
                              f"(p + q_den) * n must be <= 2**62")
@@ -85,48 +86,59 @@ class GammaParam:
 
 
 class SubsetState:
-    """A subset U with its cached flip-delta vector and its scaled energy.
+    """A subset U with its per-vertex keys and its scaled energy.
 
-    Mutable and single-owner: hand it between threads if you like, but never
-    mutate concurrently. ``apply_flip`` moves the deltas by the rule above:
-    ``_side`` holds its factors sigma * p and sigma * w, ``_buf`` its scratch.
+    ``key`` is read-only outside ``apply_flip``. Keys stay below 2n, so int32
+    holds them; products with w are taken in int64 (see ``check_fits``).
+    Single-owner: never mutate one state concurrently.
     """
 
-    __slots__ = ("graph", "gamma", "member", "size", "scaled_energy",
-                 "_deltas", "_view", "_side", "_buf")
+    __slots__ = ("graph", "gamma", "member", "size", "scaled_energy", "key")
 
     def __init__(self, graph: Graph, gamma: GammaParam, member: np.ndarray,
-                 size: int, deltas: np.ndarray, scaled_energy: int):
-        self.graph = graph
-        self.gamma = gamma
-        self.member = member
-        self.size = size
-        self.scaled_energy = scaled_energy
-        self._deltas = deltas
-        self._view = deltas.view()
-        self._view.setflags(write=False)
-        self._side = np.outer([gamma.p, gamma.edge_weight], np.where(member, -1, 1))
-        self._buf = np.empty_like(deltas)
+                 size: int, key: np.ndarray, scaled_energy: int):
+        self.graph, self.gamma, self.member = graph, gamma, member
+        self.size, self.key, self.scaled_energy = size, key, scaled_energy
 
     def copy(self) -> "SubsetState":
         return SubsetState(self.graph, self.gamma, self.member.copy(),
-                           self.size, self._deltas.copy(), self.scaled_energy)
+                           self.size, self.key.copy(), self.scaled_energy)
 
     def energy(self) -> Fraction:
         """Unscaled H(U) as an exact rational."""
         return Fraction(self.scaled_energy, self.gamma.q_den)
 
+    def _delta_at(self, key: int) -> int:
+        """Scaled delta of flipping a vertex whose key is ``key``."""
+        p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
+        return w * key - p * (s - 1) if key < n else p * s - w * (key - n)
+
     def all_flip_deltas(self) -> np.ndarray:
-        """Scaled energy change of every single flip, as a read-only int64
-        view of the cache: entry x is the add-delta if x is outside U, the
-        remove-delta if inside. The next ``apply_flip`` updates it in place."""
-        return self._view
+        """Scaled change of every single flip as a new read-only int64 array:
+        the add-delta outside U, the remove-delta inside."""
+        p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
+        removes = np.multiply(self.key, w, dtype=np.int64)  # int32 can wrap
+        removes -= p * (s - 1)
+        # an add-delta is (w * n + p) minus the remove formula at its key
+        deltas = np.where(self.member, removes, (w * n + p) - removes)
+        deltas.setflags(write=False)
+        return deltas
+
+    def best_flips(self) -> tuple[int, np.ndarray]:
+        """``min(d)`` and ``flatnonzero(d == min(d))`` for
+        ``d = all_flip_deltas()``: the best flip delta and its vertices."""
+        key = self.key
+        lo, hi = int(key[key.argmin()]), int(key[key.argmax()])
+        d_lo, d_hi = self._delta_at(lo), self._delta_at(hi)
+        hit = key == (lo if d_lo <= d_hi else hi)
+        if d_lo == d_hi and lo != hi:  # the best remove ties the best add
+            hit |= key == hi
+        return min(d_lo, d_hi), hit.nonzero()[0]
 
     @property
     def deg_into(self) -> np.ndarray:
         """|E(x, U)| for every vertex x."""
-        p, w, s, d = self.gamma.p, self.gamma.edge_weight, self.size, self._deltas
-        return np.where(self.member, d + p * (s - 1), p * s - d) // w
+        return self.key - np.where(self.member, 0, self.graph.n)
 
     @property
     def internal_edges(self) -> int:
@@ -155,34 +167,31 @@ def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],
     size = int(np.count_nonzero(member))
     p, w = gamma.p, gamma.edge_weight
     scaled = p * (size * (size - 1) // 2) - w * (int(deg[member].sum()) // 2)
-    deltas = np.where(member, w * deg - p * (size - 1), p * size - w * deg)
-    return SubsetState(graph, gamma, member, size, deltas, scaled)
+    key = np.where(member, deg, deg + n).astype(np.int32)
+    return SubsetState(graph, gamma, member, size, key, scaled)
 
 
 def delta_add(state: SubsetState, x: int) -> int:
     """Scaled energy change of adding x: -(p + q_den)|E(x,U)| + p|U|."""
     if state.member[x]:
         raise ValueError(f"vertex {x} is already in the subset")
-    return int(state._deltas[x])
+    return state._delta_at(int(state.key[x]))
 
 
 def delta_remove(state: SubsetState, z: int) -> int:
     """Scaled energy change of removing z: (p + q_den)|E(z,U)| - p(|U|-1)."""
     if not state.member[z]:
         raise ValueError(f"vertex {z} is not in the subset")
-    return int(state._deltas[z])
+    return state._delta_at(int(state.key[z]))
 
 
 def apply_flip(state: SubsetState, x: int) -> SubsetState:
-    """Toggle membership of x, updating the caches in place."""
-    d, buf, (sp, sw) = state._deltas, state._buf, state._side
-    dx, remove = int(d[x]), bool(state.member[x])
-    np.multiply(state.graph.row01(x), sw, out=buf)
-    np.subtract(sp, buf, out=buf)  # sigma * (p - w * row)
-    (np.subtract if remove else np.add)(d, buf, out=d)
+    """Toggle membership of x, updating the keys in place."""
+    key, n = state.key, state.graph.n
+    dx, remove = state._delta_at(int(key[x])), bool(state.member[x])
+    (np.subtract if remove else np.add)(key, state.graph.row01(x), out=key)
+    key[x] += n if remove else -n
     state.size += -1 if remove else 1
     state.member[x] = not remove
     state.scaled_energy += dx
-    d[x] = -dx
-    sp[x], sw[x] = -sp[x], -sw[x]
     return state

@@ -32,7 +32,7 @@ __all__ = ["ExperimentConfig", "LandscapeConfig", "RunSummary", "ConfigError",
            "parse_config", "parse_config_text", "write_config", "config_text",
            "load_preset", "preset_names", "run_experiment", "run_sweep",
            "run_landscape", "run_coupled_cells", "run_peel_cells",
-           "default_out_dir", "OUT_DIR_ENV"]
+           "build_instance", "default_out_dir", "OUT_DIR_ENV"]
 
 CONFIG_VERSION = 1
 OUT_DIR_ENV = "PLANTEDCLIQUE_OUT"
@@ -378,7 +378,8 @@ class RunSummary:
         }
 
 
-def _build_instance(config: ExperimentConfig, seed: int):
+def build_instance(config: ExperimentConfig, seed: int):
+    """The config's graph (er) or planted instance for one seed."""
     if config.model == "er":
         return gen_er(config.n, seed)
     if config.model == "planted":
@@ -392,7 +393,7 @@ def _build_instance(config: ExperimentConfig, seed: int):
 
 
 def _run_cell(config: ExperimentConfig, seed: int):
-    instance = _build_instance(config, seed)
+    instance = build_instance(config, seed)
     traj = run_chain(
         instance, config.init_value(), config.chain_kind(),
         config.gamma_param(), config.max_steps, seed,
@@ -407,7 +408,7 @@ def _run_cell(config: ExperimentConfig, seed: int):
 
 def _peel_cell(stop_n2: int, c1: Optional[float], config: ExperimentConfig,
                seed: int):
-    instance = _build_instance(config, seed)
+    instance = build_instance(config, seed)
     traj, diag = run_peel(instance, stop_n2, seed, c1=c1,
                           gamma=config.gamma_param())
     header = "t,n1,n2,n3" if instance.contamination else "t,n1,n2"

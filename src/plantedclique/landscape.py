@@ -56,12 +56,9 @@ class LocalMinReport:
 def local_min_check(graph: Graph, u, gamma: GammaParam) -> LocalMinReport:
     """Test subset u. Comparisons use the integer-scaled deltas, so the kappa
     thresholds are evaluated in exact rational arithmetic."""
-    state = init_state(graph, u, gamma)
-    deltas = state.all_flip_deltas()
-    strict = bool((deltas > 0).all())
-    absorbing = bool((deltas >= 0).all())
-    violating = None if strict else int(np.argmin(deltas))
-    return LocalMinReport(strict, absorbing, violating, gamma.kappa)
+    best, at = init_state(graph, u, gamma).best_flips()
+    return LocalMinReport(best > 0, best >= 0, None if best > 0 else int(at[0]),
+                          gamma.kappa)
 
 
 def brute_force_min(graph: Graph, gamma: GammaParam

@@ -567,21 +567,31 @@ class TestDeltaCacheUse:
         assert len(moved) == 60 and all(m.kind == "remove" for m in moved)
 
     def test_gd_run_builds_degrees_once(self, monkeypatch):
-        degree_builds, views = [], []
+        degree_builds, keys, states = [], [], []
         real_deg_into = Graph.deg_into
-        real_deltas = SubsetState.all_flip_deltas
+        real_best = SubsetState.best_flips
         monkeypatch.setattr(Graph, "deg_into", lambda self, member: (
             degree_builds.append(1) or real_deg_into(self, member)))
+        monkeypatch.setattr(SubsetState, "best_flips", lambda self: (
+            keys.append((self.key, self.key.copy())) or states.append(self)
+            or real_best(self)))
         monkeypatch.setattr(SubsetState, "all_flip_deltas", lambda self: (
-            views.append(real_deltas(self)) or views[-1]))
+            pytest.fail("a gd step read every delta")))
         monkeypatch.setattr(SubsetState, "deg_into", property(
             lambda self: pytest.fail("a chain step derived every degree")))
         inst = gen_planted(400, 50, 2)
         traj = run_chain(inst, "full", GradientDescent(), GammaParam(4), 10**4, 2)
         assert traj.absorbed and traj.steps > 300
         assert len(degree_builds) == 1  # init_state's
-        assert len(views) == traj.steps + 1
-        assert all(v is views[0] for v in views)  # the one cached vector
+        assert len(keys) == traj.steps + 1
+        # one key array, updated in place: every step saw new values in it
+        assert all(k is keys[0][0] for k, _ in keys)
+        assert all(s is states[0] for s in states)
+        assert all(not np.array_equal(a, b)
+                   for (_, a), (_, b) in zip(keys, keys[1:]))
+        monkeypatch.undo()
+        fresh = init_state(inst.graph, states[0].member.copy(), GammaParam(4))
+        assert np.array_equal(keys[0][0], fresh.key)
 
     def test_checkers_never_derive_every_degree(self, monkeypatch):
         inst = gen_planted(300, 50, 6)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantedclique import (GammaParam, apply_flip, delta_add, delta_remove,
-                           gen_er, gen_planted, init_state)
+from plantedclique import (GammaParam, GradientDescent, apply_flip,
+                           delta_add, delta_remove, gen_er, gen_planted,
+                           init_state, run_chain)
 
 from conftest import graph_from_edges, py_scaled_energy
 
@@ -246,3 +247,75 @@ class TestDeltaCache:
             deltas += 1
         fresh = init_state(TRIANGLE, [0, 1], GammaParam(3))
         assert np.array_equal(deltas, fresh.all_flip_deltas())
+
+
+def _check_selection(state, g, gam):
+    """The key and the extremes query against the readout and a rebuild."""
+    d = state.all_flip_deltas()
+    best, candidates = state.best_flips()
+    assert best == int(d.min())
+    assert np.array_equal(candidates, np.flatnonzero(d == d.min()))
+    fresh = init_state(g, state.member.copy(), gam)
+    assert state.key.dtype == np.int32
+    assert np.array_equal(state.key, fresh.key)
+
+
+class TestKeySelection:
+    """``best_flips`` reads the least delta and its vertices off the two
+    extreme keys; it must agree with the full int64 readout everywhere."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 40),
+           st.sampled_from(["empty", "full", "random"]),
+           st.lists(st.integers(0, 39), max_size=40),
+           st.tuples(st.integers(1, 9), st.integers(1, 4)))
+    def test_extremes_match_the_readout(self, seed, n, start, flips, gam_raw):
+        p, qd = gam_raw
+        gam = GammaParam(p + qd if p <= qd else p, qd)
+        g = gen_er(n, seed)
+        member = {"empty": np.zeros(n, dtype=bool),
+                  "full": np.ones(n, dtype=bool),
+                  "random": np.random.default_rng(seed).random(n) < 0.5}[start]
+        state = init_state(g, member, gam)
+        _check_selection(state, g, gam)
+        for v in flips:
+            apply_flip(state, v % n)
+            _check_selection(state, g, gam)
+
+    def test_best_remove_ties_best_add(self):
+        # gamma 2 (w = 3), U = {0, 1}: removing 0 or 1 (3 - 2) and adding 2
+        # (4 - 3) all cost 1; adding 3 costs 4
+        g = graph_from_edges(4, [(0, 1), (0, 2)])
+        state = init_state(g, [0, 1], GammaParam(2))
+        best, candidates = state.best_flips()
+        assert best == 1 and candidates.tolist() == [0, 1, 2]
+        assert state.all_flip_deltas().tolist() == [1, 1, 1, 4]
+        _check_selection(state, g, GammaParam(2))
+
+    def test_empty_set_ties_every_add_at_zero(self):
+        g = gen_er(30, 4)
+        state = init_state(g, [], GammaParam(7, 2))
+        best, candidates = state.best_flips()
+        assert best == 0 and candidates.tolist() == list(range(30))
+        _check_selection(state, g, GammaParam(7, 2))
+
+    @pytest.mark.parametrize("p", [2**56 - 1, 2**30],
+                             ids=["w*n=2^62", "w*key-wraps-int32"])
+    def test_huge_weight_matches_python_ints(self, p):
+        gam = GammaParam(p)
+        n, w = 64, p + 1
+        g = gen_planted(n, 12, 3).graph
+        dense = g.to_dense()
+        state = init_state(g, range(0, n, 3), gam)
+        for x in range(n):
+            deg = sum(int(dense[x][v]) for v in range(n) if state.member[v])
+            s = state.size
+            want = w * deg - p * (s - 1) if state.member[x] else p * s - w * deg
+            assert int(state.all_flip_deltas()[x]) == want
+        traj = run_chain(g, "full", GradientDescent(), gam, 10**4, 3)
+        members = set(range(n))
+        assert traj.scaled_energy[0] == py_scaled_energy(dense, members, gam)
+        for v, energy in zip(traj.vertex[1:].tolist(), traj.scaled_energy[1:]):
+            members ^= {v}
+            assert energy == py_scaled_energy(dense, members, gam)
+        assert traj.absorbed and traj.steps > 10

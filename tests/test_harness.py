@@ -276,6 +276,27 @@ class TestCli:
         rc = main(["generate", "--model", "er", "--n", "5", "--seed", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--model", "er", "--n", "10", "--seed=-1"], "seeds"),
+        (["--model", "planted", "--n", "10", "--k", "3",
+          "--seed", str(2**64)], "seeds"),
+        (["--model", "planted", "--n", "10", "--k", "20", "--seed", "0"], "k"),
+        (["--model", "contaminated", "--n", "10", "--k", "4", "--m", "7",
+          "--q", "0.7", "--seed", "0"], "m"),
+        (["--model", "contaminated", "--n", "10", "--k", "4", "--m", "3",
+          "--q", "0.4", "--seed", "0"], "q"),
+        (["--model", "contaminated", "--n", "10", "--k", "4", "--m", "3",
+          "--q", "1.0", "--seed", "0"], "q"),
+    ], ids=["seed-1", "seed2^64", "k>n", "k+m>n", "q<1/2", "q=1"])
+    def test_generate_checks_flags_before_writing(self, flags, field,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["generate", *flags, "--out", "g.bin", "--edge-list", "g.txt"])
+        assert rc == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_verb(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, seeds="0")
         path = tmp_path / "exp.cfg"
