@@ -16,6 +16,15 @@ of it. The transpose of those right-hand coins is packed into bytes
 [b/8, e/8) of every later row, which no other block writes. Earlier blocks
 have already filled bytes [0, b/8) of the block's rows the same way. The
 clique is then set on the packed bits of rows 0..k-1.
+
+Fair-coin graphs (``gen_er``, ``gen_planted``, ``gen_coupled``) start
+without rows and build each row alone when it is first read, byte for byte
+the row the block generator would give (see ``_pcg64``). A graph draws the
+whole triangle once with the block generator when it needs more than n/16
+distinct rows, a degree count over more than n/16 members, or
+``packed_rows``. Building rows one by one stops being cheaper at about n/18
+rows at n = 1000 and n/6.5 at n = 5000, so n/16 leans towards the block
+generator as n grows.
 """
 
 from __future__ import annotations
@@ -77,10 +86,12 @@ class Graph:
     Row ``x`` is the neighbourhood of vertex ``x`` packed 8 vertices per byte
     (big-endian bit order, numpy's packbits default), so the degree of ``x``
     into a subset is a popcount of the row ANDed with the subset's membership
-    bits. Padding bits past ``n`` are always zero.
+    bits. Padding bits past ``n`` are always zero. A graph from a fair-coin
+    generator holds no rows until it needs them all (see the module
+    docstring); rows read before that are built one at a time.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_rows", "_coins", "_clique")
 
     def __init__(self, n: int, packed_rows: np.ndarray):
         n = int(n)
@@ -93,7 +104,15 @@ class Graph:
             )
         rows.setflags(write=False)
         self.n = n
-        self._rows = rows
+        self._rows, self._coins, self._clique = rows, None, 0
+
+    @classmethod
+    def _lazy(cls, coins: "_CoinRows", clique: int = 0) -> "Graph":
+        """The fair-coin graph of ``coins`` with 0..clique-1 made a clique,
+        its rows not yet built."""
+        graph = cls.__new__(cls)
+        graph.n, graph._rows, graph._coins, graph._clique = coins.n, None, coins, clique
+        return graph
 
     @classmethod
     def from_dense(cls, dense) -> "Graph":
@@ -113,16 +132,37 @@ class Graph:
 
     @property
     def packed_rows(self) -> np.ndarray:
+        if self._rows is None:
+            rows = self._coins.full()
+            if self._clique:  # a coupled twin may share the unplanted rows
+                rows = _plant(rows.copy() if self._coins.shared else rows, self._clique)
+            rows.setflags(write=False)
+            self._rows, self._coins = rows, None
         return self._rows
+
+    def _row(self, x: int) -> np.ndarray:
+        """Packed row x, built alone while the graph holds no rows."""
+        rows = self._rows
+        if rows is None:
+            x = int(x)
+            if not 0 <= x < self.n:
+                raise IndexError(f"vertex {x} is out of range for n = {self.n}")
+            row = self._coins.row(x)
+            if row is not None:
+                return _plant_row(row, x, self._clique) if x < self._clique else row
+            rows = self.packed_rows
+        return rows[x]
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
-        return bool((self._rows[u, v >> 3] >> (7 - (v & 7))) & 1)
+        return bool((self._row(u)[v >> 3] >> (7 - (v & 7))) & 1)
 
     def row01(self, x: int) -> np.ndarray:
-        """Neighbourhood of x as a 0/1 uint8 vector of length n."""
-        return np.unpackbits(self._rows[x], count=self.n)
+        """Neighbourhood of x as a read-only 0/1 uint8 vector of length n."""
+        row = np.unpackbits(self._row(x), count=self.n)
+        row.setflags(write=False)
+        return row
 
     def row_bool(self, x: int) -> np.ndarray:
         return self.row01(x).view(bool)
@@ -131,37 +171,47 @@ class Graph:
         return np.flatnonzero(self.row01(x))
 
     def degrees(self) -> np.ndarray:
-        return np.bitwise_count(self._rows).sum(axis=1, dtype=np.int64)
+        return np.bitwise_count(self.packed_rows).sum(axis=1, dtype=np.int64)
 
     def num_edges(self) -> int:
         return int(self.degrees().sum()) // 2
 
     def deg_into(self, member: np.ndarray) -> np.ndarray:
-        """|E(x, U)| for every vertex x, where U is given as a boolean mask."""
+        """|E(x, U)| for every vertex x, where U is given as a boolean mask.
+        While the graph holds no rows and U has at most n/16 members, this
+        is the sum of the members' rows."""
         member = np.asarray(member, dtype=bool)
         if member.shape != (self.n,):
             raise ValueError("membership mask has wrong length")
+        if self._rows is None and 16 * np.count_nonzero(member) <= self.n:
+            out = np.zeros(self.n, dtype=np.int64)
+            for x in np.flatnonzero(member).tolist():
+                out += self.row01(x)
+            return out
+        rows = self.packed_rows
         mask = np.packbits(member)
         out = np.empty(self.n, dtype=np.int64)
         buf = np.empty((_BLOCK, mask.size), dtype=np.uint8)
         for b in range(0, self.n, _BLOCK):
             chunk = buf[: min(_BLOCK, self.n - b)]
-            np.bitwise_and(self._rows[b : b + _BLOCK], mask, out=chunk)
+            np.bitwise_and(rows[b : b + _BLOCK], mask, out=chunk)
             np.bitwise_count(chunk, out=chunk).sum(axis=1, dtype=np.int64,
                                                    out=out[b : b + _BLOCK])
         return out
 
     def to_dense(self) -> np.ndarray:
-        return np.unpackbits(self._rows, axis=1, count=self.n).view(bool)
+        return np.unpackbits(self.packed_rows, axis=1, count=self.n).view(bool)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._rows, other._rows)
+        return self.n == other.n and np.array_equal(self.packed_rows, other.packed_rows)
 
     __hash__ = None
 
     def __repr__(self) -> str:
+        if self._rows is None:  # counting edges would draw every row
+            return f"Graph(n={self.n}, rows not drawn)"
         return f"Graph(n={self.n}, edges={self.num_edges()})"
 
 
@@ -300,6 +350,56 @@ def _plant(rows: np.ndarray, k: int) -> np.ndarray:
     return rows
 
 
+def _plant_row(row: np.ndarray, x: int, k: int) -> np.ndarray:
+    """Row x < k of ``_plant``'s output, from fair-coin row x."""
+    kb = (k + 7) // 8
+    out = row.copy()
+    out[:kb] |= np.packbits(np.arange(8 * kb) < k)
+    out[x >> 3] &= 0xFF ^ (128 >> (x & 7))
+    return out
+
+
+class _CoinRows:
+    """The fair-coin rows of one seed's edge stream, built one at a time
+    (see ``_pcg64``). Rows are cached packed and read-only, at most n/16 of
+    them; ``full`` then draws every row with the block generator. ``shared``
+    marks rows that a coupled twin also reads."""
+
+    __slots__ = ("n", "shared", "_rng", "_rows", "_full", "_starts")
+
+    def __init__(self, n: int, rng: np.random.Generator, shared: bool = False):
+        self.n, self.shared, self._rng = n, shared, rng
+        self._rows, self._full, self._starts = {}, None, None
+
+    def row(self, x: int) -> Optional[np.ndarray]:
+        """Packed row x, or None once every row should come from ``full``:
+        after it has run, or when x would be the (n/16 + 1)-th row built."""
+        if self._full is not None:
+            return None
+        row = self._rows.get(x)
+        if row is None:
+            if 16 * (len(self._rows) + 1) > self.n:
+                return None
+            row = self._rows[x] = self.build(x)
+            row.setflags(write=False)
+        return row
+
+    def build(self, x: int) -> np.ndarray:
+        """Packed row x, computed from PCG64 jumps (no caching)."""
+        from . import _pcg64  # loaded only by runs that build a row alone
+        if self._starts is None:
+            st = self._rng.bit_generator.state["state"]
+            self._starts = _pcg64.row_starts(self.n, st["state"], st["inc"])
+        return _pcg64.coin_row(self.n, self._starts, x)
+
+    def full(self) -> np.ndarray:
+        """Every row, drawn once by the block generator."""
+        if self._full is None:
+            self._full = _packed_coins(self.n, self._rng)
+            self._rows, self._starts = {}, None
+        return self._full
+
+
 def _choose_labels(n: int, k: int, m: int, rng: np.random.Generator,
                    v_orig: Optional[np.ndarray] = None) -> np.ndarray:
     """Internal->original label map: sorted clique, sorted contaminated set,
@@ -330,7 +430,7 @@ def _choose_labels(n: int, k: int, m: int, rng: np.random.Generator,
 def gen_er(n: int, seed: int) -> Graph:
     """Erdos-Renyi G(n, 1/2), reproducible from the seed."""
     n = _check_count("n", n, minimum=1)
-    return Graph(n, _packed_coins(n, stream_rng(seed, EDGE_STREAM)))
+    return Graph._lazy(_CoinRows(n, stream_rng(seed, EDGE_STREAM)))
 
 
 def gen_planted(n: int, k: int, seed: int) -> PlantedInstance:
@@ -338,19 +438,20 @@ def gen_planted(n: int, k: int, seed: int) -> PlantedInstance:
     other pairs independent fair coins."""
     n, k, _ = _check_sizes(n, k)
     labels = _choose_labels(n, k, 0, stream_rng(seed, SUBSET_STREAM))
-    rows = _plant(_packed_coins(n, stream_rng(seed, EDGE_STREAM)), k)
-    return PlantedInstance(Graph(n, rows), k, labels, None, int(seed), "planted")
+    graph = Graph._lazy(_CoinRows(n, stream_rng(seed, EDGE_STREAM)), k)
+    return PlantedInstance(graph, k, labels, None, int(seed), "planted")
 
 
 def gen_coupled(n: int, k: int, seed: int) -> tuple[Graph, PlantedInstance]:
     """The coupled pair (G0, G): G0 is Erdos-Renyi and G adds exactly the
     missing clique-internal pairs. Both share one labeling (the instance's);
-    edge sets agree off the clique by construction."""
+    edge sets agree off the clique by construction. The two share one row
+    source, so a row read by both is built once."""
     n, k, _ = _check_sizes(n, k)
     labels = _choose_labels(n, k, 0, stream_rng(seed, SUBSET_STREAM))
-    rows = _packed_coins(n, stream_rng(seed, EDGE_STREAM))
-    planted = Graph(n, _plant(rows.copy(), k))
-    return Graph(n, rows), PlantedInstance(planted, k, labels, None, int(seed), "planted")
+    coins = _CoinRows(n, stream_rng(seed, EDGE_STREAM), shared=True)
+    planted = Graph._lazy(coins, k)
+    return Graph._lazy(coins), PlantedInstance(planted, k, labels, None, int(seed), "planted")
 
 
 def gen_contaminated(n: int, k: int, m: int, q: float, seed: int,
@@ -468,9 +569,10 @@ def write_edge_list(path, obj: Union[Graph, PlantedInstance]) -> None:
         graph, labels = obj, np.arange(obj.n)
     internal = np.argsort(labels)  # original label -> internal vertex
     names = np.array([str(v) for v in range(graph.n)], dtype=object)
+    rows = graph.packed_rows
     with open(path, "w") as f:
         for u, x in enumerate(internal.tolist()):
-            vs = labels[graph.row01(x).view(bool)]
+            vs = labels[np.unpackbits(rows[x], count=graph.n).view(bool)]
             vs = np.sort(vs[vs > u])
             if vs.size:
                 f.write(f"{u} " + f"\n{u} ".join(names[vs]) + "\n")

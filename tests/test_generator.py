@@ -1,18 +1,23 @@
-"""The block-packed generator against a dense reference, and its memory.
+"""The block-packed generator and the lazy rows against a dense reference,
+and their memory.
 
 The oracle is the straightforward generator: draw the strict upper triangle
 row by row into a dense n x n boolean matrix, force the clique, symmetrize
 and pack. The package builds the packed rows block by block without any
-n x n array; both must agree bit for bit on every n, in particular on n
-that straddle a 64-row block edge.
+n x n array, or one row at a time from PCG64 jumps; all must agree bit for
+bit on every n, in particular on n that straddle a 64-row block edge.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plantedclique import gen_contaminated, gen_coupled, gen_er, gen_planted
+from plantedclique import (GammaParam, TiePolicy, gen_contaminated, gen_coupled,
+                           gen_er, gen_planted, run_coupled_gd)
+from plantedclique import _pcg64, chains, graphs
 from plantedclique.graphs import EDGE_STREAM, stream_rng
 
 
@@ -44,14 +49,36 @@ def oracle_rows(n, seed, k=0, m=0, q=0.5, clique=0):
     return np.packbits(upper | upper.T, axis=1)
 
 
+def lazy_rows(make, n):
+    """Packed rows 0..n-1 of the graph ``make()`` returns, each read by
+    ``row01`` while its graph holds no rows: a fresh graph per n/16 rows.
+    Below n = 16 that budget is empty, so the rows come from the row builder
+    and the planting rule of ``row01``'s lazy path."""
+    rows, per = [], n // 16
+    for x in range(n):
+        if per == 0:
+            graph = make()
+            row = graph._coins.build(x)
+            if x < graph._clique:
+                row = graphs._plant_row(row, x, graph._clique)
+        else:
+            if x % per == 0:
+                graph = make()
+            row = np.packbits(graph.row01(x))
+        assert graph._rows is None  # nothing materialized it
+        rows.append(row)
+    return np.array(rows, dtype=np.uint8).reshape(n, (n + 7) // 8)
+
+
 BLOCK_EDGE_NS = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129]
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
 def test_er_matches_oracle(n):
     for seed in (0, 5):
-        assert np.array_equal(gen_er(n, seed).packed_rows,
-                              oracle_rows(n, seed))
+        expected = oracle_rows(n, seed)
+        assert np.array_equal(lazy_rows(lambda: gen_er(n, seed), n), expected)
+        assert np.array_equal(gen_er(n, seed).packed_rows, expected)
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
@@ -59,11 +86,41 @@ def test_planted_and_coupled_match_oracle(n):
     for k in sorted({1, min(2, n), n}):
         for seed in (1, 6):
             expected = oracle_rows(n, seed, clique=k)
+            unplanted = oracle_rows(n, seed)
+            for graph, want in (
+                    (lambda: gen_planted(n, k, seed).graph, expected),
+                    (lambda: gen_coupled(n, k, seed)[0], unplanted),
+                    (lambda: gen_coupled(n, k, seed)[1].graph, expected)):
+                assert np.array_equal(lazy_rows(graph, n), want)
             assert np.array_equal(gen_planted(n, k, seed).graph.packed_rows,
                                   expected)
             g0, instance = gen_coupled(n, k, seed)
-            assert np.array_equal(g0.packed_rows, oracle_rows(n, seed))
+            assert np.array_equal(g0.packed_rows, unplanted)
             assert np.array_equal(instance.graph.packed_rows, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3000), st.integers(0, 2**64 - 1), st.data())
+def test_single_pairs_match_the_advanced_stream(n, seed, data):
+    # coin (i, j), i < j, is draw i*n - i(i+1)/2 + (j - i - 1) of the stream
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    rng = stream_rng(seed, EDGE_STREAM)
+    rng.bit_generator.advance(i * n - i * (i + 1) // 2 + j - i - 1)
+    edge = rng.random() < 0.5
+    graph = gen_er(n, seed)
+    assert graph.has_edge(i, j) == edge
+    assert graph.row01(j)[i] == edge
+
+
+def test_a_changed_pcg64_trips_the_guard(monkeypatch):
+    _pcg64.jump_tables.cache_clear()
+    monkeypatch.setattr(_pcg64, "MULT", _pcg64.MULT ^ 4)
+    with pytest.raises(RuntimeError, match="pcg64-streams-v1"):
+        gen_er(100, 0).row01(3)
+    monkeypatch.undo()
+    assert np.array_equal(np.packbits(gen_er(100, 0).row01(3)),
+                          oracle_rows(100, 0)[3])
 
 
 @pytest.mark.parametrize("n", [9, 63, 64, 65, 127, 128, 129])
@@ -91,13 +148,60 @@ def test_coupled_unplanted_side_is_gen_er(n):
 ], ids=["planted", "coupled", "contaminated"])
 def test_generation_never_holds_a_dense_matrix(generate):
     # A dense boolean n x n matrix alone is n^2 bytes; the packed graph is
-    # n^2 / 8 (two of them for the coupled pair).
+    # n^2 / 8 (two of them for the coupled pair). Fair-coin graphs draw
+    # their rows when they are first read, so read them all.
     n = 8000
     tracemalloc.start()
     try:
         result = generate(n)
+        for inst in result if isinstance(result, tuple) else (result,):
+            getattr(inst, "graph", inst).packed_rows
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result is not None
     assert peak < n * n // 2
+
+
+def test_coupled_run_at_n_1e5_draws_no_triangle(monkeypatch):
+    # The packed pair would be 2 * n^2 / 8 = 2.5 GB; an empty-init descent
+    # reads a few dozen rows, each built alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew the whole triangle")
+    monkeypatch.setattr(graphs, "_packed_coins", refuse)
+    tracemalloc.start()
+    try:
+        res = run_coupled_gd(10**5, 316, GammaParam(4), TiePolicy.drift(1),
+                             20000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.planted.absorbed and res.unplanted.absorbed
+    assert res.identical_before_tau
+    assert peak < 100 * 2**20
+
+
+def test_coupled_run_on_lazy_rows_writes_the_packed_path_bytes(monkeypatch):
+    runs, pairs = {}, []
+    for path in ("lazy", "packed"):
+        def made(n, k, seed, path=path):
+            g0, inst = gen_coupled(n, k, seed)
+            if path == "packed":
+                g0.packed_rows, inst.graph.packed_rows
+            pairs.append((path, g0, inst.graph))
+            return g0, inst
+        monkeypatch.setattr(chains, "gen_coupled", made)
+        runs[path] = [run_coupled_gd(400, 20, GammaParam(4), TiePolicy.drift(1),
+                                     5000, seed) for seed in range(6)]
+    # the twins' reads pass n/16 = 25 distinct rows in some lazy runs, so
+    # those switch to the packed rows midway; the others never draw them
+    stayed = [g0._rows is None and g._rows is None for path, g0, g in pairs
+              if path == "lazy"]
+    assert 0 < sum(stayed) < len(stayed)
+    assert all(g0._rows is not None for path, g0, _ in pairs if path == "packed")
+    for lazy, packed in zip(runs["lazy"], runs["packed"]):
+        assert lazy.planted.csv_text() == packed.planted.csv_text()
+        assert lazy.unplanted.csv_text() == packed.unplanted.csv_text()
+        assert ((lazy.tau, lazy.first_divergence, lazy.identical_before_tau)
+                == (packed.tau, packed.first_divergence,
+                    packed.identical_before_tau))

@@ -215,6 +215,73 @@ def test_graph_is_immutable():
         g.packed_rows[0, 0] = 1
 
 
+def test_rows_are_read_only():
+    for graph in (gen_er(200, 0), Graph(200, gen_er(200, 0).packed_rows)):
+        for x in (0, 5, 5):  # a built row, then the same row from the cache
+            with pytest.raises(ValueError):
+                graph.row01(x)[1] = 1
+            with pytest.raises(ValueError):
+                graph.row_bool(x)[1] = True
+
+
+def test_repr_draws_no_rows():
+    g = gen_er(200, 0)
+    assert repr(g) == "Graph(n=200, rows not drawn)" and g._rows is None
+    g.packed_rows
+    assert repr(g) == f"Graph(n=200, edges={g.num_edges()})"
+
+
+def _eager(graph):
+    return Graph(graph.n, graph.packed_rows.copy())
+
+
+def test_past_n_over_16_rows_answers_come_from_the_packed_rows():
+    n = 160  # so n/16 = 10 rows are built alone
+    g0, inst = gen_coupled(n, 12, 4)
+    graph = inst.graph
+    eager = _eager(gen_coupled(n, 12, 4)[1].graph)
+    lazy = {x: graph.row01(x) for x in range(3, 13)}  # clique rows and not
+    assert graph._rows is None and g0._rows is None
+    for x in range(3, 13):  # the twin reads the same rows: no new builds
+        g0.row01(x)
+    assert g0._rows is None
+    assert g0.has_edge(13, 3) == eager.has_edge(13, 3)  # an 11th row
+    assert g0._rows is not None and graph._rows is None
+    for x, row in lazy.items():
+        assert np.array_equal(row, graph.row01(x))
+        assert np.array_equal(row, eager.row01(x))
+    assert graph._rows is not None  # its source was drawn for the twin
+    assert np.array_equal(graph.packed_rows, eager.packed_rows)
+    assert np.array_equal(g0.packed_rows, gen_er(n, 4).packed_rows)
+
+
+@pytest.mark.parametrize("members", [10, 11])
+def test_degrees_into_more_than_n_over_16_members_use_the_packed_rows(members):
+    n = 160
+    inst = gen_planted(n, 20, 9)
+    member = np.zeros(n, dtype=bool)
+    member[np.linspace(0, n - 1, members).astype(int)] = True
+    deg = inst.graph.deg_into(member)
+    assert (inst.graph._rows is None) == (members <= n // 16)
+    assert np.array_equal(deg, _eager(inst.graph).deg_into(member))
+
+
+def test_lazy_and_eager_graphs_write_the_same_files(tmp_path, monkeypatch):
+    inst = gen_planted(150, 13, 2)
+    eager = PlantedInstance(_eager(gen_planted(150, 13, 2).graph), inst.k,
+                            inst.labels, None, inst.seed)
+    pairs = [(inst, eager), (gen_er(150, 3), _eager(gen_er(150, 3)))]
+    # the writers read packed_rows, not n rows built one by one
+    monkeypatch.setattr(graphs._CoinRows, "build", lambda self, x: (
+        pytest.fail("a writer built a row alone")))
+    for i, (lazy, eager) in enumerate(pairs):
+        for write in (save_graph, write_edge_list):
+            write(tmp_path / "lazy", lazy)
+            write(tmp_path / "eager", eager)
+            assert ((tmp_path / "lazy").read_bytes()
+                    == (tmp_path / "eager").read_bytes()), (i, write.__name__)
+
+
 def test_from_dense_validates():
     with pytest.raises(ValueError):
         Graph.from_dense(np.ones((3, 3), dtype=bool))  # self-loops
@@ -265,6 +332,7 @@ def test_edge_list_streams_without_dense_arrays(tmp_path):
     # the dense n x n matrix alone is n^2 bytes, the all-edges array more
     n = 4000
     inst = gen_planted(n, 60, 1)
+    inst.graph.packed_rows  # draw the graph before measuring the writer
     path = tmp_path / "g.txt"
     tracemalloc.start()
     try:
