@@ -1,15 +1,17 @@
 """Single rows of a fair-coin graph from jumps of numpy's PCG64.
 
 numpy's PCG64 is the LCG s -> A*s + inc mod 2**128; a draw steps the state
-and returns the XSL-RR output of the new state. So t + 1 draws from state s
-end at M[t]*s + inc*G[t], with M[t] = A**(t+1) and G[t] = 1 + A + ... + A**t.
+and returns the XSL-RR output of the new state. So p draws from state s end
+at A**p * s + inc * G(p), with G(p) = 1 + A + ... + A**(p-1).
 
 Under ``pcg64-streams-v1`` the edge stream draws the strict upper triangle
 row by row, so row i's coins to its right are the draws from P_i on, with
-P_i = i*n - i(i+1)/2. With S[i] the state at P_i, pair (x, y) is jump
-t = |x - y| - 1 from S[min(x, y)], and it is an edge iff bit 63 of the
-output is 0, since ``random()`` is the top 53 bits over 2**53. A row is then
-one vectorized multiply-add over uint64 (hi, lo) limbs.
+P_i = i*n - i(i+1)/2, and pair (x, y) is the draw t = |x - y| - 1 after
+S[min(x, y)], the state at P_min(x, y). It is an edge iff bit 63 of the
+output is 0, since ``random()`` is the top 53 bits over 2**53. Row x's right
+half is then numpy's own ``random_raw`` from S[x]; its left half is one
+vectorized multiply-add over uint64 (hi, lo) limbs, a jump of x draws from
+each V[y], the state y draws before S[y].
 
 The graph module imports this only when a graph builds a row alone, so
 runs that draw every row with the block generator never load it.
@@ -27,19 +29,14 @@ MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 
 
-def _limbs(values) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit Python ints as uint64 (hi, lo) arrays."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+def _split(v: int) -> tuple[np.uint64, np.uint64]:
+    """A 128-bit Python int as uint64 (hi, lo) limbs."""
+    return np.uint64(v >> 64), np.uint64(v & _MASK64)
 
 
-def _mirror(a: np.ndarray) -> np.ndarray:
-    """[a[n-2], ..., a[0], 0, a[0], ..., a[n-2]], read-only: entry n-1+d
-    holds a[|d|-1], so row x's entries for y = 0..n-1 are one slice from
-    n-1-x."""
-    out = np.concatenate((a[::-1], np.zeros(1, dtype=a.dtype), a))
-    out.setflags(write=False)
-    return out
+def _value(hi: np.ndarray, lo: np.ndarray, i: int) -> int:
+    """Entry i of a limb array as a Python int."""
+    return int(hi[i]) << 64 | int(lo[i])
 
 
 def _mul128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
@@ -65,59 +62,98 @@ def _edge_coins(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return ((hi ^ lo) >> ((hi >> 58) + 63 & 63) & 1) == 0
 
 
+def _powers(a: int, count: int) -> tuple[np.ndarray, ...]:
+    """Limbs of a**p and of 1 + a + ... + a**(p-1), mod 2**128, for p < count,
+    by doubling: the entries at s + p are a**s times those at p, plus the
+    sum to s for the second."""
+    ph, pl, gh, gl = np.zeros((4, count), dtype=np.uint64)
+    pl[0] = 1
+    s, a_s, g_s = 1, a, 1
+    while s < count:
+        e = min(s, count - s)
+        ph[s:s + e], pl[s:s + e] = _mul128(*_split(a_s), ph[:e], pl[:e])
+        gh[s:s + e], gl[s:s + e] = _step_states(*_split(a_s), gh[:e], gl[:e],
+                                                *_split(g_s))
+        s, a_s, g_s = 2 * s, a_s * a_s & _MASK128, g_s * (1 + a_s) & _MASK128
+    return ph, pl, gh, gl
+
+
+def _row_jumps(n: int, ph, pl, gh, gl) -> tuple[np.ndarray, ...]:
+    """Limbs of A**Q_i and G(Q_i) for rows i < n, with Q_i = P_i - i, from
+    the ``_powers`` of A for p <= n. With Q_i = q*n + r, A**Q_i =
+    (A**n)**q * A**r and G(Q_i) = G(n) * H(q) + (A**n)**q * G(r), where
+    H(q) is the geometric sum of A**n to q terms."""
+    i = np.arange(n, dtype=np.int64)
+    q, r = np.divmod(i * n - i * (i + 3) // 2, n)
+    bh, bl, hh, hl = _powers(_value(ph, pl, n), int(q[-1]) + 1)
+    qh, ql = bh[q], bl[q]
+    return (*_mul128(qh, ql, ph[r], pl[r]),
+            *_step_states(qh, ql, gh[r], gl[r],
+                          *_mul128(gh[n], gl[n], hh[q], hl[q])))
+
+
 @functools.lru_cache(maxsize=4)
-def jump_tables(n: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """M[t] and G[t] for t < n - 1, as Python ints and as mirrored limbs,
-    after checking the limbs against numpy's PCG64."""
-    m, g, ms, gs = MULT, 1, [], []
-    for _ in range(n - 1):
-        ms.append(m)
-        gs.append(g)
-        m, g = m * MULT & _MASK128, g + m & _MASK128
-    mm = tuple(map(_mirror, _limbs(ms)))
-    gm = tuple(map(_mirror, _limbs(gs)))
-    _check_numpy(n, mm, gm)
-    return tuple(ms), tuple(gs), mm, gm
+def jump_tables(n: int) -> tuple[tuple, tuple]:
+    """Read-only limbs of (A**p, G(p)) for p <= n and of (A**Q_i, G(Q_i))
+    for rows i < n, after checking them against numpy's PCG64."""
+    powers = _powers(MULT, n + 1)
+    table = _row_jumps(n, *powers)
+    for a in powers + table:
+        a.setflags(write=False)
+    _check_numpy(n, powers, table)
+    return powers, table
 
 
-def _check_numpy(n: int, mm: tuple, gm: tuple) -> None:
-    """Raise RuntimeError unless the tables' states and coins agree with
-    numpy's own PCG64 ``advance`` and ``random_raw`` at a few draws."""
-    bits = np.random.PCG64(2023)
-    st = bits.state["state"]
-    s, inc = _limbs([st["state"]]), _limbs([st["inc"]])
-    ts = sorted({t for t in (0, 1, n // 3, n - 2) if 0 <= t < n - 1})
-    idx = [n + t for t in ts]  # mirrored index of jump t
-    hi, lo = _step_states(mm[0][idx], mm[1][idx], *s,
-                          *_mul128(gm[0][idx], gm[1][idx], *inc))
-    coins = _edge_coins(hi, lo)
-    for t, h, l, coin in zip(ts, hi.tolist(), lo.tolist(), coins.tolist()):
-        ahead = np.random.PCG64()
-        ahead.state = bits.state
-        raw = int(ahead.advance(t).random_raw())
-        if (h << 64 | l) != ahead.state["state"]["state"] or coin != (raw < 2**63):
-            raise RuntimeError(
-                f"numpy's PCG64 no longer matches the {GENERATOR_SCHEME} jump "
-                f"arithmetic (draw {t}); lazy graph rows would be wrong")
+def _check_numpy(n: int, powers: tuple, table: tuple) -> None:
+    """Raise RuntimeError unless the tables agree with numpy's own PCG64:
+    V[i] for rows 0, 1, n/2 and n - 1, and the coins of row n/2's right
+    half, drawn by ``random_raw`` and by the powers of A."""
+    st = np.random.PCG64(2023).state["state"]
+    starts = _stream_starts(table, st["state"], st["inc"])
+
+    def fail(what: str) -> None:
+        raise RuntimeError(
+            f"numpy's PCG64 no longer matches the {GENERATOR_SCHEME} jump "
+            f"arithmetic ({what}); lazy graph rows would be wrong")
+
+    for x in sorted({0, min(1, n - 1), n // 2, n - 1}):
+        ahead = np.random.PCG64(2023).advance(x * n - x * (x + 3) // 2)
+        if _value(*starts[:2], x) != ahead.state["state"]["state"]:
+            fail(f"start of row {x}")
+    x = n // 2
+    ph, pl, gh, gl = (a[x + 1:n] for a in powers)  # A**y and G(y) for y > x
+    right = _edge_coins(*_step_states(ph, pl, starts[0][x], starts[1][x],
+                                      *_mul128(gh, gl, *_split(st["inc"]))))
+    ahead = np.random.PCG64(2023).advance(x * n - x * (x + 1) // 2)
+    if not np.array_equal(right, ahead.random_raw(n - 1 - x) < 2**63):
+        fail(f"right half of row {x}")
+
+
+def _stream_starts(table: tuple, state: int, inc: int) -> tuple:
+    """Limbs of V[i] = A**Q_i * state + G(Q_i) * inc for the stream at
+    (state, inc), then inc and a bit generator to draw right halves."""
+    ah, al, gh, gl = table
+    return (*_step_states(ah, al, *_split(state), *_mul128(gh, gl, *_split(inc))),
+            inc, np.random.PCG64(0))
 
 
 def row_starts(n: int, state: int, inc: int) -> tuple:
-    """Limbs of S[i], the state before row i's first coin, and of the
-    mirrored K[t] = inc * G[t], for the stream at (state, inc)."""
-    ms, gs, _, gm = jump_tables(n)
-    starts = [state]
-    for t in range(n - 2, -1, -1):  # row n - 2 - t draws t + 1 coins
-        state = ms[t] * state + inc * gs[t] & _MASK128
-        starts.append(state)
-    return (*_limbs(starts), *_mul128(*gm, *_limbs([inc])))
+    """The per-stream states that ``coin_row`` reads: V[i], from which i
+    draws reach S[i], the state before row i's first coin."""
+    return _stream_starts(jump_tables(n)[1], state, inc)
 
 
 def coin_row(n: int, starts: tuple, x: int) -> np.ndarray:
-    """Packed row x of the fair-coin graph whose ``row_starts`` are given."""
-    (mh, ml), (s_hi, s_lo, kh, kl) = jump_tables(n)[2], starts
-    sh, sl = np.full(n, s_hi[x]), np.full(n, s_lo[x])
-    sh[:x], sl[:x] = s_hi[:x], s_lo[:x]
-    j = slice(n - 1 - x, 2 * n - 1 - x)
-    coins = _edge_coins(*_step_states(mh[j], ml[j], sh, sl, kh[j], kl[j]))
+    """Packed row x of the fair-coin graph whose ``row_starts`` are given:
+    pair (y, x) with y < x is x draws after V[y], and the pairs with y > x
+    are the draws from S[x], x draws after V[x]."""
+    ph, pl, gh, gl = jump_tables(n)[0]
+    vh, vl, inc, bits = starts
+    k = _split(_value(gh, gl, x) * inc & _MASK128)
+    coins = np.empty(n, dtype=bool)
+    coins[:x] = _edge_coins(*_step_states(ph[x], pl[x], vh[:x], vl[:x], *k))
     coins[x] = False
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": _value(vh, vl, x), "inc": inc}}
+    coins[x + 1:] = bits.advance(x).random_raw(n - 1 - x) < 2**63
     return np.packbits(coins)

@@ -530,20 +530,17 @@ class CoupledResult:
 
 
 def run_coupled_gd(n: int, k: int, gamma: GammaParam, tie_policy: TiePolicy,
-                   max_steps: int, seed: int, *, init="empty",
-                   record_every: int = 1) -> CoupledResult:
+                   max_steps: int, seed: int, *, init="empty") -> CoupledResult:
     """Generate the coupled pair (G0, G) and run gradient descent on both with
     shared randomness: one uniform per step drives both argmin choices, so the
     trajectories coincide while their candidate sets do."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     g0, instance = gen_coupled(n, k, seed)
     rng = stream_rng(seed, CHAIN_STREAM)
     kind = GradientDescent(tie_policy)
-    a = _ChainDriver(instance.graph, k, init, kind, gamma, record_every)
-    b = _ChainDriver(g0, k, init, kind, gamma, record_every)
+    a = _ChainDriver(instance.graph, k, init, kind, gamma)
+    b = _ChainDriver(g0, k, init, kind, gamma)
 
     tau = 0 if a.n1 > 0 else None
     first_div = None

@@ -22,8 +22,8 @@ without rows and build each row alone when it is first read, byte for byte
 the row the block generator would give (see ``_pcg64``). A graph draws the
 whole triangle once with the block generator when it needs more than n/16
 distinct rows, a degree count over more than n/16 members, or
-``packed_rows``. Building rows one by one stops being cheaper at about n/18
-rows at n = 1000 and n/6.5 at n = 5000, so n/16 leans towards the block
+``packed_rows``. Building rows one by one stops being cheaper at about n/16
+rows at n = 1000 and n/5 at n = 5000, so n/16 leans towards the block
 generator as n grows.
 """
 

@@ -369,9 +369,6 @@ class TestRunChain:
         with pytest.raises(ValueError, match="record_every"):
             run_chain(inst, "full", GradientDescent(), GammaParam(4), 100, 0,
                       record_every=record_every)
-        with pytest.raises(ValueError, match="record_every"):
-            run_coupled_gd(40, 8, GammaParam(4), TiePolicy.drift(1), 100, 0,
-                           record_every=record_every)
 
     def test_csv_format(self):
         inst = gen_planted(40, 8, 6)

@@ -123,6 +123,74 @@ def test_a_changed_pcg64_trips_the_guard(monkeypatch):
                           oracle_rows(100, 0)[3])
 
 
+def guard_trips(monkeypatch, name, fake):
+    """Building a row raises the guard's error while ``name`` in ``_pcg64``
+    is ``fake``, and gives the right row again after the undo."""
+    _pcg64.jump_tables.cache_clear()
+    monkeypatch.setattr(_pcg64, name, fake)
+    with pytest.raises(RuntimeError, match="pcg64-streams-v1"):
+        gen_er(100, 0).row01(3)
+    monkeypatch.undo()
+    assert np.array_equal(np.packbits(gen_er(100, 0).row01(3)),
+                          oracle_rows(100, 0)[3])
+
+
+def test_a_corrupt_row_start_trips_the_guard(monkeypatch):
+    # row 1's jump, which only the row-start check reads: S[1] moves by inc
+    real = _pcg64._row_jumps
+
+    def corrupt(*args):
+        table = [a.copy() for a in real(*args)]
+        table[3][1] ^= 1
+        return tuple(table)
+    guard_trips(monkeypatch, "_row_jumps", corrupt)
+
+
+def test_a_changed_coin_rule_trips_the_guard(monkeypatch):
+    # every state stays right, so only the right-half check can see it
+    real = _pcg64._edge_coins
+    guard_trips(monkeypatch, "_edge_coins", lambda hi, lo: ~real(hi, lo))
+
+
+def python_int_powers(upto):
+    """(A**p, G(p)) mod 2**128 for p <= upto, one Python-int step at a time:
+    the recurrence the limb tables replace."""
+    out, m, g = [], 1, 0
+    for _ in range(upto + 1):
+        out.append((m, g))
+        m, g = m * _pcg64.MULT & 2**128 - 1, g + m & 2**128 - 1
+    return out
+
+
+def limb_ints(hi, lo):
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 64, 65, 129])
+def test_tables_and_row_starts_match_the_recurrence_and_advance(n):
+    # the doubling passes end on a partial block unless n + 1 is a power of
+    # two, and so does the H(q) table that the row jumps read
+    powers, table = _pcg64.jump_tables(n)
+    ref = python_int_powers(max(n, (n - 1) * (n - 2) // 2))
+    assert list(zip(limb_ints(*powers[:2]), limb_ints(*powers[2:]))) == ref[:n + 1]
+    qs = [i * n - i * (i + 3) // 2 for i in range(n)]  # Q_i = P_i - i
+    assert list(zip(limb_ints(*table[:2]), limb_ints(*table[2:]))) == [
+        ref[q] for q in qs]
+    rng = stream_rng(3, EDGE_STREAM)
+    st = rng.bit_generator.state["state"]
+    starts = _pcg64.row_starts(n, st["state"], st["inc"])
+    for i in range(n):  # V[i] stepped i draws on is S[i], the state at P_i
+        ahead = stream_rng(3, EDGE_STREAM).bit_generator
+        ahead.advance(i * n - i * (i + 1) // 2)
+        row = np.random.PCG64(0)
+        row.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                     "state": {"state": limb_ints(*starts[:2])[i], "inc": st["inc"]}}
+        assert row.advance(i).state == ahead.state
+    expected = oracle_rows(n, 3)
+    for x in {0, n - 1}:  # no left half; no right half
+        assert np.array_equal(_pcg64.coin_row(n, starts, x), expected[x])
+
+
 @pytest.mark.parametrize("n", [9, 63, 64, 65, 127, 128, 129])
 def test_contaminated_matches_oracle(n):
     # clique and contaminated set inside, across and past the first block
