@@ -10,8 +10,8 @@
 * Min-degree peeling: repeatedly delete a uniformly random minimum-degree
   vertex of the current induced subgraph, with degree-retention diagnostics.
 
-All randomness comes through one uniform draw per step so that chains sharing
-a seed on coupled graphs make identical choices while their candidate sets
+Step t of every chain takes draw t of ``CHAIN_STREAM``, so chains sharing a
+seed on coupled graphs make identical choices while their candidate sets
 agree.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -164,20 +164,6 @@ def _choose(candidates: np.ndarray, u: float) -> int:
     return int(candidates[i])
 
 
-def _gd_step_u(state: SubsetState, u: float, tie_policy: TiePolicy,
-               plateau_used: int) -> Move:
-    dmin, candidates = state.best_flips()
-    if dmin > 0:
-        return _STAY
-    if dmin == 0 and (tie_policy.kind != "drift"
-                      or plateau_used >= tie_policy.max_plateau_steps):
-        return _STAY
-    x = _choose(candidates, u)
-    kind = "remove" if state.member[x] else "add"
-    apply_flip(state, x)
-    return Move(kind, x, dmin)
-
-
 def gd_step(state: SubsetState, rng: np.random.Generator,
             tie_policy: TiePolicy = TiePolicy("halt", 0),
             plateau_used: int = 0) -> tuple[Move, SubsetState]:
@@ -185,8 +171,15 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
     strict argmin of the n single-flip deltas, or stay if the minimum is
     nonnegative (subject to the tie policy's plateau budget). The state is
     mutated in place. Consumes exactly one uniform draw."""
-    move = _gd_step_u(state, rng.random(), tie_policy, plateau_used)
-    return move, state
+    u = rng.random()
+    dmin, candidates = state.best_flips()
+    if dmin > 0 or dmin == 0 and (tie_policy.kind != "drift"
+                                  or plateau_used >= tie_policy.max_plateau_steps):
+        return _STAY, state
+    x = _choose(candidates, u)
+    kind = "remove" if state.member[x] else "add"
+    apply_flip(state, x)
+    return Move(kind, x, dmin), state
 
 
 def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
@@ -289,8 +282,7 @@ class _MinDegreePeel:
 class _ChainDriver:
     """Steps one chain and maintains its trajectory bookkeeping: overlap
     counts, the trajectory columns and clique visits. Gradient descent, Gibbs
-    and peeling all step through it, and coupled runs drive two off shared
-    uniforms."""
+    and peeling all step through it."""
 
     def __init__(self, graph: Graph, k: int, init, kind: ChainKind,
                  gamma: GammaParam, record_every: int = 1):
@@ -335,12 +327,10 @@ class _ChainDriver:
     def _at_pc(self) -> bool:
         return self.k > 0 and self.n1 == self.k and self.n2 == 0
 
-    def step(self, t: int, u: Optional[float], rng,
-             max_stays: int = 1) -> Optional[Move]:
-        """Advance from step t (to ``steps``, past up to ``max_stays - 1``
-        leading Gibbs stays); returns the applied move, or None on gd
-        absorption. ``u`` overrides the gd choice draw (for coupled runs)."""
-        was_at_pc = self._at_pc()
+    def step(self, rng, max_stays: int = 1) -> Optional[Move]:
+        """Take step ``steps + 1`` (past up to ``max_stays - 1`` leading
+        Gibbs stays); returns the applied move, or None on gd absorption."""
+        t, was_at_pc = self.steps + 1, self._at_pc()
         if isinstance(self.kind, GibbsChain):
             drawn, energy = rng.drawn, self.state.scaled_energy
             move, _ = gibbs_step(self.state, self.kind.beta, rng,
@@ -351,8 +341,7 @@ class _ChainDriver:
         elif isinstance(self.kind, _MinDegreePeel):
             move = _peel_step_u(self.state, rng.random())
         else:
-            u = rng.random() if u is None else u
-            move = _gd_step_u(self.state, u, self.kind.tie_policy, self.plateau_used)
+            move, _ = gd_step(self.state, rng, self.kind.tie_policy, self.plateau_used)
             if move.kind == "stay":
                 self.absorbed = True
                 return None
@@ -433,7 +422,7 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
         cap = max_steps - driver.steps
         if hold and driver._at_pc():
             cap = min(cap, hold - driver.pc_run)
-        if driver.step(driver.steps + 1, None, rng, cap) is None:
+        if driver.step(rng, cap) is None:
             reason = "absorbed"
             break
         if hold and driver.pc_run >= hold:
@@ -494,7 +483,7 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
             n2v = np.count_nonzero(state.member[k:k + m])  # contaminated
             bound = (n1 - 1) + q * n2v + 0.5 * (n23 - n2v) - c1 * sqrt_n
             violated |= state.member[:k] & (state.key[:k] < bound)  # degrees
-        driver.step(driver.steps + 1, None, rng)
+        driver.step(rng)
     traj = driver.finish("stopped")
 
     # Every step is a recorded removal, so row t is the set after step t.
@@ -518,8 +507,8 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
 
 @dataclass
 class CoupledResult:
-    """Lockstep gradient descents on G (planted) and G0 (its unplanted twin),
-    driven by the same per-step uniforms."""
+    """Gradient descents on G (planted) and G0 (its unplanted twin) from one
+    seed: step t of both takes draw t of ``CHAIN_STREAM``."""
 
     planted: Trajectory
     unplanted: Trajectory
@@ -531,37 +520,25 @@ class CoupledResult:
 
 def run_coupled_gd(n: int, k: int, gamma: GammaParam, tie_policy: TiePolicy,
                    max_steps: int, seed: int, *, init="empty") -> CoupledResult:
-    """Generate the coupled pair (G0, G) and run gradient descent on both with
-    shared randomness: one uniform per step drives both argmin choices, so the
-    trajectories coincide while their candidate sets do."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    """Generate the coupled pair (G0, G) and run gradient descent on each
+    with the same seed, so the trajectories coincide while their candidate
+    sets do. Both count overlap with the planted positions 0..k-1."""
     g0, instance = gen_coupled(n, k, seed)
-    rng = stream_rng(seed, CHAIN_STREAM)
     kind = GradientDescent(tie_policy)
-    a = _ChainDriver(instance.graph, k, init, kind, gamma)
-    b = _ChainDriver(g0, k, init, kind, gamma)
-
-    tau = 0 if a.n1 > 0 else None
-    first_div = None
-    for t in range(1, max_steps + 1):
-        if a.absorbed and b.absorbed:
-            break
-        u = rng.random()
-        move_a = a.step(t, u, None) if not a.absorbed else None
-        move_b = b.step(t, u, None) if not b.absorbed else None
-        if first_div is None and move_a != move_b:
-            first_div = t
-        if tau is None and a.n1 > 0:
-            tau = t
-
-    reason_a = "absorbed" if a.absorbed else "max_steps"
-    reason_b = "absorbed" if b.absorbed else "max_steps"
-    traj_a, traj_b = a.finish(reason_a), b.finish(reason_b)
+    a, b = (run_chain(inst, init, kind, gamma, max_steps, seed)
+            for inst in (instance, replace(instance, graph=g0)))
+    # every step is recorded, so row t is step t; a row one side lacks differs
+    rows = min(a.t.size, b.t.size)
+    differs = ((a.kind[1:rows] != b.kind[1:rows])
+               | (a.vertex[1:rows] != b.vertex[1:rows])
+               | (np.diff(a.scaled_energy[:rows]) != np.diff(b.scaled_energy[:rows])))
+    first_div = (int(differs.argmax()) + 1 if differs.any()
+                 else None if a.t.size == b.t.size else rows)
+    touched = np.flatnonzero(a.n1 > 0)
+    tau = int(touched[0]) if touched.size else None
     before_tau_ok = first_div is None or tau is None or first_div >= tau
-    through_ok = (first_div is None and a.absorbed and b.absorbed
-                  and np.array_equal(a.state.member, b.state.member))
-    return CoupledResult(traj_a, traj_b, tau, first_div, before_tau_ok, through_ok)
+    through_ok = first_div is None and a.absorbed and b.absorbed
+    return CoupledResult(a, b, tau, first_div, before_tau_ok, through_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Verbs:
     run         execute a chain experiment from a config file or preset
     sweep       re-run an experiment across gamma or beta values
     peel        min-degree peeling with retention diagnostics
-    coupled     lockstep planted/unplanted gradient descents
+    coupled     planted/unplanted gradient descents from one seed
     landscape   brute-force oracle, local-minima scan or kappa table
 
 Config files are flat key = value text (see the README); presets ship with

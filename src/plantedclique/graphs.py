@@ -9,8 +9,9 @@ bit-for-bit, not just in distribution.
 
 Generation never holds an n x n matrix. Rows are built in blocks of 64 (a
 multiple of 8, so block edges are byte edges). Block [b, e) draws all the
-coins of its rows' upper triangle with one ``rng.random`` call, which under
-PCG64 is the same sequence as one call per row. It writes bytes [b/8, end)
+coins of its rows' upper triangle with one ``random_raw`` call, which under
+PCG64 is the same sequence as one call per row; a pair is an edge iff its
+draw is below 2**63, which is ``random() < 0.5``. It writes bytes [b/8, end)
 of its own rows: the symmetrized (e-b) x (e-b) square, then the coins right
 of it. The transpose of those right-hand coins is packed into bytes
 [b/8, e/8) of every later row, which no other block writes. Earlier blocks
@@ -164,12 +165,6 @@ class Graph:
         row.setflags(write=False)
         return row
 
-    def row_bool(self, x: int) -> np.ndarray:
-        return self.row01(x).view(bool)
-
-    def neighbors(self, x: int) -> np.ndarray:
-        return np.flatnonzero(self.row01(x))
-
     def degrees(self) -> np.ndarray:
         return np.bitwise_count(self.packed_rows).sum(axis=1, dtype=np.int64)
 
@@ -263,24 +258,10 @@ class PlantedInstance:
         """Planted clique in internal labels (always 0..k-1)."""
         return np.arange(self.k)
 
-    def pc_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[: self.k] = True
-        return mask
-
-    @property
-    def pc_original(self) -> np.ndarray:
-        return self.labels[: self.k]
-
     @property
     def v_set(self) -> np.ndarray:
         m = self.contamination.m if self.contamination else 0
         return np.arange(self.k, self.k + m)
-
-    @property
-    def v_set_original(self) -> np.ndarray:
-        m = self.contamination.m if self.contamination else 0
-        return self.labels[self.k : self.k + m]
 
     def validate(self) -> None:
         """Raise ValueError unless 0..k-1 is a clique and labels a bijection."""
@@ -325,12 +306,13 @@ def _packed_coins(n: int, rng: np.random.Generator, k: int = 0, m: int = 0,
         e = min(b + _BLOCK, n)
         h = e - b
         mask = upper[:h, : n - b]
-        u = rng.random(h * (n - b) - h * (h + 1) // 2)
-        coins = u < 0.5
+        raw = rng.bit_generator.random_raw(h * (n - b) - h * (h + 1) // 2)
+        coins = raw < 2**63
         if m and b < cut:
             i, j = np.arange(b, e)[:, None], np.arange(b, n)
             boosted = (k <= i) & (i < cut) | (i < k) & (k <= j) & (j < cut)
-            coins |= boosted[mask] & (u < q)
+            # numpy's own double: the top 53 bits over 2**53
+            coins |= boosted[mask] & ((raw >> 11) * 2.0**-53 < q)
         blk = np.zeros(mask.shape, dtype=bool)
         blk[mask] = coins
         blk[:, :h] |= blk[:, :h].T.copy()

@@ -1,16 +1,22 @@
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from plantedclique import (GammaParam, GibbsChain, GradientDescent, Graph,
-                           Move, SubsetState, TiePolicy, Trajectory, gd_step,
+from plantedclique import (CoupledResult, GammaParam, GibbsChain,
+                           GradientDescent, Graph, Move, SubsetState,
+                           TiePolicy, Trajectory, gd_step, gen_coupled,
                            gen_er, gen_planted, gibbs_probabilities,
                            gibbs_step, init_state, local_min_check, replay,
                            run_chain, run_coupled_gd, run_peel, stream_rng,
                            verify_hamming_descent, verify_removal_phase)
-from plantedclique.chains import TRAJECTORY_CSV_HEADER, _peel_step_u, _Uniforms
+from plantedclique import graphs
+from plantedclique.chains import (TRAJECTORY_CSV_HEADER, _ChainDriver,
+                                  _peel_step_u, _Uniforms)
+from plantedclique.graphs import CHAIN_STREAM
 
 from conftest import (first_clique_add, graph_from_edges, miss_probability,
                       moves, py_scaled_energy, terminal_members)
@@ -445,7 +451,7 @@ class TestPeel:
 
     def test_peel_matches_gd_removals_under_shared_seed(self):
         # while many non-clique vertices remain, gd's argmin removal set is
-        # exactly the min-degree set, so lockstep seeds give identical moves
+        # exactly the min-degree set, so a shared seed gives identical moves
         inst = gen_planted(300, 40, 5)
         gam = GammaParam(4)
         threshold = 60
@@ -460,7 +466,81 @@ class TestPeel:
             assert kind == "remove" and v_gd == v_peel
 
 
+class _SharedDraw:
+    """Stands in for the generator: every chain stepped with it reads the
+    same draw."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def lockstep_coupled_gd(n, k, gamma, tie_policy, max_steps, seed, init):
+    """Reference for ``run_coupled_gd``: one loop steps both drivers, hands
+    draw t of CHAIN_STREAM to step t of each and compares the moves."""
+    g0, instance = gen_coupled(n, k, seed)
+    rng = stream_rng(seed, CHAIN_STREAM)
+    kind = GradientDescent(tie_policy)
+    a = _ChainDriver(instance.graph, k, init, kind, gamma)
+    b = _ChainDriver(g0, k, init, kind, gamma)
+    tau = 0 if a.n1 > 0 else None
+    first_div = None
+    for t in range(1, max_steps + 1):
+        if a.absorbed and b.absorbed:
+            break
+        u = _SharedDraw(rng.random())
+        move_a = a.step(u) if not a.absorbed else None
+        move_b = b.step(u) if not b.absorbed else None
+        if first_div is None and move_a != move_b:
+            first_div = t
+        if tau is None and a.n1 > 0:
+            tau = t
+    traj_a = a.finish("absorbed" if a.absorbed else "max_steps")
+    traj_b = b.finish("absorbed" if b.absorbed else "max_steps")
+    before_tau_ok = first_div is None or tau is None or first_div >= tau
+    through_ok = (first_div is None and a.absorbed and b.absorbed
+                  and np.array_equal(a.state.member, b.state.member))
+    return CoupledResult(traj_a, traj_b, tau, first_div, before_tau_ok, through_ok)
+
+
 class TestCoupled:
+    def test_matches_the_lockstep_reference(self):
+        seen = set()
+        for (n, k), seed, policy, init, max_steps, gamma in itertools.product(
+                ((16, 8), (60, 10), (150, 30)), range(3),
+                (TiePolicy.halt(), TiePolicy.drift(1), TiePolicy.drift(3)),
+                ("empty", "full"), (7, 20000),
+                (GammaParam(2), GammaParam(4), GammaParam(7, 2))):
+            args = (n, k, gamma, policy, max_steps, seed)
+            res = run_coupled_gd(*args, init=init)
+            ref = lockstep_coupled_gd(*args, init)
+            for f in dataclasses.fields(CoupledResult):
+                got, want = getattr(res, f.name), getattr(ref, f.name)
+                if isinstance(want, Trajectory):
+                    assert got.csv_text() == want.csv_text(), (f.name, args, init)
+                    assert got.summary_dict() == want.summary_dict()
+                    assert got.init_spec == want.init_spec
+                else:
+                    assert got == want, (f.name, args, init)
+            a, b, t = res.planted, res.unplanted, res.first_divergence
+            seen.add("none" if t is None
+                     else "missing row" if t == min(a.t.size, b.t.size)
+                     else "move" if (a.kind[t], a.vertex[t]) != (b.kind[t], b.vertex[t])
+                     else "delta only")
+        assert seen == {"none", "missing row", "move", "delta only"}
+
+    def test_max_steps_zero_raises_before_drawing_a_row(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a graph row")
+        monkeypatch.setattr(graphs, "_packed_coins", refuse)
+        monkeypatch.setattr(graphs._CoinRows, "build", refuse)
+        for init in ("empty", "full"):
+            with pytest.raises(ValueError, match="max_steps"):
+                run_coupled_gd(60, 10, GammaParam(4), TiePolicy.drift(1), 0, 0,
+                               init=init)
+
     def test_k1_trajectories_identical(self):
         res = run_coupled_gd(40, 1, GammaParam(4), TiePolicy.drift(1), 500, 3)
         assert res.first_divergence is None

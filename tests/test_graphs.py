@@ -80,7 +80,7 @@ def test_planted_k1_matches_er_bits():
 def test_figure_scale_instance():
     inst = gen_planted(5000, 70, 0)
     assert inst.n == 5000 and inst.k == 70
-    deg = inst.graph.deg_into(inst.pc_mask())
+    deg = inst.graph.deg_into(np.arange(inst.n) < inst.k)
     assert (deg[:70] == 69).all()
 
 
@@ -124,7 +124,7 @@ def test_contaminated_q_half_reduces_to_planted():
     inst = gen_contaminated(60, 10, 8, 0.5, 21)
     plain = gen_planted(60, 10, 21)
     assert inst.graph == plain.graph
-    assert np.array_equal(inst.pc_original, plain.pc_original)
+    assert np.array_equal(inst.labels[:10], plain.labels[:10])
 
 
 def test_contaminated_m_zero_identical_to_planted():
@@ -147,10 +147,10 @@ def test_contaminated_boosts_v_set_degrees():
 
 
 def test_contaminated_explicit_v_set():
-    pc = gen_planted(40, 6, 9).pc_original
+    pc = gen_planted(40, 6, 9).labels[:6]
     free = [v for v in range(40) if v not in set(pc.tolist())]
     inst = gen_contaminated(40, 6, 4, 0.8, 9, v_set=free[:4])
-    assert sorted(inst.v_set_original.tolist()) == sorted(free[:4])
+    assert sorted(inst.labels[6:10].tolist()) == sorted(free[:4])
     with pytest.raises(ValueError):
         gen_contaminated(40, 6, 4, 0.8, 9, v_set=[int(pc[0])] + free[:3])
 
@@ -182,7 +182,7 @@ def test_graph_queries_match_dense(rng):
     inst = gen_planted(33, 7, 1)
     dense = inst.graph.to_dense()
     for x in range(33):
-        assert np.array_equal(inst.graph.row_bool(x), dense[x])
+        assert np.array_equal(inst.graph.row01(x).view(bool), dense[x])
     members = rng.random(33) < 0.4
     deg = inst.graph.deg_into(members)
     for x in range(33):
@@ -221,7 +221,7 @@ def test_rows_are_read_only():
             with pytest.raises(ValueError):
                 graph.row01(x)[1] = 1
             with pytest.raises(ValueError):
-                graph.row_bool(x)[1] = True
+                graph.row01(x).view(bool)[1] = True
 
 
 def test_repr_draws_no_rows():

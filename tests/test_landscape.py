@@ -220,7 +220,8 @@ EQUIV_GAMMAS = ("2", "3", "7/2", "10", "3.000000000000001",
 def ref_brute_force_min(graph, gamma):
     """Global minimum by one Python pass over every bitmask, in mask order."""
     n = graph.n
-    adj = [sum(1 << int(j) for j in graph.neighbors(i)) for i in range(n)]
+    adj = [sum(1 << int(j) for j in np.flatnonzero(graph.row01(i)))
+           for i in range(n)]
     p, w = gamma.p, gamma.edge_weight
     edges = [0] * (1 << n)
     best, argmins = 0, [0]
