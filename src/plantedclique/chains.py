@@ -178,7 +178,7 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
         return _STAY, state
     x = _choose(candidates, u)
     kind = "remove" if state.member[x] else "add"
-    apply_flip(state, x)
+    apply_flip(state, x, dmin)
     return Move(kind, x, dmin), state
 
 
@@ -296,7 +296,8 @@ class _ChainDriver:
         self.plateau_used = 0
         self.absorbed = False
         self.steps = 0
-        self.first_pc_step = 0 if self._at_pc() else None
+        self.at_pc = k > 0 and self.n1 == k and self.n2 == 0
+        self.first_pc_step = 0 if self.at_pc else None
         self.pc_run = 0
         self.init_spec = init_spec
         self.last_move = _STAY
@@ -305,12 +306,13 @@ class _ChainDriver:
         self._record(0, _STAY)
 
     def _record(self, t: int, move: Move) -> None:
+        kind, x, _ = move
         self.ts.append(t)
         self.n1s.append(self.n1)
         self.n2s.append(self.n2)
         self.energies.append(self.state.scaled_energy)
-        self.kinds.append(move.kind)
-        self.vertices.append(-1 if move.vertex is None else move.vertex)
+        self.kinds.append(kind)
+        self.vertices.append(-1 if x is None else x)
 
     def _record_stays(self, t: int, count: int, energy: int) -> None:
         """Record steps t .. t+count-1 as stays at ``energy``."""
@@ -321,41 +323,37 @@ class _ChainDriver:
                            (self.energies, energy),
                            (self.kinds, "stay"), (self.vertices, -1)):
             col.extend([value] * len(ts))
-        if self._at_pc():
+        if self.at_pc:
             self.pc_run += count
-
-    def _at_pc(self) -> bool:
-        return self.k > 0 and self.n1 == self.k and self.n2 == 0
 
     def step(self, rng, max_stays: int = 1) -> Optional[Move]:
         """Take step ``steps + 1`` (past up to ``max_stays - 1`` leading
         Gibbs stays); returns the applied move, or None on gd absorption."""
-        t, was_at_pc = self.steps + 1, self._at_pc()
-        if isinstance(self.kind, GibbsChain):
-            drawn, energy = rng.drawn, self.state.scaled_energy
-            move, _ = gibbs_step(self.state, self.kind.beta, rng,
-                                 max_stays=max_stays)
-            lead = rng.drawn - drawn - 1  # stays before the step that gave move
-            self._record_stays(t, lead, energy)
-            t += lead
-        elif isinstance(self.kind, _MinDegreePeel):
-            move = _peel_step_u(self.state, rng.random())
-        else:
-            move, _ = gd_step(self.state, rng, self.kind.tie_policy, self.plateau_used)
+        t, chain, was_at_pc = self.steps + 1, self.kind, self.at_pc
+        if isinstance(chain, GradientDescent):
+            move, _ = gd_step(self.state, rng, chain.tie_policy, self.plateau_used)
             if move.kind == "stay":
                 self.absorbed = True
                 return None
             if move.scaled_delta == 0:
                 self.plateau_used += 1
-        self.steps = t
-        self.last_move = move
-        if move.vertex is not None:
-            sign = 1 if move.kind == "add" else -1
-            if move.vertex < self.k:
-                self.n1 += sign
+        elif isinstance(chain, GibbsChain):
+            drawn, energy = rng.drawn, self.state.scaled_energy
+            move, _ = gibbs_step(self.state, chain.beta, rng, max_stays=max_stays)
+            lead = rng.drawn - drawn - 1  # stays before the step that gave move
+            self._record_stays(t, lead, energy)
+            t += lead
+        else:
+            move = _peel_step_u(self.state, rng.random())
+        self.steps, self.last_move = t, move
+        kind, x, _ = move
+        if x is not None:
+            if x < self.k:
+                self.n1 += 1 if kind == "add" else -1
             else:
-                self.n2 += sign
-        if self._at_pc():
+                self.n2 += 1 if kind == "add" else -1
+            self.at_pc = self.n1 == self.k > 0 and self.n2 == 0
+        if self.at_pc:
             if self.first_pc_step is None:
                 self.first_pc_step = t
             # count steps that both start and end at the clique, so pc_run
@@ -420,7 +418,7 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
     reason = "max_steps"
     while driver.steps < max_steps:
         cap = max_steps - driver.steps
-        if hold and driver._at_pc():
+        if hold and driver.at_pc:
             cap = min(cap, hold - driver.pc_run)
         if driver.step(rng, cap) is None:
             reason = "absorbed"

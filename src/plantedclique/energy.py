@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -127,9 +127,11 @@ class SubsetState:
     def best_flips(self) -> tuple[int, np.ndarray]:
         """``min(d)`` and ``flatnonzero(d == min(d))`` for
         ``d = all_flip_deltas()``: the best flip delta and its vertices."""
-        key = self.key
-        lo, hi = int(key[key.argmin()]), int(key[key.argmax()])
-        d_lo, d_hi = self._delta_at(lo), self._delta_at(hi)
+        key, p, n, s = self.key, self.gamma.p, self.graph.n, self.size
+        w = p + self.gamma.q_den
+        lo, hi = key[key.argmin()], key[key.argmax()]  # int32: quick to compare
+        d_lo = w * int(lo) - p * (s - 1) if lo < n else p * s - w * (int(lo) - n)
+        d_hi = w * int(hi) - p * (s - 1) if hi < n else p * s - w * (int(hi) - n)
         hit = key == (lo if d_lo <= d_hi else hi)
         if d_lo == d_hi and lo != hi:  # the best remove ties the best add
             hit |= key == hi
@@ -185,13 +187,16 @@ def delta_remove(state: SubsetState, z: int) -> int:
     return state._delta_at(int(state.key[z]))
 
 
-def apply_flip(state: SubsetState, x: int) -> SubsetState:
-    """Toggle membership of x, updating the keys in place."""
-    key, n = state.key, state.graph.n
-    dx, remove = state._delta_at(int(key[x])), bool(state.member[x])
-    (np.subtract if remove else np.add)(key, state.graph.row01(x), out=key)
+def apply_flip(state: SubsetState, x: int,
+               delta: Optional[int] = None) -> SubsetState:
+    """Toggle membership of x, updating the keys in place. ``delta`` is the
+    flip's scaled delta, when the caller has it already."""
+    key, n, remove = state.key, state.graph.n, bool(state.member[x])
+    delta = state._delta_at(int(key[x])) if delta is None else delta
+    row = np.unpackbits(state.graph._row(x), count=n)
+    (np.subtract if remove else np.add)(key, row, out=key)
     key[x] += n if remove else -n
     state.size += -1 if remove else 1
     state.member[x] = not remove
-    state.scaled_energy += dx
+    state.scaled_energy += delta
     return state

@@ -7,16 +7,14 @@ seed share pair-level randomness exactly. This is what makes coupled
 planted/unplanted experiments and the q=1/2 contamination degeneracy hold
 bit-for-bit, not just in distribution.
 
-Generation never holds an n x n matrix. Rows are built in blocks of 64 (a
-multiple of 8, so block edges are byte edges). Block [b, e) draws all the
-coins of its rows' upper triangle with one ``random_raw`` call, which under
-PCG64 is the same sequence as one call per row; a pair is an edge iff its
-draw is below 2**63, which is ``random() < 0.5``. It writes bytes [b/8, end)
-of its own rows: the symmetrized (e-b) x (e-b) square, then the coins right
-of it. The transpose of those right-hand coins is packed into bytes
-[b/8, e/8) of every later row, which no other block writes. Earlier blocks
-have already filled bytes [0, b/8) of the block's rows the same way. The
-clique is then set on the packed bits of rows 0..k-1.
+Generation never holds an n x n matrix. Each band of 8 rows [b, b+8) draws
+the coins of its rows' upper triangle with one ``random_raw`` call, which
+under PCG64 is the same sequence as one call per row; a pair is an edge iff
+its draw is below 2**63, which is ``random() < 0.5``. The coins land right
+of each row's diagonal in an 8 x n bool band, packed into bytes [b/8, end)
+of the band's rows. The lower triangle is then the bit transpose of the
+upper one, ORed in 8 x 8-bit tiles (``_bit_transpose``). The clique is then
+set on the packed bits of rows 0..k-1.
 
 Fair-coin graphs (``gen_er``, ``gen_planted``, ``gen_coupled``) start
 without rows and build each row alone when it is first read, byte for byte
@@ -288,8 +286,24 @@ def _check_sizes(n: int, k: int, m: int = 0) -> tuple[int, int, int]:
     return n, k, m
 
 
-# Rows per generation block; a multiple of 8, so block edges are byte edges.
-_BLOCK = 64
+# Rows per pass of ``deg_into`` and of the bit transpose; a multiple of 8.
+_BLOCK = 256
+
+# The delta swaps (shift, mask) that transpose an 8 x 8-bit tile held as a
+# little-endian uint64: its 4 x 4 blocks, then 2 x 2 blocks, then bits.
+_SWAPS = ((36, 0x000000000F0F0F0F), (18, 0x0000333300003333),
+          (9, 0x0055005500550055))
+
+
+def _bit_transpose(rows: np.ndarray) -> np.ndarray:
+    """The transpose of the bit matrix held by 8a packed rows of w bytes, as
+    8w packed rows of a bytes, one uint64 per 8 x 8-bit tile."""
+    a, w = len(rows) // 8, rows.shape[1]
+    x = rows.reshape(a, 8, w).transpose(0, 2, 1).copy().view("<u8")
+    for s, mask in _SWAPS:
+        t = (x >> s ^ x) & mask
+        x ^= t ^ t << s
+    return x.view(np.uint8).reshape(a, w, 8).transpose(1, 2, 0).reshape(8 * w, a)
 
 
 def _packed_coins(n: int, rng: np.random.Generator, k: int = 0, m: int = 0,
@@ -299,27 +313,28 @@ def _packed_coins(n: int, rng: np.random.Generator, k: int = 0, m: int = 0,
     the other outside the clique use threshold q >= 1/2, all others 1/2.
     Clique-internal pairs are drawn too (and later overridden), which keeps
     the draw sequence identical across models."""
-    rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    upper = np.triu(np.ones((_BLOCK, n), dtype=bool), 1)
-    cut = k + m
-    for b in range(0, n, _BLOCK):
-        e = min(b + _BLOCK, n)
-        h = e - b
-        mask = upper[:h, : n - b]
+    nb, cut = (n + 7) // 8, k + m
+    rows = np.zeros((8 * nb, nb), dtype=np.uint8)  # whole 8 x 8-bit tiles
+    band, coins = np.zeros((8, n), dtype=bool), np.empty(8 * n, dtype=bool)
+    for b in range(0, n, 8):
+        h = min(8, n - b)
         raw = rng.bit_generator.random_raw(h * (n - b) - h * (h + 1) // 2)
-        coins = raw < 2**63
-        if m and b < cut:
-            i, j = np.arange(b, e)[:, None], np.arange(b, n)
-            boosted = (k <= i) & (i < cut) | (i < k) & (k <= j) & (j < cut)
-            # numpy's own double: the top 53 bits over 2**53
-            coins |= boosted[mask] & ((raw >> 11) * 2.0**-53 < q)
-        blk = np.zeros(mask.shape, dtype=bool)
-        blk[mask] = coins
-        blk[:, :h] |= blk[:, :h].T.copy()
-        rows[b:e, b >> 3 :] = np.packbits(blk, axis=1)
-        if e < n:
-            rows[e:, b >> 3 : e >> 3] = np.packbits(blk[:, h:].T.copy(), axis=1)
-    return rows
+        np.less(raw, 2**63, out=coins[: raw.size])
+        band[:, b : b + 8] = False  # left of each row's first coin
+        o = 0
+        for i in range(b, b + h):
+            band[i - b, i + 1 :] = coins[o : o + n - 1 - i]
+            if m and i < cut:
+                lo, hi = (k, cut) if i < k else (i + 1, n)
+                # numpy's own double: the top 53 bits over 2**53
+                boosted = raw[o + lo - i - 1 : o + hi - i - 1] >> 11
+                np.less(boosted * 2.0**-53, q, out=band[i - b, lo:hi])
+            o += n - 1 - i
+        rows[b : b + h, b >> 3 :] = np.packbits(band[:h, b:], axis=1)
+    for b in range(0, 8 * nb, _BLOCK):  # the lower triangle: OR in the transpose
+        upper = rows[b : b + _BLOCK, b >> 3 :]
+        rows[b:, b >> 3 : (b + _BLOCK) >> 3] |= _bit_transpose(upper)
+    return rows[:n]
 
 
 def _plant(rows: np.ndarray, k: int) -> np.ndarray:
@@ -496,16 +511,17 @@ def save_graph(path, obj: Union[Graph, PlantedInstance]) -> None:
 
 def _check_adjacency(rows: np.ndarray, n: int) -> None:
     """Reject packed rows with a self-loop, an asymmetric pair or padding
-    bits set past n. Each block of ``_BLOCK`` rows is compared with the
-    matching column slab, so no n x n array is built."""
+    bits set past n. The bit transpose of rows [b, b + ``_BLOCK``), right of
+    column b, must equal the column slab below them outside the padding, so
+    no n x n array is built."""
     v = np.arange(n)
     if ((rows[v, v >> 3] >> (7 - (v & 7))) & 1).any():
         raise ValueError("self-loops are not allowed")
     for b in range(0, n, _BLOCK):
-        e = min(b + _BLOCK, n)
-        block = np.unpackbits(rows[b:e], axis=1, count=n)
-        slab = np.unpackbits(rows[:, b >> 3 : (e + 7) >> 3], axis=1, count=e - b)
-        if not np.array_equal(block, slab.T):
+        block = rows[b : b + _BLOCK, b >> 3 :]
+        flip = _bit_transpose(np.pad(block, [(0, -len(block) % 8), (0, 0)]))[: n - b]
+        real = np.packbits(np.arange(b, b + 8 * flip.shape[1]) < n)
+        if ((flip ^ rows[b:, b >> 3 : (b >> 3) + flip.shape[1]]) & real).any():
             raise ValueError("adjacency must be symmetric")
     if n % 8 and (rows[:, -1] & (0xFF >> n % 8)).any():
         raise ValueError("adjacency has padding bits set past n")

@@ -3,9 +3,10 @@ and their memory.
 
 The oracle is the straightforward generator: draw the strict upper triangle
 row by row into a dense n x n boolean matrix, force the clique, symmetrize
-and pack. The package builds the packed rows block by block without any
-n x n array, or one row at a time from PCG64 jumps; all must agree bit for
-bit on every n, in particular on n that straddle a 64-row block edge.
+and pack. The package builds the packed rows in 8-row bands plus a bit
+transpose in 256-row passes, without any n x n array, or one row at a time
+from PCG64 jumps; all must agree bit for bit on every n, in particular on n
+that straddle a byte, band, pass or 64-row edge.
 """
 
 import tracemalloc
@@ -203,6 +204,36 @@ def test_contaminated_matches_oracle(n):
                                   oracle_rows(n, seed, k, m, q, clique=k))
 
 
+# n on either side of the 256-row passes of the bit transpose that fills
+# the lower triangle; 8-row draw bands end on each of them too
+TRANSPOSE_EDGE_NS = [255, 256, 257, 511, 512, 513]
+
+
+@pytest.mark.parametrize("n", TRANSPOSE_EDGE_NS)
+def test_packed_rows_match_oracle_across_transpose_passes(n):
+    seed = 4
+    assert np.array_equal(gen_er(n, seed).packed_rows, oracle_rows(n, seed))
+    assert np.array_equal(gen_planted(n, 30, seed).graph.packed_rows,
+                          oracle_rows(n, seed, clique=30))
+    for k, m, q in ((30, 100, 0.7), (250, n - 250, 0.6)):
+        assert np.array_equal(gen_contaminated(n, k, m, q, seed).graph.packed_rows,
+                              oracle_rows(n, seed, k, m, q, clique=k))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 13), (8, 8), (13, 5), (67, 130),
+                                   (256, 9), (300, 301)])
+def test_bit_transpose_matches_unpackbits(shape):
+    r, c = shape
+    bits = np.random.default_rng(r * c).random(shape) < 0.5
+    packed = np.zeros((-(-r // 8) * 8, (c + 7) // 8), dtype=np.uint8)
+    packed[:r] = np.packbits(bits, axis=1)  # whole tiles: zero rows below
+    flip = graphs._bit_transpose(packed)
+    want = np.zeros_like(flip)  # rows past c and bits past r stay zero
+    want[:c] = np.packbits(np.unpackbits(packed[:r], axis=1, count=c).T, axis=1)
+    assert flip.shape == (8 * packed.shape[1], packed.shape[0] // 8)
+    assert np.array_equal(flip, want)
+
+
 @pytest.mark.parametrize("n", [1, 8, 65, 200])
 def test_coupled_unplanted_side_is_gen_er(n):
     for k in sorted({1, min(20, n), n}):
@@ -222,13 +253,16 @@ def test_generation_never_holds_a_dense_matrix(generate):
     tracemalloc.start()
     try:
         result = generate(n)
-        for inst in result if isinstance(result, tuple) else (result,):
-            getattr(inst, "graph", inst).packed_rows
+        packed = sum(getattr(inst, "graph", inst).packed_rows.nbytes
+                     for inst in (result if isinstance(result, tuple) else (result,)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result is not None
     assert peak < n * n // 2
+    # beyond the rows it returns, generation holds one 8-row band of draws
+    # and one pass of the bit transpose: well under 4 MiB at this n
+    assert peak < packed + 4 * 2**20
 
 
 def test_coupled_run_at_n_1e5_draws_no_triangle(monkeypatch):

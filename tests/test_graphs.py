@@ -377,15 +377,23 @@ def test_load_rejects_padding_bits(tmp_path):
         load_graph(path)
 
 
-@pytest.mark.parametrize("row, byte, bits, match", [
-    (3, 12, 0b0000_1000, "symmetric"),   # edge 3 -> 100, a later row block
-    (100, 0, 0b0001_0000, "symmetric"),  # edge 100 -> 3
-    (129, 16, 0b0100_0000, "self-loop"),  # edge 129 -> 129, the last block
-    (77, 16, 0b0000_0001, "padding"),    # vertex 135 of 130
+@pytest.mark.parametrize("n, row, byte, bits, match", [
+    (130, 3, 12, 0b0000_1000, "symmetric"),   # edge 3 -> 100, a later row block
+    (130, 100, 0, 0b0001_0000, "symmetric"),  # edge 100 -> 3
+    (130, 129, 16, 0b0100_0000, "self-loop"),  # edge 129 -> 129, the last block
+    (130, 77, 16, 0b0000_0001, "padding"),    # vertex 135 of 130
+    (300, 3, 36, 0b0010_0000, "symmetric"),   # edge 3 -> 290, the second pass
+    (300, 290, 0, 0b0001_0000, "symmetric"),  # edge 290 -> 3
+    (300, 260, 37, 0b0001_0000, "symmetric"),  # edge 260 -> 299, both in it
+    (300, 258, 32, 0b0001_0000, "symmetric"),  # edge 258 -> 259, one tile
+    (300, 299, 37, 0b0001_0000, "self-loop"),  # edge 299 -> 299
+    (300, 277, 37, 0b0000_0001, "padding"),   # vertex 303, the last pass
+    (300, 10, 37, 0b0000_0010, "padding"),    # vertex 302, the first pass
 ])
-def test_load_checks_every_row_block(tmp_path, row, byte, bits, match):
+def test_load_checks_every_row_block(tmp_path, n, row, byte, bits, match):
+    # blocks of 256 rows are bit-transposed, so n = 300 has two
     path = tmp_path / "g.bin"
-    save_graph(path, Graph.from_edges(130, [(0, 1), (64, 127)]))
+    save_graph(path, Graph.from_edges(n, [(0, 1), (64, 127)]))
     _set_bits(path, row, byte, bits)
     with pytest.raises(ValueError, match=match):
         load_graph(path)
