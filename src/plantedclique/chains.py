@@ -182,22 +182,34 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
     return Move(kind, x, dmin), state
 
 
-def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
-    """Transition distribution over the n+1 candidates [stay, flip 0, ...,
-    flip n-1], proportional to exp(-beta * H(candidate)). Exponents are
-    shifted by the minimum candidate energy for stability."""
+def _gibbs_support(state: SubsetState, beta: float) -> tuple:
+    """``gibbs_probabilities`` and the flips it may weigh above 0.0 (None: all)."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite (the beta -> inf limit is gd_step)")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    deltas = state.all_flip_deltas()
-    dmin = min(int(deltas.min()), 0)
-    scale = beta / state.gamma.q_den
-    weights = np.empty(deltas.size + 1)
+    _, d_lo, _, d_hi = state.key_extremes()
+    dmin, scale = min(d_lo, d_hi, 0), beta / state.gamma.q_den
+    # exp(x) is exactly 0.0 in IEEE doubles for x < ln(2**-1075) ~ -745.13; 750 also
+    # absorbs the rounding of scale * (d - dmin). A property of doubles, not a tunable.
+    cut = 750 / scale if scale else math.inf  # inf also when 750 / scale overflows
+    at, deltas = state.all_flip_deltas(dmin + math.floor(cut) if cut < math.inf else cut)
+    weights = np.zeros(state.graph.n + 1)  # exact zeros: the sum groups as dense
+    if at is None:  # every flip: index nothing
+        np.exp(-scale * (deltas - dmin), out=weights[1:])
+    else:
+        weights[1:][at] = np.exp(-scale * (deltas - dmin))
     weights[0] = math.exp(-scale * (0 - dmin))
-    np.exp(-scale * (deltas - dmin), out=weights[1:])
     weights /= weights.sum()
-    return weights
+    return weights, at
+
+
+def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
+    """Transition distribution over the n+1 candidates [stay, flip 0, ...,
+    flip n-1], proportional to exp(-beta * H(candidate)) shifted by the least
+    candidate energy. Flips whose weight underflows are exact zeros and get
+    no delta or ``exp``."""
+    return _gibbs_support(state, beta)[0]
 
 
 class _Uniforms:
@@ -232,15 +244,16 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     are the state itself and all n single flips. Mutates the state in place;
     consumes exactly one uniform draw. With ``max_stays`` L > 1 (``rng`` a
     ``_Uniforms``) it takes up to L steps, one draw each, from this one
-    probability vector: the run of stays and the move that ends it."""
-    probs = gibbs_probabilities(state, beta)
+    probability vector: the run of stays and the move that ends it. The
+    cumsum skips the flips of weight 0.0, which add exactly: the same pick."""
+    probs, at = _gibbs_support(state, beta)
     r = rng.random() if max_stays == 1 else rng.random(probs[0], max_stays)
     if r < probs[0]:
         return _STAY, state
-    acc = probs[1:].cumsum()  # methods skip numpy's Python-level wrappers
-    x = int(acc.searchsorted(r - probs[0], side="right"))
-    if x >= state.graph.n:  # guard against float round-off at the top end
-        x = state.graph.n - 1
+    acc = (probs[1:] if at is None else probs[1:][at]).cumsum()
+    j = int(acc.searchsorted(r - probs[0], side="right"))
+    # a search past the end is float round-off at the top end: take the last vertex
+    x = (j if at is None else int(at[j])) if j < acc.size else state.graph.n - 1
     kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
     apply_flip(state, x)
     return Move(kind, x, state.scaled_energy - energy), state
@@ -341,8 +354,9 @@ class _ChainDriver:
             drawn, energy = rng.drawn, self.state.scaled_energy
             move, _ = gibbs_step(self.state, chain.beta, rng, max_stays=max_stays)
             lead = rng.drawn - drawn - 1  # stays before the step that gave move
-            self._record_stays(t, lead, energy)
-            t += lead
+            if lead:
+                self._record_stays(t, lead, energy)
+                t += lead
         else:
             move = _peel_step_u(self.state, rng.random())
         self.steps, self.last_move = t, move

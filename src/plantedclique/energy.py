@@ -113,28 +113,39 @@ class SubsetState:
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         return w * key - p * (s - 1) if key < n else p * s - w * (key - n)
 
-    def all_flip_deltas(self) -> np.ndarray:
+    def all_flip_deltas(self, upto=None):
         """Scaled change of every single flip as a new read-only int64 array:
-        the add-delta outside U, the remove-delta inside."""
+        the add-delta outside U, the remove-delta inside. With an int ``upto``,
+        ``(at, deltas)`` of the flips with delta <= ``upto`` (None: all)."""
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
-        removes = np.multiply(self.key, w, dtype=np.int64)  # int32 can wrap
+        member, key, at = self.member, self.key, None
+        if upto is not None and upto < p * s:  # p * s bounds every delta
+            at = ((key <= min((upto + p * (s - 1)) // w, n - 1))  # in U: w key - p(s-1)
+                  | (key >= n - (upto - p * s) // w)).nonzero()[0]  # out: p s - w(key-n)
+            member, key = member[at], key[at]
+        removes = np.multiply(key, w, dtype=np.int64)  # int32 can wrap
         removes -= p * (s - 1)
         # an add-delta is (w * n + p) minus the remove formula at its key
-        deltas = np.where(self.member, removes, (w * n + p) - removes)
+        deltas = np.where(member, removes, (w * n + p) - removes)
         deltas.setflags(write=False)
-        return deltas
+        return deltas if upto is None else (at, deltas)
 
-    def best_flips(self) -> tuple[int, np.ndarray]:
-        """``min(d)`` and ``flatnonzero(d == min(d))`` for
-        ``d = all_flip_deltas()``: the best flip delta and its vertices."""
+    def key_extremes(self) -> tuple:
+        """The least and greatest key (int32) and their deltas: (lo, d_lo, hi, d_hi)."""
         key, p, n, s = self.key, self.gamma.p, self.graph.n, self.size
         w = p + self.gamma.q_den
         lo, hi = key[key.argmin()], key[key.argmax()]  # int32: quick to compare
         d_lo = w * int(lo) - p * (s - 1) if lo < n else p * s - w * (int(lo) - n)
         d_hi = w * int(hi) - p * (s - 1) if hi < n else p * s - w * (int(hi) - n)
-        hit = key == (lo if d_lo <= d_hi else hi)
+        return lo, d_lo, hi, d_hi
+
+    def best_flips(self) -> tuple[int, np.ndarray]:
+        """``min(d)`` and ``flatnonzero(d == min(d))`` for
+        ``d = all_flip_deltas()``: the best flip delta and its vertices."""
+        lo, d_lo, hi, d_hi = self.key_extremes()
+        hit = self.key == (lo if d_lo <= d_hi else hi)
         if d_lo == d_hi and lo != hi:  # the best remove ties the best add
-            hit |= key == hi
+            hit |= self.key == hi
         return min(d_lo, d_hi), hit.nonzero()[0]
 
     @property

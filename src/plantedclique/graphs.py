@@ -29,6 +29,7 @@ generator as n grows.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -533,17 +534,15 @@ def load_graph(path) -> Union[Graph, PlantedInstance]:
     are not a permutation of range(n) or whose first k vertices are not a
     clique."""
     with open(path, "rb") as f:
-        header_line = f.readline()
-        payload = f.read()
-    header = json.loads(header_line)
-    if header.get("format") != _FORMAT:
-        raise ValueError(f"unsupported graph format: {header.get('format')!r}")
-    n = header["n"]
-    row_bytes = (n + 7) // 8
-    rows = np.frombuffer(payload, dtype=np.uint8)
-    if rows.size != n * row_bytes:
-        raise ValueError("payload size does not match header")
-    rows = rows.reshape(n, row_bytes)
+        header = json.loads(f.readline())
+        if header.get("format") != _FORMAT:
+            raise ValueError(f"unsupported graph format: {header.get('format')!r}")
+        n = header["n"]
+        row_bytes = (n + 7) // 8
+        if os.fstat(f.fileno()).st_size - f.tell() != n * row_bytes:
+            raise ValueError("payload size does not match header")
+        rows = np.empty((n, row_bytes), dtype=np.uint8)  # the payload, read once
+        f.readinto(rows)
     _check_adjacency(rows, n)
     graph = Graph(n, rows)
     if header["model"] == "er":

@@ -244,10 +244,16 @@ class TestEventSkippingGibbs:
         assert pos > 3 * 4096  # the calls crossed several refills
 
     def test_one_delta_scan_per_visited_state(self, monkeypatch):
+        # one support scan per visited state, each building few deltas
         scans = []
         real = SubsetState.all_flip_deltas
-        monkeypatch.setattr(SubsetState, "all_flip_deltas",
-                            lambda self: scans.append(1) or real(self))
+
+        def support_scan(self, upto):
+            at, deltas = real(self, upto)
+            scans.append(deltas.size)
+            return at, deltas
+
+        monkeypatch.setattr(SubsetState, "all_flip_deltas", support_scan)
         inst = gen_planted(200, 30, 0)
         traj = run_chain(inst, "full", GibbsChain(10 * math.log(200)),
                          GammaParam(4), 20000, 0, hold_window=10000)
@@ -258,6 +264,7 @@ class TestEventSkippingGibbs:
         assert traj.stop_reason == "held" and len(kinds) == traj.steps
         assert len(scans) <= moved + stay_runs + 1
         assert len(scans) < traj.steps / 10
+        assert np.median(scans) < 200 / 10
 
 
 class TestRunChain:

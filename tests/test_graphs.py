@@ -413,6 +413,19 @@ def test_load_never_holds_a_dense_matrix(tmp_path):
         tracemalloc.stop()
     assert back.graph == inst.graph
     assert peak < n * n // 2
+    # the payload is read once into the rows, which stay read-only
+    assert peak < n * ((n + 7) // 8) + 512 * n
+    assert not back.graph.packed_rows.flags.writeable
+
+
+@pytest.mark.parametrize("cut", [1, 375, -1, -375])
+def test_load_rejects_a_payload_of_the_wrong_size(tmp_path, cut):
+    path = tmp_path / "g.bin"
+    save_graph(path, gen_planted(300, 20, 2))
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut] if cut > 0 else data + b"\0" * -cut)
+    with pytest.raises(ValueError, match="payload size does not match header"):
+        load_graph(path)
 
 
 def _edit_header(path, **fields):
