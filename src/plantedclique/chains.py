@@ -183,7 +183,7 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
 
 
 def _gibbs_support(state: SubsetState, beta: float) -> tuple:
-    """``gibbs_probabilities`` and the flips it may weigh above 0.0 (None: all)."""
+    """``gibbs_probabilities`` and the flips it may weigh above 0.0 (None: any)."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite (the beta -> inf limit is gd_step)")
     if beta < 0:
@@ -207,8 +207,7 @@ def _gibbs_support(state: SubsetState, beta: float) -> tuple:
 def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
     """Transition distribution over the n+1 candidates [stay, flip 0, ...,
     flip n-1], proportional to exp(-beta * H(candidate)) shifted by the least
-    candidate energy. Flips whose weight underflows are exact zeros and get
-    no delta or ``exp``."""
+    energy. A flip whose weight underflows is an exact 0.0, often never computed."""
     return _gibbs_support(state, beta)[0]
 
 

@@ -116,13 +116,15 @@ class SubsetState:
     def all_flip_deltas(self, upto=None):
         """Scaled change of every single flip as a new read-only int64 array:
         the add-delta outside U, the remove-delta inside. With an int ``upto``,
-        ``(at, deltas)`` of the flips with delta <= ``upto`` (None: all)."""
+        ``(at, deltas)`` of the flips with delta <= ``upto``, or of all flips
+        (``at`` None) when those are more than n / 4."""
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         member, key, at = self.member, self.key, None
         if upto is not None and upto < p * s:  # p * s bounds every delta
-            at = ((key <= min((upto + p * (s - 1)) // w, n - 1))  # in U: w key - p(s-1)
-                  | (key >= n - (upto - p * s) // w)).nonzero()[0]  # out: p s - w(key-n)
-            member, key = member[at], key[at]
+            hit = ((key <= min((upto + p * (s - 1)) // w, n - 1))  # in U: w key - p(s-1)
+                   | (key >= n - (upto - p * s) // w)).nonzero()[0]  # out: p s - w(key-n)
+            if 4 * hit.size <= n:  # gathering more flips costs more than a dense pass
+                at, member, key = hit, member[hit], key[hit]
         removes = np.multiply(key, w, dtype=np.int64)  # int32 can wrap
         removes -= p * (s - 1)
         # an add-delta is (w * n + p) minus the remove formula at its key
