@@ -194,10 +194,10 @@ def _gibbs_support(state: SubsetState, beta: float) -> tuple:
     # absorbs the rounding of scale * (d - dmin). A property of doubles, not a tunable.
     cut = 750 / scale if scale else math.inf  # inf also when 750 / scale overflows
     at, deltas = state.all_flip_deltas(dmin + math.floor(cut) if cut < math.inf else cut)
-    weights = np.zeros(state.graph.n + 1)  # exact zeros: the sum groups as dense
+    weights = (np.empty if at is None else np.zeros)(state.graph.n + 1)
     if at is None:  # every flip: index nothing
         np.exp(-scale * (deltas - dmin), out=weights[1:])
-    else:
+    else:  # exact zeros elsewhere: the sum groups as the dense one did
         weights[1:][at] = np.exp(-scale * (deltas - dmin))
     weights[0] = math.exp(-scale * (0 - dmin))
     weights /= weights.sum()

@@ -117,13 +117,13 @@ class SubsetState:
         """Scaled change of every single flip as a new read-only int64 array:
         the add-delta outside U, the remove-delta inside. With an int ``upto``,
         ``(at, deltas)`` of the flips with delta <= ``upto``, or of all flips
-        (``at`` None) when those are more than n / 4."""
+        (``at`` None) when those are more than n / 2."""
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         member, key, at = self.member, self.key, None
         if upto is not None and upto < p * s:  # p * s bounds every delta
             hit = ((key <= min((upto + p * (s - 1)) // w, n - 1))  # in U: w key - p(s-1)
                    | (key >= n - (upto - p * s) // w)).nonzero()[0]  # out: p s - w(key-n)
-            if 4 * hit.size <= n:  # gathering more flips costs more than a dense pass
+            if 2 * hit.size <= n:  # gathering more flips costs more than a dense pass
                 at, member, key = hit, member[hit], key[hit]
         removes = np.multiply(key, w, dtype=np.int64)  # int32 can wrap
         removes -= p * (s - 1)

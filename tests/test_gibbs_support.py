@@ -145,7 +145,7 @@ def test_support_ends_exactly_at_the_floor():
     """With floor(750 / scale) = g, a flip at d - dmin = g is in the support
     and with floor(750 / scale) = g - 1 it is not; the support is exactly
     the flips with d - dmin <= floor(750 / scale) and holds every flip of
-    nonzero dense weight. A support of more than n / 4 flips is read dense."""
+    nonzero dense weight. A support of more than n / 2 flips is read dense."""
     sparse = dense = 0
     for state in _states():
         deltas = state.all_flip_deltas()
@@ -157,8 +157,8 @@ def test_support_ends_exactly_at_the_floor():
                 beta = _beta_with_cut(cut, state.gamma.q_den)
                 at, part = state.all_flip_deltas(dmin + cut)
                 want = np.flatnonzero(gaps <= cut)
-                if at is None:  # more than n / 4 flips: every delta, no index
-                    assert 4 * want.size > state.graph.n
+                if at is None:  # more than n / 2 flips: every delta, no index
+                    assert 2 * want.size > state.graph.n
                     assert np.array_equal(part, deltas)
                     at, dense = want, dense + 1
                 else:
