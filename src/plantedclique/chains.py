@@ -183,7 +183,7 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
 
 
 def _gibbs_support(state: SubsetState, beta: float) -> tuple:
-    """``gibbs_probabilities`` and the flips it may weigh above 0.0 (None: any)."""
+    """``gibbs_probabilities`` and the flips it may weigh above 0.0 (None: all)."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite (the beta -> inf limit is gd_step)")
     if beta < 0:

@@ -113,11 +113,11 @@ class SubsetState:
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         return w * key - p * (s - 1) if key < n else p * s - w * (key - n)
 
-    def all_flip_deltas(self, upto=None):
+    def all_flip_deltas(self, upto: Optional[float] = None) -> Union[np.ndarray, tuple]:
         """Scaled change of every single flip as a new read-only int64 array:
-        the add-delta outside U, the remove-delta inside. With an int ``upto``,
-        ``(at, deltas)`` of the flips with delta <= ``upto``, or of all flips
-        (``at`` None) when those are more than n / 2."""
+        the add-delta outside U, the remove-delta inside. With ``upto`` (an
+        int or inf), ``(at, deltas)`` of the flips with delta <= ``upto``, or
+        of all flips (``at`` None) when those are more than n / 2."""
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         member, key, at = self.member, self.key, None
         if upto is not None and upto < p * s:  # p * s bounds every delta
