@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -95,21 +96,26 @@ TRAJECTORY_CSV_HEADER = "t,n1,n2,scaled_energy,move_kind,move_vertex"
 
 @dataclass
 class Trajectory:
-    """Per-step overlap/energy columns plus terminal flags.
+    """A run as run-length columns plus its terminal flags.
 
-    Row 0 is the initial state with a placeholder stay; a later row is the
-    state after step ``t`` and the move it applied (``vertex`` -1 for none).
-    ``scaled_energy`` holds exact Python ints, which can exceed int64.
-    ``steps`` counts applied moves, so a chain absorbed on its first attempt
-    has steps == 0.
+    ``move_*`` row i is the state after step ``move_t[i]`` and the move it
+    applied (row 0: the initial state, a placeholder stay). ``stay_counts[j]``
+    stays follow row ``stay_rows[j]``. A move has a row if its step is a
+    multiple of ``record_every``, the last, or before stays. ``t``, ``n1``,
+    ``n2``, ``scaled_energy`` (exact ints), ``kind`` and ``vertex`` (-1: stay)
+    expand the recorded steps: those multiples and ``steps``, the count of
+    applied steps (0 for a chain absorbed at once).
     """
 
-    t: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-    scaled_energy: np.ndarray
-    kind: np.ndarray
-    vertex: np.ndarray
+    move_t: np.ndarray
+    move_n1: np.ndarray
+    move_n2: np.ndarray
+    move_energy: np.ndarray
+    move_kind: np.ndarray
+    move_vertex: np.ndarray
+    stay_rows: np.ndarray
+    stay_counts: np.ndarray
+    record_every: int
     absorbed: bool
     reached_pc: bool
     steps: int
@@ -120,18 +126,43 @@ class Trajectory:
     terminal_n1: int
     terminal_n2: int
 
+    @cached_property
+    def _index(self) -> tuple:
+        """The recorded steps, the move row of each and whether it moved then."""
+        t = np.arange(0, self.steps + 1, self.record_every)
+        t = t if t[-1] == self.steps else np.append(t, self.steps)
+        row = self.move_t.searchsorted(t, side="right") - 1
+        return t, row, self.move_t[row] == t
+
+    t = property(lambda self: self._index[0])
+    n1 = property(lambda self: self.move_n1[self._index[1]])
+    n2 = property(lambda self: self.move_n2[self._index[1]])
+    scaled_energy = property(lambda self: self.move_energy[self._index[1]])
+    kind = property(lambda self: np.where(self._index[2], self.move_kind[self._index[1]], "stay"))
+    vertex = property(lambda self: np.where(self._index[2], self.move_vertex[self._index[1]], -1))
+
     def to_csv(self, out, labels: Optional[np.ndarray] = None) -> None:
-        """Write the rows as CSV to a text stream; vertex column uses original
-        labels when a label map is given."""
-        vertex = self.vertex
+        """Write the recorded rows as CSV to a text stream, a stay run in one
+        join; vertex column uses original labels when a label map is given."""
+        t, every, last, vertex = self.move_t, self.record_every, self.steps, self.move_vertex
         if labels is not None:
             vertex = np.where(vertex < 0, -1, np.asarray(labels)[vertex])
+        keep = (t % every == 0) | (t == last)  # else a row only for its stays' state
+        rows = [f"{s},{n1},{n2},{e},{kind},{'' if v < 0 else v}\n" if k else ""
+                for s, n1, n2, e, kind, v, k in zip(
+                    t.tolist(), self.move_n1.tolist(), self.move_n2.tolist(),
+                    self.move_energy, self.move_kind.tolist(), vertex.tolist(),
+                    keep.tolist())]
         out.write(TRAJECTORY_CSV_HEADER + "\n")
-        out.writelines(
-            f"{t},{n1},{n2},{e},{kind},{'' if v < 0 else v}\n"
-            for t, n1, n2, e, kind, v in zip(
-                self.t.tolist(), self.n1.tolist(), self.n2.tolist(),
-                self.scaled_energy, self.kind.tolist(), vertex.tolist()))
+        start = 0
+        for i, count in zip(self.stay_rows.tolist(), self.stay_counts.tolist()):
+            out.writelines(rows[start:i + 1])
+            start, a, b = i + 1, int(t[i]) + 1, int(t[i]) + count
+            ts = range(-(-a // every) * every, b + 1, every)
+            ts = [*ts, b] if b == last and b % every else ts  # the terminal row
+            suffix = f",{self.move_n1[i]},{self.move_n2[i]},{self.move_energy[i]},stay,\n"
+            out.write(suffix.join(map(str, ts)) + suffix if ts else "")
+        out.writelines(rows[start:])
 
     def csv_text(self, labels: Optional[np.ndarray] = None) -> str:
         buf = io.StringIO()
@@ -139,16 +170,9 @@ class Trajectory:
         return buf.getvalue()
 
     def summary_dict(self) -> dict:
-        return {
-            "absorbed": self.absorbed,
-            "reached_pc": self.reached_pc,
-            "steps": self.steps,
-            "first_pc_step": self.first_pc_step,
-            "stop_reason": self.stop_reason,
-            "terminal_size": self.terminal_size,
-            "terminal_n1": self.terminal_n1,
-            "terminal_n2": self.terminal_n2,
-        }
+        return {name: getattr(self, name) for name in (
+            "absorbed", "reached_pc", "steps", "first_pc_step", "stop_reason",
+            "terminal_size", "terminal_n1", "terminal_n2")}
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +207,8 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
 
 
 def _gibbs_support(state: SubsetState, beta: float) -> tuple:
-    """``gibbs_probabilities`` and the flips it may weigh above 0.0 (None: all)."""
+    """The weights of [stay, flip 0, ...], their sum (a probability is weight
+    / sum), and the flips that may weigh above 0.0 (None: all) with theirs."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite (the beta -> inf limit is gd_step)")
     if beta < 0:
@@ -195,20 +220,19 @@ def _gibbs_support(state: SubsetState, beta: float) -> tuple:
     cut = 750 / scale if scale else math.inf  # inf also when 750 / scale overflows
     at, deltas = state.all_flip_deltas(dmin + math.floor(cut) if cut < math.inf else cut)
     weights = (np.empty if at is None else np.zeros)(state.graph.n + 1)
-    if at is None:  # every flip: index nothing
-        np.exp(-scale * (deltas - dmin), out=weights[1:])
-    else:  # exact zeros elsewhere: the sum groups as the dense one did
-        weights[1:][at] = np.exp(-scale * (deltas - dmin))
+    flips = np.exp(-scale * (deltas - dmin), out=weights[1:] if at is None else None)
+    if at is not None:  # exact zeros elsewhere: the sum groups as the dense one did
+        weights[1:][at] = flips
     weights[0] = math.exp(-scale * (0 - dmin))
-    weights /= weights.sum()
-    return weights, at
+    return weights, weights.sum(), at, flips
 
 
 def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
     """Transition distribution over the n+1 candidates [stay, flip 0, ...,
     flip n-1], proportional to exp(-beta * H(candidate)) shifted by the least
     energy. A flip whose weight underflows is an exact 0.0, often never computed."""
-    return _gibbs_support(state, beta)[0]
+    weights, total, _, _ = _gibbs_support(state, beta)
+    return weights / total
 
 
 class _Uniforms:
@@ -245,12 +269,13 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     ``_Uniforms``) it takes up to L steps, one draw each, from this one
     probability vector: the run of stays and the move that ends it. The
     cumsum skips the flips of weight 0.0, which add exactly: the same pick."""
-    probs, at = _gibbs_support(state, beta)
-    r = rng.random() if max_stays == 1 else rng.random(probs[0], max_stays)
-    if r < probs[0]:
+    weights, total, at, flips = _gibbs_support(state, beta)
+    stay = weights[0] / total  # correctly rounded: the normalised vector's value
+    r = rng.random() if max_stays == 1 else rng.random(stay, max_stays)
+    if r < stay:
         return _STAY, state
-    acc = (probs[1:] if at is None else probs[1:][at]).cumsum()
-    j = int(acc.searchsorted(r - probs[0], side="right"))
+    acc = (flips / total).cumsum()
+    j = int(acc.searchsorted(r - stay, side="right"))
     # a search past the end is float round-off at the top end: take the last vertex
     x = (j if at is None else int(at[j])) if j < acc.size else state.graph.n - 1
     kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
@@ -287,56 +312,35 @@ def _resolve_init(init, n: int) -> tuple[np.ndarray, Union[str, tuple]]:
     return members, verts
 
 
-class _MinDegreePeel:
-    """Driver kind of ``run_peel``; its moves are ``_peel_step_u``."""
-
-
 class _ChainDriver:
     """Steps one chain and maintains its trajectory bookkeeping: overlap
-    counts, the trajectory columns and clique visits. Gradient descent, Gibbs
-    and peeling all step through it."""
+    counts, the run-length trajectory rows and clique visits. Gradient
+    descent, Gibbs and peeling (``kind`` None) all step through it."""
 
-    def __init__(self, graph: Graph, k: int, init, kind: ChainKind,
+    def __init__(self, graph: Graph, k: int, init, kind: Optional[ChainKind],
                  gamma: GammaParam, record_every: int = 1):
-        members, init_spec = _resolve_init(init, graph.n)
+        members, self.init_spec = _resolve_init(init, graph.n)
         self.state = init_state(graph, members, gamma)
-        self.kind = kind
-        self.k = k
-        self.record_every = record_every
+        self.kind, self.k, self.record_every = kind, k, record_every
         self.n1 = int(np.count_nonzero(members[:k]))
         self.n2 = self.state.size - self.n1
-        self.plateau_used = 0
-        self.absorbed = False
-        self.steps = 0
+        self.plateau_used = self.steps = self.pc_run = 0
+        self.absorbed, self.pending = False, None  # pending: the last move, without a row
         self.at_pc = k > 0 and self.n1 == k and self.n2 == 0
         self.first_pc_step = 0 if self.at_pc else None
-        self.pc_run = 0
-        self.init_spec = init_spec
-        self.last_move = _STAY
-        self.ts, self.n1s, self.n2s = [], [], []
-        self.energies, self.kinds, self.vertices = [], [], []
-        self._record(0, _STAY)
+        self.ts, self.n1s, self.n2s, self.energies = [], [], [], []
+        self.kinds, self.vertices, self.stays = [], [], {}  # stays: row -> count
+        self._record(0, _STAY, self.state.scaled_energy)
 
-    def _record(self, t: int, move: Move) -> None:
+    def _record(self, t: int, move: Move, energy: int) -> None:
         kind, x, _ = move
         self.ts.append(t)
         self.n1s.append(self.n1)
         self.n2s.append(self.n2)
-        self.energies.append(self.state.scaled_energy)
+        self.energies.append(energy)
         self.kinds.append(kind)
         self.vertices.append(-1 if x is None else x)
-
-    def _record_stays(self, t: int, count: int, energy: int) -> None:
-        """Record steps t .. t+count-1 as stays at ``energy``."""
-        every = self.record_every
-        ts = range(-(-t // every) * every, t + count, every)
-        self.ts.extend(ts)
-        for col, value in ((self.n1s, self.n1), (self.n2s, self.n2),
-                           (self.energies, energy),
-                           (self.kinds, "stay"), (self.vertices, -1)):
-            col.extend([value] * len(ts))
-        if self.at_pc:
-            self.pc_run += count
+        self.pending = None
 
     def step(self, rng, max_stays: int = 1) -> Optional[Move]:
         """Take step ``steps + 1`` (past up to ``max_stays - 1`` leading
@@ -352,52 +356,46 @@ class _ChainDriver:
         elif isinstance(chain, GibbsChain):
             drawn, energy = rng.drawn, self.state.scaled_energy
             move, _ = gibbs_step(self.state, chain.beta, rng, max_stays=max_stays)
-            lead = rng.drawn - drawn - 1  # stays before the step that gave move
-            if lead:
-                self._record_stays(t, lead, energy)
-                t += lead
+            stays = rng.drawn - drawn - (move.vertex is not None)
+            if stays:  # at the state of step t - 1, before the move
+                if self.pending is not None:
+                    self._record(t - 1, self.pending, energy)
+                row = len(self.ts) - 1
+                self.stays[row] = self.stays.get(row, 0) + stays
+                self.pc_run += stays if self.at_pc else 0
+                t += stays
+            if move.vertex is None:  # the draws ran out on a stay
+                self.steps = t - 1
+                return move
         else:
             move = _peel_step_u(self.state, rng.random())
-        self.steps, self.last_move = t, move
+        self.steps = t
         kind, x, _ = move
-        if x is not None:
-            if x < self.k:
-                self.n1 += 1 if kind == "add" else -1
-            else:
-                self.n2 += 1 if kind == "add" else -1
-            self.at_pc = self.n1 == self.k > 0 and self.n2 == 0
-        if self.at_pc:
-            if self.first_pc_step is None:
-                self.first_pc_step = t
-            # count steps that both start and end at the clique, so pc_run
-            # is the number of *further* steps it has remained there
-            self.pc_run = self.pc_run + 1 if was_at_pc else 0
+        if x < self.k:
+            self.n1 += 1 if kind == "add" else -1
         else:
-            self.pc_run = 0
+            self.n2 += 1 if kind == "add" else -1
+        self.at_pc = self.n1 == self.k > 0 and self.n2 == 0
+        if self.at_pc and self.first_pc_step is None:
+            self.first_pc_step = t
+        # count steps that start and end at the clique: the *further* steps there
+        self.pc_run = self.pc_run + 1 if self.at_pc and was_at_pc else 0
+        self.pending = move
         if t % self.record_every == 0:
-            self._record(t, move)
+            self._record(t, move, self.state.scaled_energy)
         return move
 
     def finish(self, stop_reason: str) -> Trajectory:
-        if self.ts[-1] != self.steps:
-            self._record(self.steps, self.last_move)
+        if self.pending is not None:
+            self._record(self.steps, self.pending, self.state.scaled_energy)
+        stays = np.array(list(self.stays.items()), dtype=np.int64).reshape(-1, 2)
         return Trajectory(
-            t=np.array(self.ts, dtype=np.int64),
-            n1=np.array(self.n1s, dtype=np.int64),
-            n2=np.array(self.n2s, dtype=np.int64),
-            scaled_energy=np.array(self.energies, dtype=object),
-            kind=np.array(self.kinds),
-            vertex=np.array(self.vertices, dtype=np.int64),
-            absorbed=self.absorbed,
-            reached_pc=self.first_pc_step is not None,
-            steps=self.steps,
-            first_pc_step=self.first_pc_step,
-            stop_reason=stop_reason,
-            init_spec=self.init_spec,
-            terminal_size=self.state.size,
-            terminal_n1=self.n1,
-            terminal_n2=self.n2,
-        )
+            *(np.array(col, dtype=np.int64) for col in (self.ts, self.n1s, self.n2s)),
+            np.array(self.energies, dtype=object), np.array(self.kinds),
+            np.array(self.vertices, dtype=np.int64), stays[:, 0], stays[:, 1],
+            self.record_every, self.absorbed, self.first_pc_step is not None,
+            self.steps, self.first_pc_step, stop_reason, self.init_spec,
+            self.state.size, self.n1, self.n2)
 
 
 def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
@@ -418,10 +416,7 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
         raise ValueError("record_every must be >= 1")
     if hold_window is not None and hold_window < 0:
         raise ValueError("hold_window must be >= 0")
-    if isinstance(instance, Graph):
-        graph, k = instance, 0
-    else:
-        graph, k = instance.graph, instance.k
+    graph, k = (instance, 0) if isinstance(instance, Graph) else (instance.graph, instance.k)
     rng = stream_rng(seed, CHAIN_STREAM)
     hold = 0
     if isinstance(kind, GibbsChain):
@@ -483,8 +478,7 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
     m = cont.m if cont else 0
     q = cont.q if cont else 0.5
     sqrt_n = math.sqrt(graph.n)
-    driver = _ChainDriver(graph, k, "full", _MinDegreePeel(),
-                          gamma or GammaParam(2, 1))
+    driver = _ChainDriver(graph, k, "full", None, gamma or GammaParam(2, 1))
     state = driver.state
     violated = np.zeros(k, dtype=bool)
     while driver.n2 > threshold and state.size > 0:
@@ -497,16 +491,16 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
         driver.step(rng)
     traj = driver.finish("stopped")
 
-    # Every step is a recorded removal, so row t is the set after step t.
-    split = [traj.n1, traj.n2]
+    # Every step is a removal with its own row, so row t is the set after step t.
+    vertex = traj.move_vertex
+    split = [traj.move_n1, traj.move_n2]
     if cont:
-        n2v = m - np.cumsum((traj.vertex >= k) & (traj.vertex < k + m))
-        split = [traj.n1, n2v, traj.n2 - n2v]
+        n2v = m - np.cumsum((vertex >= k) & (vertex < k + m))
+        split = [traj.move_n1, n2v, traj.move_n2 - n2v]
     counts = list(zip(*(col.tolist() for col in split)))
-    clique = (traj.vertex >= 0) & (traj.vertex < k)
+    clique = (vertex >= 0) & (vertex < k)
     removal_times = dict.fromkeys(range(k), traj.steps)
-    removal_times.update(zip(traj.vertex[clique].tolist(),
-                             traj.t[clique].tolist()))
+    removal_times.update(zip(vertex[clique].tolist(), traj.move_t[clique].tolist()))
     retained = None if c1 is None else {x for x in range(k) if not violated[x]}
     return traj, PeelDiagnostics(counts, removal_times, retained, c1, traj.steps)
 
@@ -538,14 +532,14 @@ def run_coupled_gd(n: int, k: int, gamma: GammaParam, tie_policy: TiePolicy,
     kind = GradientDescent(tie_policy)
     a, b = (run_chain(inst, init, kind, gamma, max_steps, seed)
             for inst in (instance, replace(instance, graph=g0)))
-    # every step is recorded, so row t is step t; a row one side lacks differs
-    rows = min(a.t.size, b.t.size)
-    differs = ((a.kind[1:rows] != b.kind[1:rows])
-               | (a.vertex[1:rows] != b.vertex[1:rows])
-               | (np.diff(a.scaled_energy[:rows]) != np.diff(b.scaled_energy[:rows])))
+    # a descent never stays, so move row t is step t; a row one side lacks differs
+    rows = min(a.move_t.size, b.move_t.size)
+    differs = ((a.move_kind[1:rows] != b.move_kind[1:rows])
+               | (a.move_vertex[1:rows] != b.move_vertex[1:rows])
+               | (np.diff(a.move_energy[:rows]) != np.diff(b.move_energy[:rows])))
     first_div = (int(differs.argmax()) + 1 if differs.any()
-                 else None if a.t.size == b.t.size else rows)
-    touched = np.flatnonzero(a.n1 > 0)
+                 else None if a.move_t.size == b.move_t.size else rows)
+    touched = np.flatnonzero(a.move_n1 > 0)
     tau = int(touched[0]) if touched.size else None
     before_tau_ok = first_div is None or tau is None or first_div >= tau
     through_ok = first_div is None and a.absorbed and b.absorbed
@@ -560,17 +554,16 @@ def run_coupled_gd(n: int, k: int, gamma: GammaParam, tie_policy: TiePolicy,
 def replay(instance_graph: Union[Graph, PlantedInstance], trajectory: Trajectory,
            gamma: GammaParam, upto: Optional[int] = None) -> SubsetState:
     """Rebuild the state at step ``upto`` (default: terminal) by replaying the
-    trajectory's moves. Requires the trajectory to carry every step."""
+    trajectory's moves. Requires every move (``record_every`` 1)."""
     graph = instance_graph.graph if isinstance(instance_graph, PlantedInstance) else instance_graph
     members, _ = _resolve_init(trajectory.init_spec, graph.n)
     state = init_state(graph, members, gamma)
-    for t, x, energy in zip(trajectory.t[1:].tolist(),
-                            trajectory.vertex[1:].tolist(),
-                            trajectory.scaled_energy[1:]):
+    for t, x, energy in zip(trajectory.move_t[1:].tolist(),
+                            trajectory.move_vertex[1:].tolist(),
+                            trajectory.move_energy[1:]):
         if upto is not None and t > upto:
             break
-        if x >= 0:
-            apply_flip(state, x)
+        apply_flip(state, x)
         if state.scaled_energy != energy:
             raise AssertionError(f"replay diverged at step {t}")
     return state

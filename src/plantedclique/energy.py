@@ -85,6 +85,12 @@ class GammaParam:
         return str(self.p) if self.q_den == 1 else f"{self.p}/{self.q_den}"
 
 
+def _outside(key: np.ndarray, a: int, b: int) -> np.ndarray:
+    """``(key <= a) | (key >= b)`` as one unsigned compare: int32 key - (a + 1)
+    lies in [0, b - a - 1) exactly when a < key < b (needs it within int32)."""
+    return (key - (a + 1)).view(np.uint32) >= max(b - a - 1, 0)
+
+
 class SubsetState:
     """A subset U with its per-vertex keys and its scaled energy.
 
@@ -121,8 +127,8 @@ class SubsetState:
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         member, key, at = self.member, self.key, None
         if upto is not None and upto < p * s:  # p * s bounds every delta
-            hit = ((key <= min((upto + p * (s - 1)) // w, n - 1))  # in U: w key - p(s-1)
-                   | (key >= n - (upto - p * s) // w)).nonzero()[0]  # out: p s - w(key-n)
+            hit = _outside(key, min((upto + p * (s - 1)) // w, n - 1),  # in U: w key - p(s-1)
+                           n - (upto - p * s) // w).nonzero()[0]  # out: p s - w(key-n)
             if 2 * hit.size <= n:  # gathering more flips costs more than a dense pass
                 at, member, key = hit, member[hit], key[hit]
         removes = np.multiply(key, w, dtype=np.int64)  # int32 can wrap

@@ -75,6 +75,33 @@ def terminal_members(traj, n) -> set:
     return members
 
 
+class RowTrajectory:
+    """A trajectory kept one tuple (t, n1, n2, scaled_energy, kind, vertex)
+    per recorded step, with its summary dict. ``csv_text`` writes the
+    trajectory CSV one f-string per row, independently of the package's
+    run-length writer."""
+
+    HEADER = "t,n1,n2,scaled_energy,move_kind,move_vertex"
+    NAMES = ("t", "n1", "n2", "scaled_energy", "kind", "vertex")
+
+    def __init__(self, rows, summary):
+        self.rows, self.summary = rows, summary
+
+    def columns(self) -> dict:
+        return dict(zip(self.NAMES, (list(col) for col in zip(*self.rows))))
+
+    def csv_text(self, labels=None) -> str:
+        lines = [self.HEADER + "\n"]
+        for t, n1, n2, e, kind, v in self.rows:
+            if v >= 0 and labels is not None:
+                v = int(labels[v])
+            lines.append(f"{t},{n1},{n2},{e},{kind},{'' if v < 0 else v}\n")
+        return "".join(lines)
+
+    def summary_dict(self) -> dict:
+        return dict(self.summary)
+
+
 def graph_from_edges(n, edges) -> Graph:
     return Graph.from_edges(n, edges)
 

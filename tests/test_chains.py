@@ -8,8 +8,8 @@ import pytest
 
 from plantedclique import (CoupledResult, GammaParam, GibbsChain,
                            GradientDescent, Graph, Move, SubsetState,
-                           TiePolicy, Trajectory, gd_step, gen_coupled,
-                           gen_er, gen_planted, gibbs_probabilities,
+                           TiePolicy, Trajectory, apply_flip, gd_step,
+                           gen_coupled, gen_er, gen_planted, gibbs_probabilities,
                            gibbs_step, init_state, local_min_check, replay,
                            run_chain, run_coupled_gd, run_peel, stream_rng,
                            verify_hamming_descent, verify_removal_phase)
@@ -18,8 +18,9 @@ from plantedclique.chains import (TRAJECTORY_CSV_HEADER, _ChainDriver,
                                   _peel_step_u, _Uniforms)
 from plantedclique.graphs import CHAIN_STREAM
 
-from conftest import (first_clique_add, graph_from_edges, miss_probability,
-                      moves, py_scaled_energy, terminal_members)
+from conftest import (RowTrajectory, first_clique_add, graph_from_edges,
+                      miss_probability, moves, py_scaled_energy,
+                      terminal_members)
 
 ONE_EDGE3 = graph_from_edges(3, [(0, 1)])
 HOT_200 = 10 * math.log(200)  # low enough a temperature to hold the clique
@@ -149,28 +150,33 @@ class TestGibbsStep:
                 assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
-def reference_gibbs_run(instance, init, beta, gamma, max_steps, seed, hold,
-                        record_every) -> Trajectory:
-    """The Gibbs run as the chain defines it, one draw per step through the
-    public three-argument ``gibbs_step``: a row every ``record_every`` steps
-    plus the terminal row, stopping after ``max_steps`` or once the chain
+def reference_run(instance, init, gamma, step, max_steps, record_every=1,
+                  hold=0, stop_reason="absorbed") -> RowTrajectory:
+    """A run as its chain defines it, one step per call of ``step(state)``,
+    which applies a move and returns it (a stay too), or returns None to end
+    the run with ``stop_reason``. Keeps a row every ``record_every`` steps
+    plus the terminal row, and stops after ``max_steps`` or once the chain
     has stayed at the clique for ``hold`` further steps (0: never)."""
     graph, k = ((instance, 0) if isinstance(instance, Graph)
                 else (instance.graph, instance.k))
     members = {"full": range(graph.n), "empty": ()}.get(init, init)
     state = init_state(graph, members, gamma)
-    rng = stream_rng(seed, 2)
 
     def overlap():
         n1 = int(state.member[:k].sum())
         return n1, state.size - n1, k > 0 and n1 == k and state.size == n1
 
     n1, n2, at_pc = overlap()
-    rows = [(0, n1, n2, state.scaled_energy, "stay", -1)]
-    first_pc, run, reason = (0 if at_pc else None), 0, "max_steps"
-    for t in range(1, max_steps + 1):
+    row = (0, n1, n2, state.scaled_energy, "stay", -1)
+    rows = [row]
+    first_pc, run, reason, t = (0 if at_pc else None), 0, "max_steps", 0
+    while t < max_steps:
         was_at_pc = at_pc
-        move, _ = gibbs_step(state, beta, rng)
+        move = step(state)
+        if move is None:
+            reason = stop_reason
+            break
+        t += 1
         n1, n2, at_pc = overlap()
         run = run + 1 if at_pc and was_at_pc else 0
         if at_pc and first_pc is None:
@@ -184,11 +190,50 @@ def reference_gibbs_run(instance, init, beta, gamma, max_steps, seed, hold,
             break
     if rows[-1][0] != t:
         rows.append(row)
-    t_col, n1_col, n2_col, energy, kind, vertex = zip(*rows)
-    return Trajectory(np.array(t_col), np.array(n1_col), np.array(n2_col),
-                      np.array(energy, dtype=object), np.array(kind),
-                      np.array(vertex), False, first_pc is not None, t,
-                      first_pc, reason, init, state.size, n1, n2)
+    return RowTrajectory(rows, {
+        "absorbed": reason == "absorbed", "reached_pc": first_pc is not None,
+        "steps": t, "first_pc_step": first_pc, "stop_reason": reason,
+        "terminal_size": state.size, "terminal_n1": n1, "terminal_n2": n2})
+
+
+def gibbs_steps(beta, seed):
+    """The public three-argument ``gibbs_step``, one draw per step."""
+    rng = stream_rng(seed, CHAIN_STREAM)
+    return lambda state: gibbs_step(state, beta, rng)[0]
+
+
+def gd_steps(tie_policy, seed):
+    """The public ``gd_step``, one draw per step; None on absorption."""
+    rng, plateau = stream_rng(seed, CHAIN_STREAM), [0]
+
+    def step(state):
+        move, _ = gd_step(state, rng, tie_policy, plateau[0])
+        plateau[0] += move.kind != "stay" and move.scaled_delta == 0
+        return None if move.kind == "stay" else move
+    return step
+
+
+def peel_steps(k, threshold, seed):
+    """Remove a uniformly random least-degree member, one draw per step,
+    until at most ``threshold`` non-clique vertices are left."""
+    rng = stream_rng(seed, CHAIN_STREAM)
+
+    def step(state):
+        members = np.flatnonzero(state.member)
+        if members.size == 0 or members.size - (members < k).sum() <= threshold:
+            return None
+        u, degs = rng.random(), state.key[members]
+        least = members[degs == degs.min()]
+        x, energy = int(least[int(u * least.size)]), state.scaled_energy
+        apply_flip(state, x)
+        return Move("remove", x, state.scaled_energy - energy)
+    return step
+
+
+def reference_gibbs_run(instance, init, beta, gamma, max_steps, seed, hold,
+                        record_every) -> RowTrajectory:
+    return reference_run(instance, init, gamma, gibbs_steps(beta, seed),
+                         max_steps, record_every, hold)
 
 
 class TestEventSkippingGibbs:
@@ -265,6 +310,77 @@ class TestEventSkippingGibbs:
         assert len(scans) <= moved + stay_runs + 1
         assert len(scans) < traj.steps / 10
         assert np.median(scans) < 200 / 10
+
+
+def assert_rows_match(traj, ref, labels=None):
+    """The expanded columns, the CSV and the summary equal the per-row
+    reference's."""
+    for name, col in ref.columns().items():
+        assert getattr(traj, name).tolist() == col, name
+    assert traj.csv_text(labels) == ref.csv_text(labels)
+    assert traj.summary_dict() == ref.summary_dict()
+
+
+class TestRunLengthTrajectory:
+    """A stay run is one row of the run-length columns; the expansions and
+    the CSV must still give one row per recorded step."""
+
+    @pytest.mark.parametrize("init, policy", [
+        ("full", TiePolicy.halt()), ("empty", TiePolicy.halt()),
+        ("empty", TiePolicy.drift(3)), ((0, 1, 40, 90), TiePolicy.drift(1))])
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_gd(self, init, policy, record_every):
+        inst = gen_planted(150, 30, 4)
+        traj = run_chain(inst, init, GradientDescent(policy), GammaParam(4),
+                         5000, 4, record_every=record_every)
+        ref = reference_run(inst, init, GammaParam(4), gd_steps(policy, 4),
+                            5000, record_every)
+        assert traj.stay_rows.size == 0
+        assert_rows_match(traj, ref, inst.labels)
+
+    @pytest.mark.parametrize("record_every", [1, 3, 7, 5000])
+    @pytest.mark.parametrize("max_steps, hold", [
+        (12000, 10000),  # held: the hold is one stay run
+        (1200, 2000),    # max_steps ends inside the hold's stay run
+        (5003, 0)])      # no hold: stays to max_steps, past a 5000 multiple
+    def test_gibbs(self, record_every, max_steps, hold):
+        inst = gen_planted(200, 30, 0)
+        traj = run_chain(inst, "full", GibbsChain(HOT_200), GammaParam(4),
+                         max_steps, 0, hold_window=hold,
+                         record_every=record_every)
+        ref = reference_gibbs_run(inst, "full", HOT_200, GammaParam(4),
+                                  max_steps, 0, hold, record_every)
+        assert traj.stay_counts.sum() > traj.move_t.size  # mostly stays
+        assert_rows_match(traj, ref, inst.labels)
+
+    @pytest.mark.parametrize("beta, record_every", [(0.0, 1), (0.0, 4), (1.5, 3)])
+    def test_gibbs_with_many_short_runs(self, beta, record_every):
+        inst = gen_planted(12, 4, 1)
+        traj = run_chain(inst, "empty", GibbsChain(beta), GammaParam(2), 600, 1,
+                         hold_window=0, record_every=record_every)
+        ref = reference_gibbs_run(inst, "empty", beta, GammaParam(2), 600, 1,
+                                  0, record_every)
+        assert traj.stay_rows.size > 10
+        assert_rows_match(traj, ref, inst.labels)
+
+    @pytest.mark.parametrize("stop", [None, 10])
+    def test_peel(self, stop):
+        inst = gen_planted(120, 20, 2)
+        traj, _ = run_peel(inst, stop, 2, gamma=GammaParam(4))
+        ref = reference_run(inst, "full", GammaParam(4),
+                            peel_steps(20, stop or 0, 2), 120,
+                            stop_reason="stopped")
+        assert_rows_match(traj, ref, inst.labels)
+
+    @pytest.mark.parametrize("init", ["empty", "full"])
+    def test_coupled_sides(self, init):
+        policy, gamma = TiePolicy.drift(1), GammaParam(4)
+        res = run_coupled_gd(150, 30, gamma, policy, 20000, 5, init=init)
+        g0, inst = gen_coupled(150, 30, 5)
+        for traj, graph in ((res.planted, inst.graph), (res.unplanted, g0)):
+            ref = reference_run(dataclasses.replace(inst, graph=graph), init,
+                                gamma, gd_steps(policy, 5), 20000)
+            assert_rows_match(traj, ref)
 
 
 class TestRunChain:

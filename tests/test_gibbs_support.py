@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from plantedclique import (GammaParam, GibbsChain, Move, SubsetState, apply_flip,
-                           chains, gen_planted, gibbs_probabilities, gibbs_step,
+                           chains, energy, gen_planted, gibbs_probabilities, gibbs_step,
                            init_state, run_chain, stream_rng)
 from plantedclique.chains import _Uniforms
 from plantedclique.graphs import CHAIN_STREAM
@@ -223,12 +223,74 @@ def test_exp_of_a_compact_slice_equals_the_dense_one(offset):
         assert np.array_equal(np.exp(full[picked]), dense[picked])
 
 
+def _two_compares(key, a, b):
+    return (key <= a) | (key >= b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_outside_is_the_two_compare_mask(n):
+    """The unsigned range compare equals the two compares for every (a, b)
+    around the keys, a + 1 <= 0 and b <= a + 1 included."""
+    key = np.concatenate([np.arange(2 * n), stream_rng(n, 9).integers(0, 2 * n, 50)])
+    key = key.astype(np.int32)
+    for a in range(-n - 2, 2 * n + 2):
+        for b in range(a - 3, 2 * n + 3):
+            assert np.array_equal(energy._outside(key, a, b),
+                                  _two_compares(key, a, b)), (a, b)
+
+
+def _crafted_states(count=30):
+    """States of any keys a state can hold: members below n, the rest in
+    [n, 2n); consistency with a graph does not matter to the scan."""
+    for seed in range(count):
+        n = (1, 2, 9, 60, 150)[seed % 5]
+        rng = stream_rng(seed, 10)
+        member = rng.random(n) < (0.1, 0.5, 0.9)[seed % 3]
+        key = rng.integers(0, n, n) + np.where(member, 0, n)
+        graph = gen_planted(n, 1, seed).graph
+        yield SubsetState(graph, GAMMAS[seed % 4], member,
+                          int(member.sum()), key.astype(np.int32), 0)
+
+
+def test_support_scan_matches_the_two_compare_mask():
+    """``all_flip_deltas(upto)`` at uptos around every delta: the support is
+    the two-compare mask of its bounds and the flips with delta <= upto,
+    gathered up to n / 2 flips and dense past that; at upto >= p s no scan
+    runs and every delta comes back."""
+    cases = {"a + 1 <= 0": 0, "sparse": 0, "dense": 0, "upto >= p s": 0}
+    for state in list(_crafted_states()) + list(_states(12)):
+        p, w, n, s = state.gamma.p, state.gamma.edge_weight, state.graph.n, state.size
+        deltas = state.all_flip_deltas()
+        values = np.unique(deltas)
+        values = values[:: max(1, values.size // 12)].tolist()
+        for upto in sorted({v + e for v in values for e in (-1, 0)}
+                           | {int(deltas.min()) - 1, p * s - 1, p * s, p * s + 5}):
+            at, part = state.all_flip_deltas(upto)
+            if upto >= p * s:
+                assert at is None and np.array_equal(part, deltas)
+                cases["upto >= p s"] += 1
+                continue
+            a = min((upto + p * (s - 1)) // w, n - 1)
+            b = n - (upto - p * s) // w
+            want = np.flatnonzero(_two_compares(state.key, a, b))
+            assert np.array_equal(want, np.flatnonzero(deltas <= upto))
+            cases["a + 1 <= 0"] += a + 1 <= 0
+            if 2 * want.size <= n:
+                assert np.array_equal(at, want)
+                assert np.array_equal(part, deltas[want])
+                cases["sparse"] += 1
+            else:
+                assert at is None and np.array_equal(part, deltas)
+                cases["dense"] += 1
+    assert min(cases.values()) >= 20, cases
+
+
 def test_tiny_betas_weigh_every_flip():
     """At beta = 0 and at betas where 750 / scale overflows, the support is
     every flip and no index array is built."""
     state = next(_states())
     for beta in (0.0, 5e-324, 1e-310):
-        probs, at = chains._gibbs_support(state, beta)
-        assert at is None
-        assert np.array_equal(probs, dense_probabilities(state, beta))
+        weights, total, at, flips = chains._gibbs_support(state, beta)
+        assert at is None and np.array_equal(flips, weights[1:])
+        assert np.array_equal(weights / total, dense_probabilities(state, beta))
     assert SubsetState.all_flip_deltas(state, math.inf)[0] is None
