@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -206,33 +208,52 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
     return Move(kind, x, dmin), state
 
 
+# Deltas are integers: a weight is 1.0 (d = dmin), 0.0 or at most exp(-scale). At
+# scale > ln(n + 1) + 54 ln 2 the tiny ones sum below 2**-54, so any order of addition
+# returns the count of units: adding t < 2**-53 to an integer >= 1 gives it back.
+_COLD = 54 * math.log(2)
+
+
+def _dense_weights(n: int, stay: float, at, flips) -> np.ndarray:
+    """The n + 1 weights [stay, flip 0, ...], exact zeros off the support."""
+    weights = (np.empty if at is None else np.zeros)(n + 1)
+    weights[0] = stay
+    weights[1:][slice(None) if at is None else at] = flips
+    return weights
+
+
 def _gibbs_support(state: SubsetState, beta: float) -> tuple:
-    """The weights of [stay, flip 0, ...], their sum (a probability is weight
-    / sum), and the flips that may weigh above 0.0 (None: all) with theirs."""
+    """The stay's weight, the normaliser (a probability is weight / total), and
+    the flips that may weigh above 0.0 (None: all) with their weights: a list
+    of floats for a support of at most ``SCALAR_FLIPS`` flips."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite (the beta -> inf limit is gd_step)")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    _, d_lo, _, d_hi = state.key_extremes()
-    dmin, scale = min(d_lo, d_hi, 0), beta / state.gamma.q_den
+    lo, d_lo, hi, d_hi = state.key_extremes()
+    n, dmin, scale = state.graph.n, min(d_lo, d_hi, 0), beta / state.gamma.q_den
     # exp(x) is exactly 0.0 in IEEE doubles for x < ln(2**-1075) ~ -745.13; 750 also
     # absorbs the rounding of scale * (d - dmin). A property of doubles, not a tunable.
     cut = 750 / scale if scale else math.inf  # inf also when 750 / scale overflows
-    at, deltas = state.all_flip_deltas(dmin + math.floor(cut) if cut < math.inf else cut)
-    weights = (np.empty if at is None else np.zeros)(state.graph.n + 1)
-    flips = np.exp(-scale * (deltas - dmin), out=weights[1:] if at is None else None)
-    if at is not None:  # exact zeros elsewhere: the sum groups as the dense one did
-        weights[1:][at] = flips
-    weights[0] = math.exp(-scale * (0 - dmin))
-    return weights, weights.sum(), at, flips
+    at, deltas = state.all_flip_deltas(
+        dmin + math.floor(cut) if cut < math.inf else cut, (lo, hi))
+    if type(deltas) is list:  # numpy's doubles: int -> double, product, np.exp (not libm)
+        flips = np.exp([-scale * (d - dmin) for d in deltas]).tolist()
+    else:
+        flips = np.exp(-scale * (deltas - dmin))
+    stay = math.exp(-scale * (0 - dmin))
+    if scale > math.log(n + 1) + _COLD:
+        units = flips.count(1.0) if type(flips) is list else np.count_nonzero(flips == 1.0)
+        return stay, float(units + (stay == 1.0)), at, flips
+    return stay, _dense_weights(n, stay, at, flips).sum(), at, flips
 
 
 def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
     """Transition distribution over the n+1 candidates [stay, flip 0, ...,
     flip n-1], proportional to exp(-beta * H(candidate)) shifted by the least
     energy. A flip whose weight underflows is an exact 0.0, often never computed."""
-    weights, total, _, _ = _gibbs_support(state, beta)
-    return weights / total
+    stay, total, at, flips = _gibbs_support(state, beta)
+    return _dense_weights(state.graph.n, stay, at, flips) / total
 
 
 class _Uniforms:
@@ -269,15 +290,19 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     ``_Uniforms``) it takes up to L steps, one draw each, from this one
     probability vector: the run of stays and the move that ends it. The
     cumsum skips the flips of weight 0.0, which add exactly: the same pick."""
-    weights, total, at, flips = _gibbs_support(state, beta)
-    stay = weights[0] / total  # correctly rounded: the normalised vector's value
+    stay, total, at, flips = _gibbs_support(state, beta)
+    stay /= total  # correctly rounded: the normalised vector's value
     r = rng.random() if max_stays == 1 else rng.random(stay, max_stays)
     if r < stay:
         return _STAY, state
-    acc = (flips / total).cumsum()
-    j = int(acc.searchsorted(r - stay, side="right"))
+    if type(flips) is list:  # the same sequential sums as numpy's cumsum
+        acc = list(accumulate([f / total for f in flips]))
+        j = bisect_right(acc, r - stay)
+    else:
+        acc = (flips / total).cumsum()
+        j = int(acc.searchsorted(r - stay, side="right"))
     # a search past the end is float round-off at the top end: take the last vertex
-    x = (j if at is None else int(at[j])) if j < acc.size else state.graph.n - 1
+    x = (j if at is None else int(at[j])) if j < len(acc) else state.graph.n - 1
     kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
     apply_flip(state, x)
     return Move(kind, x, state.scaled_energy - energy), state

@@ -37,7 +37,7 @@ def _load_config(args, expected):
         raise ConfigError([("task", f"this verb needs a task = {want} config")])
     if getattr(args, "out_dir", None):
         config.out_dir = args.out_dir
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:  # 0 too: validate() rejects it
         config.jobs = args.jobs
     config.validate()
     return config
@@ -129,11 +129,12 @@ def _experiment_from_flags(args, init_default="full", tie_default="halt"):
     return config
 
 
-def _add_config_flags(p):
+def _add_config_flags(p, jobs=True):
     p.add_argument("--config", help="config file path")
     p.add_argument("--preset", help="built-in preset name")
     p.add_argument("--out-dir", help="override the output directory")
-    p.add_argument("--jobs", type=int, help="override worker count")
+    if jobs:  # landscape runs in one process
+        p.add_argument("--jobs", type=int, help="override worker count")
 
 
 def _add_model_flags(p, need_k=True):
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_coupled)
 
     p = sub.add_parser("landscape", help="landscape scans and tables")
-    _add_config_flags(p)
+    _add_config_flags(p, jobs=False)
     p.add_argument("--mode", choices=["brute", "scan", "kappa"], default="brute")
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--k", type=int, default=8)

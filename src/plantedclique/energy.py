@@ -85,6 +85,11 @@ class GammaParam:
         return str(self.p) if self.q_den == 1 else f"{self.p}/{self.q_den}"
 
 
+# Supports of at most this many flips are handled in Python scalars: below it they
+# cost less than numpy's per-call overhead (crossover measured at n = 2000 and 5000).
+SCALAR_FLIPS = 30
+
+
 def _outside(key: np.ndarray, a: int, b: int) -> np.ndarray:
     """``(key <= a) | (key >= b)`` as one unsigned compare: int32 key - (a + 1)
     lies in [0, b - a - 1) exactly when a < key < b (needs it within int32)."""
@@ -119,17 +124,26 @@ class SubsetState:
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         return w * key - p * (s - 1) if key < n else p * s - w * (key - n)
 
-    def all_flip_deltas(self, upto: Optional[float] = None) -> Union[np.ndarray, tuple]:
+    def all_flip_deltas(self, upto: Optional[float] = None,
+                        keys: tuple = (0, 2**31)) -> Union[np.ndarray, tuple]:
         """Scaled change of every single flip as a new read-only int64 array:
         the add-delta outside U, the remove-delta inside. With ``upto`` (an
         int or inf), ``(at, deltas)`` of the flips with delta <= ``upto``, or
-        of all flips (``at`` None) when those are more than n / 2."""
+        of all flips (``at`` None) when those are more than n / 2; ``deltas``
+        is a list of ints for at most ``SCALAR_FLIPS`` flips. ``keys`` bounds
+        the keys (lo, hi); the scan skips a side of the support they rule out."""
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         member, key, at = self.member, self.key, None
         if upto is not None and upto < p * s:  # p * s bounds every delta
-            hit = _outside(key, min((upto + p * (s - 1)) // w, n - 1),  # in U: w key - p(s-1)
-                           n - (upto - p * s) // w).nonzero()[0]  # out: p s - w(key-n)
+            a = min((upto + p * (s - 1)) // w, n - 1)  # in U: w key - p(s-1) <= upto
+            b = n - (upto - p * s) // w  # out of U: p s - w(key-n) <= upto
+            hit = (key >= b if a < keys[0] else key <= a if b > keys[1]
+                   else _outside(key, a, b)).nonzero()[0]
             if 2 * hit.size <= n:  # gathering more flips costs more than a dense pass
+                if hit.size <= SCALAR_FLIPS:  # Python ints: cheaper than numpy calls
+                    r, t = p * (s - 1), p * s + w * n
+                    return hit, [w * k - r if k < n else t - w * k
+                                 for k in key[hit].tolist()]
                 at, member, key = hit, member[hit], key[hit]
         removes = np.multiply(key, w, dtype=np.int64)  # int32 can wrap
         removes -= p * (s - 1)

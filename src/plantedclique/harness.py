@@ -14,7 +14,6 @@ import json
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -452,6 +451,7 @@ def _run_cells(config: ExperimentConfig, cell) -> RunSummary:
     config.validate()
     seeds = config.seed_list()
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~14 ms: only for a pool
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(cell, [config] * len(seeds), seeds))
     else:
@@ -484,6 +484,11 @@ def run_peel_cells(config: ExperimentConfig, stop_n2: int, c1: Optional[float]
                    ) -> RunSummary:
     """Peel each seed's instance down to at most stop_n2 non-clique vertices;
     writes trajectory, per-step count CSVs and retention diagnostics."""
+    errors = [("stop_n2", f"stop_n2 must be >= 0, got {stop_n2}")] if stop_n2 < 0 else []
+    if c1 is not None and not math.isfinite(c1):
+        errors.append(("c1", f"c1 must be finite, got {c1}"))
+    if errors:
+        raise ConfigError(errors)
     return _run_cells(config, functools.partial(_peel_cell, stop_n2, c1))
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plantedclique import Graph
+from plantedclique import Graph, Move, apply_flip
 
 
 def py_edges_inside(dense, members) -> int:
@@ -100,6 +100,45 @@ class RowTrajectory:
 
     def summary_dict(self) -> dict:
         return dict(self.summary)
+
+
+def reference_gibbs_support(state, beta):
+    """The Gibbs weights as computed before the unit-count normaliser: the
+    flips within floor(750 / scale) of dmin weighed with one ``np.exp`` and
+    scattered into n + 1 zeros (or every flip, past n / 2 of them), then the
+    full-length pairwise sum. Returns (weights, total, at, flips)."""
+    _, d_lo, _, d_hi = state.key_extremes()
+    n, p, s = state.graph.n, state.gamma.p, state.size
+    dmin, scale = min(d_lo, d_hi, 0), beta / state.gamma.q_den
+    cut = 750 / scale if scale else math.inf
+    upto = dmin + math.floor(cut) if cut < math.inf else cut
+    deltas, at = state.all_flip_deltas(), None
+    if upto < p * s:
+        hit = np.flatnonzero(deltas <= upto)
+        if 2 * hit.size <= n:
+            at, deltas = hit, deltas[hit]
+    weights = (np.empty if at is None else np.zeros)(n + 1)
+    flips = np.exp(-scale * (deltas - dmin), out=weights[1:] if at is None else None)
+    if at is not None:
+        weights[1:][at] = flips
+    weights[0] = math.exp(-scale * (0 - dmin))
+    return weights, weights.sum(), at, flips
+
+
+def reference_gibbs_step(state, beta, rng, *, max_stays=1):
+    """``gibbs_step`` as it was before the unit-count normaliser and the
+    scalar support: numpy cumsum and ``searchsorted`` over the support."""
+    weights, total, at, flips = reference_gibbs_support(state, beta)
+    stay = weights[0] / total
+    r = rng.random() if max_stays == 1 else rng.random(stay, max_stays)
+    if r < stay:
+        return Move("stay", None, 0), state
+    acc = (flips / total).cumsum()
+    j = int(acc.searchsorted(r - stay, side="right"))
+    x = (j if at is None else int(at[j])) if j < acc.size else state.graph.n - 1
+    kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
+    apply_flip(state, x)
+    return Move(kind, x, state.scaled_energy - energy), state
 
 
 def graph_from_edges(n, edges) -> Graph:

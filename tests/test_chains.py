@@ -293,9 +293,9 @@ class TestEventSkippingGibbs:
         scans = []
         real = SubsetState.all_flip_deltas
 
-        def support_scan(self, upto):
-            at, deltas = real(self, upto)
-            scans.append(deltas.size)
+        def support_scan(self, upto, *rest):
+            at, deltas = real(self, upto, *rest)
+            scans.append(len(deltas))
             return at, deltas
 
         monkeypatch.setattr(SubsetState, "all_flip_deltas", support_scan)

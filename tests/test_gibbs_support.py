@@ -18,6 +18,8 @@ from plantedclique import (GammaParam, GibbsChain, Move, SubsetState, apply_flip
 from plantedclique.chains import _Uniforms
 from plantedclique.graphs import CHAIN_STREAM
 
+from conftest import reference_gibbs_step, reference_gibbs_support
+
 
 def dense_probabilities(state, beta):
     deltas = state.all_flip_deltas()
@@ -256,16 +258,22 @@ def test_support_scan_matches_the_two_compare_mask():
     """``all_flip_deltas(upto)`` at uptos around every delta: the support is
     the two-compare mask of its bounds and the flips with delta <= upto,
     gathered up to n / 2 flips and dense past that; at upto >= p s no scan
-    runs and every delta comes back."""
-    cases = {"a + 1 <= 0": 0, "sparse": 0, "dense": 0, "upto >= p s": 0}
+    runs and every delta comes back. Given the least and greatest key, the
+    scan skips a side they rule out and returns the same."""
+    cases = {"a + 1 <= 0": 0, "sparse": 0, "dense": 0, "upto >= p s": 0,
+             "one side": 0}
     for state in list(_crafted_states()) + list(_states(12)):
         p, w, n, s = state.gamma.p, state.gamma.edge_weight, state.graph.n, state.size
         deltas = state.all_flip_deltas()
         values = np.unique(deltas)
         values = values[:: max(1, values.size // 12)].tolist()
+        lo, hi = int(state.key.min()), int(state.key.max())
         for upto in sorted({v + e for v in values for e in (-1, 0)}
                            | {int(deltas.min()) - 1, p * s - 1, p * s, p * s + 5}):
             at, part = state.all_flip_deltas(upto)
+            at_k, part_k = state.all_flip_deltas(upto, (lo, hi))
+            assert (at is None) == (at_k is None) and np.array_equal(at, at_k)
+            assert type(part) is type(part_k) and np.array_equal(part, part_k)
             if upto >= p * s:
                 assert at is None and np.array_equal(part, deltas)
                 cases["upto >= p s"] += 1
@@ -275,6 +283,7 @@ def test_support_scan_matches_the_two_compare_mask():
             want = np.flatnonzero(_two_compares(state.key, a, b))
             assert np.array_equal(want, np.flatnonzero(deltas <= upto))
             cases["a + 1 <= 0"] += a + 1 <= 0
+            cases["one side"] += a < lo or b > hi
             if 2 * want.size <= n:
                 assert np.array_equal(at, want)
                 assert np.array_equal(part, deltas[want])
@@ -290,7 +299,185 @@ def test_tiny_betas_weigh_every_flip():
     every flip and no index array is built."""
     state = next(_states())
     for beta in (0.0, 5e-324, 1e-310):
-        weights, total, at, flips = chains._gibbs_support(state, beta)
-        assert at is None and np.array_equal(flips, weights[1:])
-        assert np.array_equal(weights / total, dense_probabilities(state, beta))
+        stay, total, at, flips = chains._gibbs_support(state, beta)
+        assert at is None and flips.size == state.graph.n
+        assert np.array_equal(np.append(stay, flips) / total,
+                              dense_probabilities(state, beta))
     assert SubsetState.all_flip_deltas(state, math.inf)[0] is None
+
+
+# The unit-count normaliser and the scalar support, against the step as it was
+# before them (``conftest.reference_gibbs_step``).
+
+REF_NS = {1: 1, 2: 1, 7: 3, 64: 8, 2000: 60}
+
+
+def _cold_bound(n):
+    """The scale above which the step counts units for its normaliser."""
+    return math.log(n + 1) + chains._COLD
+
+
+def _beta_for_scale(scale, q, above):
+    """A beta with beta / q just above (or at most) ``scale``."""
+    beta = scale * q
+    while (beta / q > scale) != above:
+        beta = math.nextafter(beta, math.inf if above else 0)
+    return beta
+
+
+def _assert_steps_match(state, beta):
+    """Totals, probabilities and the moves at every critical draw equal the
+    reference's."""
+    weights, total, _, _ = reference_gibbs_support(state.copy(), beta)
+    assert chains._gibbs_support(state, beta)[1] == total
+    assert np.array_equal(gibbs_probabilities(state, beta), weights / total)
+    for r in _critical_draws(weights / total):
+        a, b = state.copy(), state.copy()
+        move, _ = gibbs_step(a, beta, _Draws([r]))
+        ref, _ = reference_gibbs_step(b, beta, _Draws([r]))
+        assert move == ref and a.scaled_energy == b.scaled_energy, (beta, r)
+        assert np.array_equal(a.key, b.key)
+
+
+@pytest.mark.parametrize("n", sorted(REF_NS))
+def test_runs_and_moves_match_the_reference(n, monkeypatch):
+    """CSV bytes, summaries, every move, its energy and every stay run equal
+    the pre-change step's, from beta = 0 to 10**3."""
+    k, gamma = REF_NS[n], GammaParam(4)
+    inst = gen_planted(n, k, n + 2)
+    for beta in (0.0, 0.5, math.log(n), 10 * math.log(n), 1e3):
+        for init in inits(n, k):
+            args = (inst, init, GibbsChain(beta), gamma, 150 if n == 2000 else 400, 3)
+            with monkeypatch.context() as m:
+                m.setattr(chains, "gibbs_step", reference_gibbs_step)
+                ref = run_chain(*args, hold_window=30)
+            traj = run_chain(*args, hold_window=30)
+            assert traj.csv_text() == ref.csv_text(), (beta, init)
+            assert traj.summary_dict() == ref.summary_dict()
+            members = {"full": range(n), "empty": ()}.get(init, init)
+            a = init_state(inst.graph, members, gamma)
+            b = a.copy()
+            ra = _Uniforms(stream_rng(5, CHAIN_STREAM))
+            rb = _Uniforms(stream_rng(5, CHAIN_STREAM))
+            for _ in range(30):
+                move, _ = gibbs_step(a, beta, ra, max_stays=50)
+                ref_move, _ = reference_gibbs_step(b, beta, rb, max_stays=50)
+                assert move == ref_move and ra.drawn == rb.drawn, (beta, init)
+                assert a.scaled_energy == b.scaled_energy
+
+
+def _support_state(m, dmin_zero, n=200):
+    """A crafted state (gamma 4, |U| = 100) whose support at beta = 10 ln n
+    is m flips, vertex 0 among them, the rest 54 or more above the least
+    delta. Without ``dmin_zero``: removes at -396 (units) and -391, adds at
+    -395. With it: adds at 0 (units, with the stay) and removes at 4."""
+    member = np.arange(n) % 2 == 0
+    key = np.where(member, 90, n + 10)  # deltas 54 and 350: weight 0.0
+    picked = np.append(0, 1 + stream_rng(m, 12).permutation(n - 1))[:m]
+    for i, x in enumerate(picked.tolist()):
+        if dmin_zero:
+            key[x] = 80 if member[x] else n + 80
+        else:
+            key[x] = (0 if i % 3 == 0 else 1) if member[x] else n + 159
+    return SubsetState(gen_planted(n, 1, m).graph, GammaParam(4), member,
+                       int(member.sum()), key.astype(np.int32), 0)
+
+
+@pytest.mark.parametrize("dmin_zero", [False, True], ids=["dmin<0", "dmin=0"])
+@pytest.mark.parametrize("m", sorted({0, 1, energy.SCALAR_FLIPS - 1,
+                                      energy.SCALAR_FLIPS, energy.SCALAR_FLIPS + 1}))
+def test_supports_around_the_scalar_size(m, dmin_zero):
+    """Supports of 0 and 1 flip and at the scalar size +- 1: Python lists up
+    to it and arrays past it, with the reference's totals and moves. With
+    dmin = 0 the stay is one of the units."""
+    state = _support_state(m, dmin_zero)
+    beta = 10 * math.log(state.graph.n)
+    lo, d_lo, hi, d_hi = state.key_extremes()
+    dmin = min(d_lo, d_hi, 0)
+    upto = dmin + math.floor(750 / beta)
+    at, deltas = state.all_flip_deltas(upto, (lo, hi))
+    dense = state.all_flip_deltas()
+    assert np.array_equal(at, np.flatnonzero(dense <= upto)) and len(at) == m
+    assert type(deltas) is (list if m <= energy.SCALAR_FLIPS else np.ndarray)
+    assert list(deltas) == dense[at].tolist()
+    weights, total, _, _ = reference_gibbs_support(state, beta)
+    units = int(np.count_nonzero(weights == 1.0))
+    assert total == units == 1 + np.count_nonzero(dense[at] == dmin) - (dmin < 0)
+    assert (weights[0] == 1.0) == (dmin == 0) == (dmin_zero or m == 0)
+    _assert_steps_match(state, beta)
+
+
+@pytest.mark.parametrize("n", [7, 64, 2000])
+def test_every_flip_tied_at_cold_beta(n):
+    """The empty set: every add-delta is 0, so all n + 1 weights are units
+    and every candidate has probability 1 / (n + 1)."""
+    state = init_state(gen_planted(n, 3, n).graph, (), GammaParam(4))
+    for beta in (10 * math.log(n), 1e3):
+        _, total, at, _ = chains._gibbs_support(state, beta)
+        assert at is None and total == n + 1
+        assert (gibbs_probabilities(state, beta) == 1 / (n + 1)).all()
+        _assert_steps_match(state, beta)
+
+
+def test_cold_bound_switches_the_normaliser(monkeypatch):
+    """Just above the cold bound the normaliser is the unit count and no
+    n + 1 vector is built; at it and below, the dense sum. Both equal the
+    reference's total and pick its moves."""
+    builds = []
+    real = chains._dense_weights
+    monkeypatch.setattr(chains, "_dense_weights",
+                        lambda *args: builds.append(1) or real(*args))
+    seen = set()
+    for state in list(_cold_states(4)) + list(_states(6)):
+        n, q = state.graph.n, state.gamma.q_den
+        for above in (True, False):
+            beta = _beta_for_scale(_cold_bound(n), q, above)
+            builds.clear()
+            chains._gibbs_support(state, beta)
+            assert len(builds) == (not above)
+            seen.add((above, chains._gibbs_support(state, beta)[2] is None))
+            _assert_steps_match(state, beta)
+    assert len(seen) == 4  # cold and warm, sparse and dense supports
+
+
+def _cold_states(count, n=2000):
+    """Crafted states (gamma 4, so w = 5) whose flips sit 0 to 9 above the
+    least delta t <= 0, all over the vertex range, the rest 300 or more
+    above: many tiny weights in many blocks of the pairwise sum. Every
+    fourth state has one unit remove and every add one above it."""
+    for seed in range(count):
+        rng = stream_rng(seed, 13)
+        lone = seed % 4 == 3
+        for s in range(int(n * (0.25 + 0.5 * rng.random())), n):
+            k0 = 4 * (s - 1) // 5 - (0 if lone else int(rng.integers(0, 4)))
+            t = 5 * k0 - 4 * (s - 1)  # the least remove delta
+            deg = (4 * s - t) // 5  # an add's degree: the least add delta >= t
+            if not lone or 4 * s - 5 * deg - t == 1:
+                break
+        member = np.zeros(n, dtype=bool)
+        member[rng.permutation(n)[:s]] = True
+        pick = rng.random(n)
+        offset = np.where(pick < 0.3, 0, np.where(pick < 0.8, 1, 60))  # gap 0, 5, 300
+        if lone:
+            offset = np.where(member, 60, 0)
+            offset[np.flatnonzero(member)[0]] = 0
+        key = np.where(member, k0 + offset, n + deg - offset)
+        yield SubsetState(gen_planted(n, 1, seed).graph, GammaParam(4), member,
+                          s, key.astype(np.int32), 0)
+
+
+def test_unit_count_equals_the_dense_sum():
+    """On cold states with tiny weights spread over many pairwise blocks,
+    just above the bound and at beta = 10 ln n, the dense pairwise sum is
+    the number of unit weights, which is the normaliser the step uses."""
+    spread, edge = 0, 0.0
+    for state in _cold_states(24):
+        n = state.graph.n
+        for beta in (_beta_for_scale(_cold_bound(n), 1, True), 10 * math.log(n)):
+            weights, total, _, _ = reference_gibbs_support(state, beta)
+            units = np.count_nonzero(weights == 1.0)
+            assert total == units == chains._gibbs_support(state, beta)[1]
+            tiny = np.flatnonzero((weights > 0) & (weights < 1))
+            spread += np.unique(tiny // 128).size >= 8 and units < tiny.size
+            edge = max(edge, weights[tiny].sum())
+    assert spread >= 40 and edge > 2.0 ** -55  # near the 2**-54 the bound allows

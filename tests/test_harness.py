@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import plantedclique
 from plantedclique import (ConfigError, ExperimentConfig, LandscapeConfig,
                            load_graph, load_preset, parse_config, preset_names,
                            run_experiment, run_landscape, run_sweep,
@@ -350,6 +354,50 @@ class TestCli:
         assert "config error: q" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, field", [
+        (["--stop-n2", "-1"], "stop_n2"), (["--c1", "nan"], "c1"),
+        (["--c1", "inf"], "c1"), (["--c1=-inf"], "c1")])
+    def test_peel_verb_rejects_negative_stop_and_non_finite_slack(
+            self, tmp_path, capsys, flag, field):
+        # stop_n2 = -1 peeled to the empty set; c1 = nan fails every retention
+        # comparison, so every clique vertex was reported as retained
+        rc = main(["peel", "--n", "60", "--k", "10", "--seeds", "0", *flag,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", [["run"], ["sweep", "--param", "gamma",
+                                                "--values", "4"]],
+                             ids=["run", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_flag_below_one_is_refused(self, tmp_path, capsys, verb, jobs):
+        # --jobs 0 was taken for "not given" and ran with the config's jobs
+        path = tmp_path / "exp.cfg"
+        write_config(path, tiny_config(tmp_path, seeds="0", jobs=2))
+        assert main([verb[0], "--config", str(path), "--jobs", jobs, *verb[1:]]) == 2
+        assert "config error: jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_flag_overrides_the_config(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        write_config(path, tiny_config(tmp_path, seeds="0", jobs=2))
+        assert main(["run", "--config", str(path), "--jobs", "1"]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["params"]["jobs"] == 1
+
+    def test_landscape_verb_takes_no_jobs_flag(self, tmp_path, capsys):
+        # landscape runs in one process: the flag was parsed and read by nothing
+        out = tmp_path / "l"
+        path = tmp_path / "l.cfg"
+        write_config(path, LandscapeConfig(mode="kappa", gammas="2", out_dir=str(out)))
+        for flags in (["--mode", "kappa", "--gammas", "2"], ["--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["landscape", *flags, "--jobs", "2", "--out-dir", str(out)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides, field", [
         (dict(q=0.9), "q"),
         (dict(n=5000, k=70, gamma="3.000000000000001"), "gamma"),
@@ -448,3 +496,14 @@ class TestCli:
         cfg = tiny_config(tmp_path, out_dir="", seeds="0")
         run_experiment(cfg)
         assert (tmp_path / "envout" / "traj_s0.csv").exists()
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """The pool module is imported by a run with jobs > 1, not by every call."""
+    src = str(Path(plantedclique.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, plantedclique.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
