@@ -3,12 +3,11 @@ chains: graph models, exact integer-scaled energies, the chain dynamics,
 landscape analysis, and an experiment harness with a CLI."""
 
 from .chains import (CoupledResult, GibbsChain, GradientDescent, Move,
-                     PeelDiagnostics, TiePolicy, Trajectory,
+                     PeelDiagnostics, Trajectory,
                      gd_step, gibbs_probabilities, gibbs_step, replay,
                      run_chain, run_coupled_gd, run_peel,
                      verify_hamming_descent, verify_removal_phase)
-from .energy import (GammaParam, SubsetState, apply_flip, delta_add,
-                     delta_remove, init_state)
+from .energy import GammaParam, SubsetState, apply_flip, init_state
 from .graphs import (Contamination, Graph, PlantedInstance, gen_contaminated,
                      gen_coupled, gen_er, gen_planted, load_graph, read_edge_list,
                      save_graph, stream_rng, write_edge_list)

@@ -1,9 +1,9 @@
 """The three dynamics over subset space, plus coupled runs and run checkers.
 
 * Gradient descent: move to a uniformly random strictly-lowest-energy
-  Hamming-1 neighbour; halt when none exists. A configurable tie policy can
-  spend a bounded plateau budget on zero-delta moves, which is how empty-set
-  starts leave the all-zero-delta initial state.
+  Hamming-1 neighbour; halt when none exists. A plateau budget allows a
+  bounded number of zero-delta moves, which is how empty-set starts leave
+  the all-zero-delta initial state.
 * Neighbourhood Gibbs sampler: pick the next state among the n+1 candidates
   at Hamming distance <= 1 (the state itself included) with probability
   proportional to exp(-beta * H(candidate)).
@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional, Union
@@ -31,7 +31,7 @@ from .energy import GammaParam, SubsetState, apply_flip, init_state
 from .graphs import CHAIN_STREAM, Graph, PlantedInstance, gen_coupled, stream_rng
 
 __all__ = [
-    "Move", "Trajectory", "TiePolicy", "GradientDescent",
+    "Move", "Trajectory", "GradientDescent",
     "GibbsChain", "PeelDiagnostics", "CoupledResult", "gd_step", "gibbs_step",
     "gibbs_probabilities", "run_chain", "run_peel", "run_coupled_gd", "replay",
     "RemovalPhaseReport", "HammingReport", "verify_removal_phase",
@@ -51,38 +51,13 @@ _STAY = Move("stay", None, 0)
 
 
 @dataclass(frozen=True)
-class TiePolicy:
-    """What gradient descent does when the best flip delta is exactly zero.
-
-    halt: treat it as absorption (the strict definition).
-    drift(b): spend up to b zero-delta moves per run, chosen uniformly among
-    the zero-delta flips, then halt. drift(1) is enough to leave the empty
-    set, whose add-deltas are all exactly zero.
-    """
-
-    kind: str = "halt"
-    max_plateau_steps: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("halt", "drift"):
-            raise ValueError(f"unknown tie policy {self.kind!r}")
-        if self.kind == "drift" and self.max_plateau_steps < 1:
-            raise ValueError("drift requires max_plateau_steps >= 1")
-        if self.kind == "halt" and self.max_plateau_steps != 0:
-            raise ValueError("halt takes no plateau budget")
-
-    @classmethod
-    def halt(cls) -> "TiePolicy":
-        return cls("halt", 0)
-
-    @classmethod
-    def drift(cls, max_plateau_steps: int) -> "TiePolicy":
-        return cls("drift", max_plateau_steps)
-
-
-@dataclass(frozen=True)
 class GradientDescent:
-    tie_policy: TiePolicy = field(default_factory=TiePolicy.halt)
+    """Gradient descent that may spend up to ``plateau_budget`` zero-delta
+    moves per run, each chosen uniformly among the zero-delta flips, before a
+    zero best delta halts it. 0 is the strict definition; 1 is enough to
+    leave the empty set, whose add-deltas are all exactly zero."""
+
+    plateau_budget: int = 0
 
 
 @dataclass(frozen=True)
@@ -183,24 +158,21 @@ class Trajectory:
 
 
 def _choose(candidates: np.ndarray, u: float) -> int:
-    """Uniform pick from a sorted candidate array using one uniform draw."""
-    i = int(u * candidates.size)
-    if i == candidates.size:  # u == 1.0 cannot happen, but be safe
-        i -= 1
-    return int(candidates[i])
+    """Uniform pick from a sorted candidate array using one uniform draw
+    u < 1 (so int(u * size) < size)."""
+    return int(candidates[int(u * candidates.size)])
 
 
 def gd_step(state: SubsetState, rng: np.random.Generator,
-            tie_policy: TiePolicy = TiePolicy("halt", 0),
-            plateau_used: int = 0) -> tuple[Move, SubsetState]:
+            plateau_budget: int = 0, plateau_used: int = 0
+            ) -> tuple[Move, SubsetState]:
     """One gradient-descent step: apply a uniformly random flip among the
     strict argmin of the n single-flip deltas, or stay if the minimum is
-    nonnegative (subject to the tie policy's plateau budget). The state is
-    mutated in place. Consumes exactly one uniform draw."""
+    positive, or zero with ``plateau_used`` >= ``plateau_budget``. The state
+    is mutated in place. Consumes exactly one uniform draw."""
     u = rng.random()
     dmin, candidates = state.best_flips()
-    if dmin > 0 or dmin == 0 and (tie_policy.kind != "drift"
-                                  or plateau_used >= tie_policy.max_plateau_steps):
+    if dmin > 0 or dmin == 0 and plateau_used >= plateau_budget:
         return _STAY, state
     x = _choose(candidates, u)
     kind = "remove" if state.member[x] else "add"
@@ -372,7 +344,8 @@ class _ChainDriver:
         Gibbs stays); returns the applied move, or None on gd absorption."""
         t, chain, was_at_pc = self.steps + 1, self.kind, self.at_pc
         if isinstance(chain, GradientDescent):
-            move, _ = gd_step(self.state, rng, chain.tie_policy, self.plateau_used)
+            move, _ = gd_step(self.state, rng, chain.plateau_budget,
+                              self.plateau_used)
             if move.kind == "stay":
                 self.absorbed = True
                 return None
@@ -548,13 +521,13 @@ class CoupledResult:
     identical_through_absorption: bool
 
 
-def run_coupled_gd(n: int, k: int, gamma: GammaParam, tie_policy: TiePolicy,
+def run_coupled_gd(n: int, k: int, gamma: GammaParam, plateau_budget: int,
                    max_steps: int, seed: int, *, init="empty") -> CoupledResult:
     """Generate the coupled pair (G0, G) and run gradient descent on each
     with the same seed, so the trajectories coincide while their candidate
     sets do. Both count overlap with the planted positions 0..k-1."""
     g0, instance = gen_coupled(n, k, seed)
-    kind = GradientDescent(tie_policy)
+    kind = GradientDescent(plateau_budget)
     a, b = (run_chain(inst, init, kind, gamma, max_steps, seed)
             for inst in (instance, replace(instance, graph=g0)))
     # a descent never stays, so move row t is step t; a row one side lacks differs

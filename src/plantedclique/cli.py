@@ -3,7 +3,7 @@
 Verbs:
     generate    write a graph instance (binary and/or edge list)
     run         execute a chain experiment from a config file or preset
-    sweep       re-run an experiment across gamma or beta values
+    sweep       re-run an experiment across values of one config field
     peel        min-degree peeling with retention diagnostics
     coupled     planted/unplanted gradient descents from one seed
     landscape   brute-force oracle, local-minima scan or kappa table
@@ -102,14 +102,19 @@ def _cmd_coupled(args) -> int:
     return 0
 
 
+_LANDSCAPE_FLAGS = ("mode", "n", "k", "gamma", "gammas", "m_values", "budget", "seeds")
+
+
 def _cmd_landscape(args) -> int:
+    given = {f: getattr(args, f) for f in _LANDSCAPE_FLAGS
+             if getattr(args, f) is not None}
     if args.config or args.preset:
+        if given:
+            raise ConfigError([(f, "this flag cannot be combined with "
+                                   "--config or --preset") for f in given])
         config = _load_config(args, LandscapeConfig)
     else:
-        config = LandscapeConfig(
-            mode=args.mode, n=args.n, k=args.k, gamma=args.gamma,
-            gammas=args.gammas, m_values=args.m_values, budget=args.budget,
-            seeds=args.seeds, out_dir=args.out_dir or "")
+        config = LandscapeConfig(**given, out_dir=args.out_dir or "")
         config.validate()
     rows = harness.run_landscape(config)
     print(f"{len(rows)} rows; outputs in {config.resolved_out_dir()}")
@@ -137,9 +142,9 @@ def _add_config_flags(p, jobs=True):
         p.add_argument("--jobs", type=int, help="override worker count")
 
 
-def _add_model_flags(p, need_k=True):
+def _add_model_flags(p):
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=need_k, default=0)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--seeds", default="0..9")
     p.add_argument("--gamma", default="4")
     p.add_argument("--max-steps", type=int, default=20000, dest="max_steps")
@@ -170,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-presets", action="store_true")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("sweep", help="sweep gamma or beta over an experiment")
+    p = sub.add_parser("sweep", help="sweep one config field over an experiment")
     _add_config_flags(p)
-    p.add_argument("--param", choices=["gamma", "beta"], required=True)
+    p.add_argument("--param", required=True, help="any config field but out_dir")
     p.add_argument("--values", required=True, help="comma list, e.g. 2,4")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -194,16 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default="empty")
     p.set_defaults(fn=_cmd_coupled)
 
+    # model flags default to the LandscapeConfig fields; none may join a config
     p = sub.add_parser("landscape", help="landscape scans and tables")
     _add_config_flags(p, jobs=False)
-    p.add_argument("--mode", choices=["brute", "scan", "kappa"], default="brute")
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--gamma", default="2")
-    p.add_argument("--gammas", default="", help="kappa mode: comma list")
-    p.add_argument("--m-values", default="", dest="m_values")
-    p.add_argument("--budget", type=int, default=200000)
-    p.add_argument("--seeds", default="0..9")
+    p.add_argument("--mode", choices=["brute", "scan", "kappa"])
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--gamma")
+    p.add_argument("--gammas", help="kappa mode: comma list")
+    p.add_argument("--m-values", dest="m_values")
+    p.add_argument("--budget", type=int)
+    p.add_argument("--seeds")
     p.set_defaults(fn=_cmd_landscape)
 
     return parser

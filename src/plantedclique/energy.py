@@ -25,8 +25,7 @@ import numpy as np
 
 from .graphs import Graph
 
-__all__ = ["GammaParam", "SubsetState", "init_state", "delta_add",
-           "delta_remove", "apply_flip"]
+__all__ = ["GammaParam", "SubsetState", "init_state", "apply_flip"]
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,6 @@ class GammaParam:
 SCALAR_FLIPS = 30
 
 
-def _outside(key: np.ndarray, a: int, b: int) -> np.ndarray:
-    """``(key <= a) | (key >= b)`` as one unsigned compare: int32 key - (a + 1)
-    lies in [0, b - a - 1) exactly when a < key < b (needs it within int32)."""
-    return (key - (a + 1)).view(np.uint32) >= max(b - a - 1, 0)
-
-
 class SubsetState:
     """A subset U with its per-vertex keys and its scaled energy.
 
@@ -138,7 +131,7 @@ class SubsetState:
             a = min((upto + p * (s - 1)) // w, n - 1)  # in U: w key - p(s-1) <= upto
             b = n - (upto - p * s) // w  # out of U: p s - w(key-n) <= upto
             hit = (key >= b if a < keys[0] else key <= a if b > keys[1]
-                   else _outside(key, a, b)).nonzero()[0]
+                   else (key <= a) | (key >= b)).nonzero()[0]
             if 2 * hit.size <= n:  # gathering more flips costs more than a dense pass
                 if hit.size <= SCALAR_FLIPS:  # Python ints: cheaper than numpy calls
                     r, t = p * (s - 1), p * s + w * n
@@ -170,17 +163,6 @@ class SubsetState:
             hit |= self.key == hi
         return min(d_lo, d_hi), hit.nonzero()[0]
 
-    @property
-    def deg_into(self) -> np.ndarray:
-        """|E(x, U)| for every vertex x."""
-        return self.key - np.where(self.member, 0, self.graph.n)
-
-    @property
-    def internal_edges(self) -> int:
-        """|E(U)|, from scaled_energy = p * C(|U|, 2) - w * |E(U)|."""
-        g, s = self.gamma, self.size
-        return (g.p * (s * (s - 1) // 2) - self.scaled_energy) // g.edge_weight
-
 
 def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],
                gamma: GammaParam) -> SubsetState:
@@ -204,20 +186,6 @@ def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],
     scaled = p * (size * (size - 1) // 2) - w * (int(deg[member].sum()) // 2)
     key = np.where(member, deg, deg + n).astype(np.int32)
     return SubsetState(graph, gamma, member, size, key, scaled)
-
-
-def delta_add(state: SubsetState, x: int) -> int:
-    """Scaled energy change of adding x: -(p + q_den)|E(x,U)| + p|U|."""
-    if state.member[x]:
-        raise ValueError(f"vertex {x} is already in the subset")
-    return state._delta_at(int(state.key[x]))
-
-
-def delta_remove(state: SubsetState, z: int) -> int:
-    """Scaled energy change of removing z: (p + q_den)|E(z,U)| - p(|U|-1)."""
-    if not state.member[z]:
-        raise ValueError(f"vertex {z} is not in the subset")
-    return state._delta_at(int(state.key[z]))
 
 
 def apply_flip(state: SubsetState, x: int,

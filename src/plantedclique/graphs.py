@@ -115,16 +115,6 @@ class Graph:
         return graph
 
     @classmethod
-    def from_dense(cls, dense) -> "Graph":
-        """Build from a dense boolean adjacency matrix, validating symmetry."""
-        dense = np.asarray(dense, dtype=bool)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
-        rows = np.packbits(dense, axis=1)
-        _check_adjacency(rows, dense.shape[0])
-        return cls(dense.shape[0], rows)
-
-    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
         _set_edges(rows, np.asarray(list(edges), dtype=np.int64).reshape(-1, 2))
@@ -152,11 +142,6 @@ class Graph:
                 return _plant_row(row, x, self._clique) if x < self._clique else row
             rows = self.packed_rows
         return rows[x]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return bool((self._row(u)[v >> 3] >> (7 - (v & 7))) & 1)
 
     def row01(self, x: int) -> np.ndarray:
         """Neighbourhood of x as a read-only 0/1 uint8 vector of length n."""

@@ -20,8 +20,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .chains import (GibbsChain, GradientDescent, TiePolicy, run_chain,
-                     run_coupled_gd, run_peel)
+from .chains import (GibbsChain, GradientDescent, run_chain, run_coupled_gd,
+                     run_peel)
 from .energy import GammaParam
 from .graphs import gen_contaminated, gen_er, gen_planted
 from .landscape import (binary_entropy, brute_force_min, check_sample_rate,
@@ -111,12 +111,12 @@ class ExperimentConfig(_Config):
     out_dir: str = ""
     jobs: int = 1
 
-    def tie(self) -> TiePolicy:
+    def plateau_budget(self) -> int:
         return _parse_tie(self.tie_policy)
 
     def chain_kind(self):
         if self.chain == "gd":
-            return GradientDescent(self.tie())
+            return GradientDescent(self.plateau_budget())
         return GibbsChain(self.beta)
 
     def init_value(self):
@@ -154,7 +154,7 @@ class ExperimentConfig(_Config):
             if not (math.isfinite(self.beta) and self.beta >= 0):
                 errors.append(("beta", f"beta must be finite and >= 0, got {self.beta}"))
         try:
-            self.tie()
+            self.plateau_budget()
         except ValueError as exc:
             errors.append(("tie_policy", str(exc)))
         try:
@@ -257,12 +257,16 @@ def _parse_seeds(text: str) -> list[int]:
     return out
 
 
-def _parse_tie(text: str) -> TiePolicy:
+def _parse_tie(text: str) -> int:
+    """The plateau budget of "halt" (0) or "drift:<steps>" (steps >= 1)."""
     text = text.strip()
     if text == "halt":
-        return TiePolicy.halt()
+        return 0
     if text.startswith("drift:"):
-        return TiePolicy.drift(int(text.split(":", 1)[1]))
+        budget = int(text.split(":", 1)[1])
+        if budget < 1:
+            raise ValueError("drift requires max_plateau_steps >= 1")
+        return budget
     raise ValueError(f"tie policy must be 'halt' or 'drift:<steps>', got {text!r}")
 
 
@@ -274,6 +278,23 @@ def _parse_init(text: str):
         body = text.split(":", 1)[1]
         return tuple(int(tok) for tok in body.split(",") if tok.strip())
     raise ValueError(f"init must be 'full', 'empty' or 'explicit:v1,v2,...', got {text!r}")
+
+
+_PARSERS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "str": (str, "")}
+
+
+def _field_value(cls, key: str, value: str):
+    """``value`` as the type of config field ``key`` of ``cls``; ConfigError
+    for an unknown key or a value that type cannot parse."""
+    ftype = next((f.type for f in dataclasses.fields(cls) if f.name == key), None)
+    if ftype is None:
+        raise ConfigError([(key, "unknown key")])
+    parse, what = _PARSERS[ftype]
+    try:
+        return parse(value)
+    except ValueError:
+        raise ConfigError([(key, f"not {what}: {value!r}")]) from None
 
 
 def parse_config_text(text: str) -> Union[ExperimentConfig, LandscapeConfig]:
@@ -294,23 +315,12 @@ def parse_config_text(text: str) -> Union[ExperimentConfig, LandscapeConfig]:
     cls = ExperimentConfig if task == "run" else LandscapeConfig
     if task not in ("run", "landscape"):
         raise ConfigError([("task", f"unknown task {task!r}")])
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    errors = []
+    kwargs, errors = {}, []
     for key, value in pairs.items():
-        if key not in fields:
-            errors.append((key, "unknown key"))
-            continue
-        ftype = fields[key].type
         try:
-            if ftype == "int":
-                kwargs[key] = int(value)
-            elif ftype == "float":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        except ValueError:
-            errors.append((key, f"cannot parse {value!r} as {ftype}"))
+            kwargs[key] = _field_value(cls, key, value)
+        except ConfigError as exc:
+            errors += exc.errors
     if errors:
         raise ConfigError(errors)
     config = cls(**kwargs)
@@ -433,7 +443,7 @@ def _peel_cell(stop_n2: int, c1: Optional[float], config: ExperimentConfig,
 
 def _coupled_cell(config: ExperimentConfig, seed: int):
     res = run_coupled_gd(config.n, config.k, config.gamma_param(),
-                         config.tie(), config.max_steps, seed,
+                         config.plateau_budget(), config.max_steps, seed,
                          init=config.init_value())
     row = {"seed": seed, **res.planted.summary_dict(),
            "tau": res.tau, "first_divergence": res.first_divergence,
@@ -503,24 +513,21 @@ def run_coupled_cells(config: ExperimentConfig) -> RunSummary:
 
 def run_sweep(config: ExperimentConfig, param: str,
               values: Sequence[str]) -> dict[str, RunSummary]:
-    """Run the experiment once per swept value of ``param`` (gamma or beta),
-    each into its own subdirectory of the config's output directory. Every
-    value is validated before any runs."""
-    if param not in ("gamma", "beta"):
-        raise ConfigError([("param", f"can only sweep gamma or beta, got {param!r}")])
+    """Run the experiment once per value of ``param``, any config field but
+    out_dir, each into its own subdirectory ``param=value`` of the config's
+    output directory. Values parse as in a config file, and every cell is
+    validated before any runs."""
+    if param == "out_dir":
+        raise ConfigError([("param", "out_dir names the sweep's own directories")])
     if param == "beta" and config.chain != "gibbs":
         raise ConfigError([("param", f"beta does nothing for chain = {config.chain}")])
+    if not values:
+        raise ConfigError([("values", "no values to sweep")])
     base = config.resolved_out_dir()
     cells = {}
     for value in values:
-        cell = dataclasses.replace(config, out_dir=str(base / f"{param}={value}"))
-        if param == "gamma":
-            cell.gamma = str(value)
-        else:
-            try:
-                cell.beta = float(value)
-            except ValueError:
-                raise ConfigError([("beta", f"not a number: {value!r}")]) from None
+        cell = dataclasses.replace(config, out_dir=str(base / f"{param}={value}"),
+                                   **{param: _field_value(type(config), param, value)})
         cell.validate()
         cells[str(value)] = cell
     return {value: run_experiment(cell) for value, cell in cells.items()}

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from plantedclique import (GammaParam, GibbsChain, GradientDescent, TiePolicy,
+from plantedclique import (GammaParam, GibbsChain, GradientDescent,
                            brute_force_min, enumerate_local_minima,
                            gen_contaminated, gen_er, gen_planted,
                            gibbs_probabilities, gibbs_step, gd_step,
@@ -87,10 +87,10 @@ def coupled_runs():
     """Coupled empty-init descents on (G0, G) at figure scale, one per seed.
 
     The planted side is the run ``run_chain(gen_planted(n, k, seed), "empty",
-    GradientDescent(TiePolicy.drift(1)), ...)`` would make (tests/test_chains.py
+    GradientDescent(1), ...)`` would make (tests/test_chains.py
     checks the identity), so criterion 2 reads it from here.
     """
-    return [run_coupled_gd(FIG_N, FIG_K, FIG_GAMMA, TiePolicy.drift(1),
+    return [run_coupled_gd(FIG_N, FIG_K, FIG_GAMMA, 1,
                            20000, seed) for seed in range(FIG_SEEDS)]
 
 
@@ -264,8 +264,7 @@ def test_criterion_6_exact_energy_sequences():
             apply_flip(state, int(v))
             fresh = init_state(g, np.flatnonzero(state.member), gam)
             if (state.scaled_energy != fresh.scaled_energy
-                    or state.internal_edges != fresh.internal_edges
-                    or not np.array_equal(state.deg_into, fresh.deg_into)):
+                    or not np.array_equal(state.key, fresh.key)):
                 ok = False
                 break
         if ok:  # independent cross-check against the pure-python recount

@@ -8,12 +8,13 @@ import pytest
 
 from plantedclique import (CoupledResult, GammaParam, GibbsChain,
                            GradientDescent, Graph, Move, SubsetState,
-                           TiePolicy, Trajectory, apply_flip, gd_step,
+                           Trajectory, apply_flip, gd_step,
                            gen_coupled, gen_er, gen_planted, gibbs_probabilities,
                            gibbs_step, init_state, local_min_check, replay,
                            run_chain, run_coupled_gd, run_peel, stream_rng,
                            verify_hamming_descent, verify_removal_phase)
 from plantedclique import graphs
+from plantedclique.harness import ConfigError, ExperimentConfig
 from plantedclique.chains import (TRAJECTORY_CSV_HEADER, _ChainDriver,
                                   _peel_step_u, _Uniforms)
 from plantedclique.graphs import CHAIN_STREAM
@@ -28,13 +29,16 @@ HOT_200 = 10 * math.log(200)  # low enough a temperature to hold the clique
 
 class TestTiePolicy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TiePolicy("drift", 0)
-        with pytest.raises(ValueError):
-            TiePolicy("halt", 2)
-        with pytest.raises(ValueError):
-            TiePolicy("wander", 1)
-        assert TiePolicy.drift(3).max_plateau_steps == 3
+        """The config's tie_policy is a plateau budget: halt 0, drift:<b> b >= 1."""
+        drift = "drift requires max_plateau_steps >= 1"
+        for text, message in (("drift:0", drift), ("drift:-2", drift), (
+                "wander", "tie policy must be 'halt' or 'drift:<steps>', got 'wander'")):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(tie_policy=text).validate()
+            assert err.value.errors == [("tie_policy", message)]
+        assert ExperimentConfig(tie_policy="halt").chain_kind() == GradientDescent(0)
+        assert ExperimentConfig(tie_policy="drift:3").chain_kind() == GradientDescent(3)
+        assert GradientDescent() == GradientDescent(0)
 
 
 class TestGdStep:
@@ -58,14 +62,14 @@ class TestGdStep:
         seen = set()
         for seed in range(40):
             state = init_state(ONE_EDGE3, [], GammaParam(2))
-            move, _ = gd_step(state, stream_rng(seed, 2), TiePolicy.drift(1))
+            move, _ = gd_step(state, stream_rng(seed, 2), 1)
             assert move.kind == "add" and move.scaled_delta == 0
             seen.add(move.vertex)
         assert seen == {0, 1, 2}  # uniform over all vertices
 
     def test_drift_budget_exhausted_halts(self):
         state = init_state(ONE_EDGE3, [], GammaParam(2))
-        move, _ = gd_step(state, stream_rng(1, 2), TiePolicy.drift(1),
+        move, _ = gd_step(state, stream_rng(1, 2), 1,
                           plateau_used=1)
         assert move.kind == "stay"
 
@@ -202,12 +206,12 @@ def gibbs_steps(beta, seed):
     return lambda state: gibbs_step(state, beta, rng)[0]
 
 
-def gd_steps(tie_policy, seed):
+def gd_steps(plateau_budget, seed):
     """The public ``gd_step``, one draw per step; None on absorption."""
     rng, plateau = stream_rng(seed, CHAIN_STREAM), [0]
 
     def step(state):
-        move, _ = gd_step(state, rng, tie_policy, plateau[0])
+        move, _ = gd_step(state, rng, plateau_budget, plateau[0])
         plateau[0] += move.kind != "stay" and move.scaled_delta == 0
         return None if move.kind == "stay" else move
     return step
@@ -326,15 +330,15 @@ class TestRunLengthTrajectory:
     the CSV must still give one row per recorded step."""
 
     @pytest.mark.parametrize("init, policy", [
-        ("full", TiePolicy.halt()), ("empty", TiePolicy.halt()),
-        ("empty", TiePolicy.drift(3)), ((0, 1, 40, 90), TiePolicy.drift(1))])
+        ("full", GradientDescent(0)), ("empty", GradientDescent(0)),
+        ("empty", GradientDescent(3)), ((0, 1, 40, 90), GradientDescent(1))])
     @pytest.mark.parametrize("record_every", [1, 3])
     def test_gd(self, init, policy, record_every):
         inst = gen_planted(150, 30, 4)
-        traj = run_chain(inst, init, GradientDescent(policy), GammaParam(4),
+        traj = run_chain(inst, init, policy, GammaParam(4),
                          5000, 4, record_every=record_every)
-        ref = reference_run(inst, init, GammaParam(4), gd_steps(policy, 4),
-                            5000, record_every)
+        ref = reference_run(inst, init, GammaParam(4),
+                            gd_steps(policy.plateau_budget, 4), 5000, record_every)
         assert traj.stay_rows.size == 0
         assert_rows_match(traj, ref, inst.labels)
 
@@ -374,12 +378,12 @@ class TestRunLengthTrajectory:
 
     @pytest.mark.parametrize("init", ["empty", "full"])
     def test_coupled_sides(self, init):
-        policy, gamma = TiePolicy.drift(1), GammaParam(4)
-        res = run_coupled_gd(150, 30, gamma, policy, 20000, 5, init=init)
+        budget, gamma = 1, GammaParam(4)
+        res = run_coupled_gd(150, 30, gamma, budget, 20000, 5, init=init)
         g0, inst = gen_coupled(150, 30, 5)
         for traj, graph in ((res.planted, inst.graph), (res.unplanted, g0)):
             ref = reference_run(dataclasses.replace(inst, graph=graph), init,
-                                gamma, gd_steps(policy, 5), 20000)
+                                gamma, gd_steps(budget, 5), 20000)
             assert_rows_match(traj, ref)
 
 
@@ -436,7 +440,7 @@ class TestRunChain:
     def test_absorbed_terminal_state_is_absorbing(self):
         inst = gen_planted(120, 12, 7)
         gam = GammaParam(4)
-        traj = run_chain(inst, "empty", GradientDescent(TiePolicy.drift(1)),
+        traj = run_chain(inst, "empty", GradientDescent(1),
                          gam, 2000, 7)
         assert traj.absorbed
         terminal = replay(inst, traj, gam)
@@ -477,7 +481,7 @@ class TestRunChain:
 
     def test_bare_graph_runs(self):
         g = gen_er(60, 11)
-        traj = run_chain(g, "empty", GradientDescent(TiePolicy.drift(1)),
+        traj = run_chain(g, "empty", GradientDescent(1),
                          GammaParam(4), 500, 11)
         assert traj.absorbed and not traj.reached_pc
         assert not traj.n1.any()
@@ -600,12 +604,12 @@ class _SharedDraw:
         return self.u
 
 
-def lockstep_coupled_gd(n, k, gamma, tie_policy, max_steps, seed, init):
+def lockstep_coupled_gd(n, k, gamma, plateau_budget, max_steps, seed, init):
     """Reference for ``run_coupled_gd``: one loop steps both drivers, hands
     draw t of CHAIN_STREAM to step t of each and compares the moves."""
     g0, instance = gen_coupled(n, k, seed)
     rng = stream_rng(seed, CHAIN_STREAM)
-    kind = GradientDescent(tie_policy)
+    kind = GradientDescent(plateau_budget)
     a = _ChainDriver(instance.graph, k, init, kind, gamma)
     b = _ChainDriver(g0, k, init, kind, gamma)
     tau = 0 if a.n1 > 0 else None
@@ -631,12 +635,12 @@ def lockstep_coupled_gd(n, k, gamma, tie_policy, max_steps, seed, init):
 class TestCoupled:
     def test_matches_the_lockstep_reference(self):
         seen = set()
-        for (n, k), seed, policy, init, max_steps, gamma in itertools.product(
+        for (n, k), seed, budget, init, max_steps, gamma in itertools.product(
                 ((16, 8), (60, 10), (150, 30)), range(3),
-                (TiePolicy.halt(), TiePolicy.drift(1), TiePolicy.drift(3)),
+                (0, 1, 3),
                 ("empty", "full"), (7, 20000),
                 (GammaParam(2), GammaParam(4), GammaParam(7, 2))):
-            args = (n, k, gamma, policy, max_steps, seed)
+            args = (n, k, gamma, budget, max_steps, seed)
             res = run_coupled_gd(*args, init=init)
             ref = lockstep_coupled_gd(*args, init)
             for f in dataclasses.fields(CoupledResult):
@@ -661,18 +665,18 @@ class TestCoupled:
         monkeypatch.setattr(graphs._CoinRows, "build", refuse)
         for init in ("empty", "full"):
             with pytest.raises(ValueError, match="max_steps"):
-                run_coupled_gd(60, 10, GammaParam(4), TiePolicy.drift(1), 0, 0,
+                run_coupled_gd(60, 10, GammaParam(4), 1, 0, 0,
                                init=init)
 
     def test_k1_trajectories_identical(self):
-        res = run_coupled_gd(40, 1, GammaParam(4), TiePolicy.drift(1), 500, 3)
+        res = run_coupled_gd(40, 1, GammaParam(4), 1, 500, 3)
         assert res.first_divergence is None
         assert res.identical_before_tau and res.identical_through_absorption
         assert moves(res.planted) == moves(res.unplanted)
 
     def test_identical_before_tau(self):
         for seed in range(8):
-            res = run_coupled_gd(150, 30, GammaParam(4), TiePolicy.drift(1),
+            res = run_coupled_gd(150, 30, GammaParam(4), 1,
                                  2000, seed)
             assert res.identical_before_tau
             # the planted chain touches the clique when its twin first does
@@ -680,10 +684,10 @@ class TestCoupled:
 
     def test_planted_side_is_the_empty_init_run(self):
         for seed in range(8):
-            res = run_coupled_gd(150, 30, GammaParam(4), TiePolicy.drift(1),
+            res = run_coupled_gd(150, 30, GammaParam(4), 1,
                                  2000, seed)
             alone = run_chain(gen_planted(150, 30, seed), "empty",
-                              GradientDescent(TiePolicy.drift(1)),
+                              GradientDescent(1),
                               GammaParam(4), 2000, seed)
             assert res.planted.csv_text() == alone.csv_text()
 
@@ -694,7 +698,7 @@ class TestCoupled:
 
     def test_tau_detection(self):
         # full init touches the clique immediately
-        res = run_coupled_gd(30, 5, GammaParam(4), TiePolicy.halt(), 100, 1,
+        res = run_coupled_gd(30, 5, GammaParam(4), 0, 100, 1,
                              init="full")
         assert res.tau == 0
 
@@ -748,9 +752,9 @@ class TestDeltaCacheUse:
 
     def test_gd_move_delta_is_the_energy_change(self):
         rng = stream_rng(1, 2)
-        policy = TiePolicy.drift(5)
+        budget = 5
         kinds = {m.kind for m in self._steps(
-            lambda st: gd_step(st, rng, policy)[0], init="empty")}
+            lambda st: gd_step(st, rng, budget)[0], init="empty")}
         assert "add" in kinds
 
     @pytest.mark.parametrize("max_stays", [1, 50])
@@ -777,8 +781,6 @@ class TestDeltaCacheUse:
             or real_best(self)))
         monkeypatch.setattr(SubsetState, "all_flip_deltas", lambda self: (
             pytest.fail("a gd step read every delta")))
-        monkeypatch.setattr(SubsetState, "deg_into", property(
-            lambda self: pytest.fail("a chain step derived every degree")))
         inst = gen_planted(400, 50, 2)
         traj = run_chain(inst, "full", GradientDescent(), GammaParam(4), 10**4, 2)
         assert traj.absorbed and traj.steps > 300
@@ -797,9 +799,11 @@ class TestDeltaCacheUse:
         inst = gen_planted(300, 50, 6)
         gam = GammaParam(4)
         traj = run_chain(inst, "full", GradientDescent(), gam, 10**4, 6)
-        monkeypatch.setattr(SubsetState, "deg_into", property(
-            lambda self: pytest.fail("a checker derived every degree")))
+        builds, real_deg_into = [], Graph.deg_into
+        monkeypatch.setattr(Graph, "deg_into", lambda self, member: (
+            builds.append(1) or real_deg_into(self, member)))
         rep = verify_removal_phase(inst, traj, gam, n2_threshold=60)
         assert rep.ok and rep.checked_steps > 100
         _, diag = run_peel(inst, stop=30, seed=6, c1=3.0)
         assert len(diag.retained) >= 45
+        assert len(builds) == 2  # each init_state's, then the keys

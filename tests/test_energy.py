@@ -5,11 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantedclique import (GammaParam, GradientDescent, apply_flip,
-                           delta_add, delta_remove, gen_er, gen_planted,
-                           init_state, run_chain)
+from plantedclique import (GammaParam, GradientDescent, apply_flip, gen_er,
+                           gen_planted, init_state, run_chain)
 
 from conftest import graph_from_edges, py_scaled_energy
+
+
+def flip_delta(state, x) -> int:
+    """Scaled energy change of flipping x, from a fresh build of U ^ {x}."""
+    member = state.member.copy()
+    member[x] = not member[x]
+    return (init_state(state.graph, member, state.gamma).scaled_energy
+            - state.scaled_energy)
+
+
+def edges_inside(state) -> int:
+    """|E(U)|, summed over the dense adjacency."""
+    return int(state.graph.to_dense()[np.ix_(state.member, state.member)].sum()) // 2
 
 
 class TestGammaParam:
@@ -49,14 +61,14 @@ class TestInitState:
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         edge = GammaParam(2**59 + 1, 2**59 - 1)  # (p + q_den) * 4 == 2**62
         state = init_state(g, range(3), edge)
-        flips = [delta_remove(state, x) for x in range(3)] + [delta_add(state, 3)]
+        flips = [flip_delta(state, x) for x in range(4)]
         assert state.all_flip_deltas().tolist() == flips
         with pytest.raises(ValueError, match="too fine"):
             init_state(g, [0], GammaParam(2**59 + 3, 2**59 - 1))
 
     def test_empty_subset(self):
         st_ = init_state(TRIANGLE, [], GammaParam(3))
-        assert st_.size == 0 and st_.internal_edges == 0
+        assert st_.size == 0 and edges_inside(st_) == 0
         assert st_.scaled_energy == 0
 
     def test_clique_energy(self):
@@ -92,22 +104,22 @@ class TestInitState:
 class TestDeltas:
     def test_add_from_empty_is_zero(self):
         st_ = init_state(TRIANGLE, [], GammaParam(2))
-        assert delta_add(st_, 0) == 0
+        assert st_.all_flip_deltas()[0] == flip_delta(st_, 0) == 0
 
     def test_add_worked_example(self):
         # gamma=3, |U|=4, deg=4 -> -4*4 + 3*4 = -4
         g = graph_from_edges(6, [(5, 0), (5, 1), (5, 2), (5, 3)])
         st_ = init_state(g, [0, 1, 2, 3], GammaParam(3))
-        assert delta_add(st_, 5) == -4
+        assert st_.all_flip_deltas()[5] == flip_delta(st_, 5) == -4
 
     def test_remove_singleton_is_zero(self):
         st_ = init_state(TRIANGLE, [4], GammaParam(2))
-        assert delta_remove(st_, 4) == 0
+        assert st_.all_flip_deltas()[4] == flip_delta(st_, 4) == 0
 
     def test_remove_worked_example(self):
         # gamma=2, |U|=3, deg=2 -> 3*2 - 2*2 = 2
         st_ = init_state(TRIANGLE, [0, 1, 2], GammaParam(2))
-        assert delta_remove(st_, 0) == 2
+        assert st_.all_flip_deltas()[0] == flip_delta(st_, 0) == 2
 
     def test_delta_matches_recompute(self, rng):
         g = gen_er(24, 9)
@@ -115,49 +127,37 @@ class TestDeltas:
         gam = GammaParam(7, 3)
         members = set(np.flatnonzero(rng.random(24) < 0.5).tolist())
         st_ = init_state(g, members, gam)
+        deltas = st_.all_flip_deltas()
         for x in range(24):
-            if x in members:
-                target = py_scaled_energy(dense, members - {x}, gam)
-                assert delta_remove(st_, x) == target - st_.scaled_energy
-            else:
-                target = py_scaled_energy(dense, members | {x}, gam)
-                assert delta_add(st_, x) == target - st_.scaled_energy
+            target = py_scaled_energy(dense, members ^ {x}, gam)
+            assert deltas[x] == target - st_.scaled_energy
 
     def test_vectorized_deltas_match_scalar(self, rng):
         g = gen_er(30, 2)
         st_ = init_state(g, np.flatnonzero(rng.random(30) < 0.4), GammaParam(9, 4))
         deltas = st_.all_flip_deltas()
         for x in range(30):
-            expected = delta_remove(st_, x) if st_.member[x] else delta_add(st_, x)
-            assert deltas[x] == expected
-
-    def test_wrong_side_rejected(self):
-        st_ = init_state(TRIANGLE, [0, 1], GammaParam(2))
-        with pytest.raises(ValueError):
-            delta_add(st_, 0)
-        with pytest.raises(ValueError):
-            delta_remove(st_, 5)
+            assert deltas[x] == flip_delta(st_, x)
 
 
 class TestApplyFlip:
     def test_involution(self):
         g = gen_er(20, 4)
         st_ = init_state(g, [1, 3, 5], GammaParam(3))
-        before = (st_.member.copy(), st_.size, st_.internal_edges,
-                  st_.deg_into.copy(), st_.scaled_energy)
+        before = (st_.member.copy(), st_.size, st_.key.copy(), st_.scaled_energy)
         apply_flip(apply_flip(st_, 7), 7)
         assert np.array_equal(st_.member, before[0])
-        assert (st_.size, st_.internal_edges) == (before[1], before[2])
-        assert np.array_equal(st_.deg_into, before[3])
-        assert st_.scaled_energy == before[4]
+        assert st_.size == before[1]
+        assert np.array_equal(st_.key, before[2])
+        assert st_.scaled_energy == before[3]
 
     def test_add_then_remove_restores_energy(self):
         st_ = init_state(TRIANGLE, [0, 1], GammaParam(5, 2))
         e0 = st_.scaled_energy
-        d = delta_add(st_, 2)
+        d = flip_delta(st_, 2)
         apply_flip(st_, 2)
         assert st_.scaled_energy == e0 + d
-        assert delta_remove(st_, 2) == -d
+        assert flip_delta(st_, 2) == st_.all_flip_deltas()[2] == -d
         apply_flip(st_, 2)
         assert st_.scaled_energy == e0
 
@@ -169,15 +169,17 @@ class TestApplyFlip:
             apply_flip(st_, x)
         full = init_state(g, range(33), gam)
         assert st_.scaled_energy == full.scaled_energy
-        assert st_.internal_edges == full.internal_edges
-        assert np.array_equal(st_.deg_into, full.deg_into)
+        assert edges_inside(st_) == g.num_edges()
+        assert np.array_equal(st_.key, full.key)
 
     def test_degree_sum_invariant(self, rng):
         g = gen_er(26, 8)
         st_ = init_state(g, [0, 4, 9], GammaParam(2))
         for x in rng.integers(0, 26, size=60):
             apply_flip(st_, int(x))
-            assert int(st_.deg_into[st_.member].sum()) == 2 * st_.internal_edges
+            deg = g.deg_into(st_.member)
+            assert int(deg[st_.member].sum()) == 2 * edges_inside(st_)
+            assert np.array_equal(st_.key, np.where(st_.member, deg, deg + 26))
 
 
 @settings(max_examples=120, deadline=None)
@@ -197,8 +199,7 @@ def test_incremental_energy_always_matches_recompute(seed, n, flips, gam_raw):
         apply_flip(state, v % n)
         fresh = init_state(g, np.flatnonzero(state.member), gam)
         assert state.scaled_energy == fresh.scaled_energy
-        assert state.internal_edges == fresh.internal_edges
-        assert np.array_equal(state.deg_into, fresh.deg_into)
+        assert np.array_equal(state.key, fresh.key)
 
 
 class TestDeltaCache:
@@ -219,8 +220,8 @@ class TestDeltaCache:
             apply_flip(state, x)
             fresh = init_state(g, state.member.copy(), gam)
             assert np.array_equal(state.all_flip_deltas(), fresh.all_flip_deltas())
-            assert np.array_equal(state.deg_into, g.deg_into(state.member))
-            assert state.internal_edges == fresh.internal_edges
+            deg = g.deg_into(state.member)
+            assert np.array_equal(state.key, np.where(state.member, deg, deg + n))
             assert state.scaled_energy == fresh.scaled_energy
 
     def test_copy_is_independent(self):

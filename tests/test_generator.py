@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantedclique import (GammaParam, TiePolicy, gen_contaminated, gen_coupled,
+from plantedclique import (GammaParam, gen_contaminated, gen_coupled,
                            gen_er, gen_planted, run_coupled_gd)
 from plantedclique import _pcg64, chains, graphs
 from plantedclique.graphs import EDGE_STREAM, stream_rng
@@ -110,7 +110,7 @@ def test_single_pairs_match_the_advanced_stream(n, seed, data):
     rng.bit_generator.advance(i * n - i * (i + 1) // 2 + j - i - 1)
     edge = rng.random() < 0.5
     graph = gen_er(n, seed)
-    assert graph.has_edge(i, j) == edge
+    assert graph.row01(i)[j] == edge
     assert graph.row01(j)[i] == edge
 
 
@@ -273,8 +273,7 @@ def test_coupled_run_at_n_1e5_draws_no_triangle(monkeypatch):
     monkeypatch.setattr(graphs, "_packed_coins", refuse)
     tracemalloc.start()
     try:
-        res = run_coupled_gd(10**5, 316, GammaParam(4), TiePolicy.drift(1),
-                             20000, 0)
+        res = run_coupled_gd(10**5, 316, GammaParam(4), 1, 20000, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -293,8 +292,8 @@ def test_coupled_run_on_lazy_rows_writes_the_packed_path_bytes(monkeypatch):
             pairs.append((path, g0, inst.graph))
             return g0, inst
         monkeypatch.setattr(chains, "gen_coupled", made)
-        runs[path] = [run_coupled_gd(400, 20, GammaParam(4), TiePolicy.drift(1),
-                                     5000, seed) for seed in range(6)]
+        runs[path] = [run_coupled_gd(400, 20, GammaParam(4), 1, 5000, seed)
+                      for seed in range(6)]
     # the twins' reads pass n/16 = 25 distinct rows in some lazy runs, so
     # those switch to the packed rows midway; the others never draw them
     stayed = [g0._rows is None and g._rows is None for path, g0, g in pairs

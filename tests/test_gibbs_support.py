@@ -229,18 +229,6 @@ def _two_compares(key, a, b):
     return (key <= a) | (key >= b)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_outside_is_the_two_compare_mask(n):
-    """The unsigned range compare equals the two compares for every (a, b)
-    around the keys, a + 1 <= 0 and b <= a + 1 included."""
-    key = np.concatenate([np.arange(2 * n), stream_rng(n, 9).integers(0, 2 * n, 50)])
-    key = key.astype(np.int32)
-    for a in range(-n - 2, 2 * n + 2):
-        for b in range(a - 3, 2 * n + 3):
-            assert np.array_equal(energy._outside(key, a, b),
-                                  _two_compares(key, a, b)), (a, b)
-
-
 def _crafted_states(count=30):
     """States of any keys a state can hold: members below n, the rest in
     [n, 2n); consistency with a graph does not matter to the scan."""

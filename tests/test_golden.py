@@ -66,6 +66,10 @@ CALLS = {
     "sweep-gamma": ({"cfg": RUN_CONFIG.format(**{**GD_FULL, "seeds": "0..1"})},
                     ["sweep", "--config", "exp.cfg", "--param", "gamma",
                      "--values", "2,9/2"]),
+    # the k=20 cell is run-gd-full, written into its own directory
+    "sweep-k": ({"cfg": RUN_CONFIG.format(**GD_FULL)},
+                ["sweep", "--config", "exp.cfg", "--param", "k",
+                 "--values", "15,20"]),
     "peel": ({}, ["peel", "--n", "100", "--k", "20", "--seeds", "0..1",
                   "--stop-n2", "8", "--out-dir", "out"]),
     "peel-contaminated-c1": ({}, ["peel", "--n", "120", "--k", "20", "--m",
@@ -282,6 +286,24 @@ GOLDEN = {
         'gamma=9/2/traj_s1.csv':
             'c717c0a37bedb941872eef2d6cbc03a3677d14806b1a0dd2b58a6cfe793413a5',
     },
+    'sweep-k': {
+        'k=15/summary.json':
+            'baed28ce6cb552d88a6d21b60611d782e501d4de16e4c53729a5167d354292c2',
+        'k=15/traj_s0.csv':
+            '6472cd5d395003f30600f7f2b523beef14377fbebd5b68223d3eac320788a3e0',
+        'k=15/traj_s1.csv':
+            '01e6fc55d69c19a3fbe12424d6785d76ddef269188c61e3488a2faed3ddf2e2c',
+        'k=15/traj_s2.csv':
+            'e50ef96e8af6815ba35aa1b2d8cf170dcd13eab1111285f768b3addfdc9f4e9a',
+        'k=20/summary.json':
+            '76e4f51afbd675b71870268bf356ded051cf7db978d9a00af154bc056fef3488',
+        'k=20/traj_s0.csv':
+            '9f03a14b57847fc6d5eecf1687833d24979793f4063379c90c4ebfa3bd9ef673',
+        'k=20/traj_s1.csv':
+            '0c05002c3a4465baf25df0e44203e3b6145e50fe397a2fb7a8839558ad1cc021',
+        'k=20/traj_s2.csv':
+            '4c4db947da9e8a22be42e85faae1d604be0dbced45eb6a754e4aac0d8e8fb2a4',
+    },
 }
 
 
@@ -296,6 +318,12 @@ def test_jobs_change_only_the_params_echo():
     serial, parallel = GOLDEN["run-gd-full"], GOLDEN["run-jobs-2"]
     assert serial.keys() == parallel.keys()
     assert [k for k in serial if serial[k] != parallel[k]] == ["summary.json"]
+
+
+def test_sweep_cell_is_the_plain_run():
+    plain, cell = GOLDEN["run-gd-full"], GOLDEN["sweep-k"]
+    assert {f"k=20/{name}": d for name, d in plain.items()
+            if name != "summary.json"}.items() <= cell.items()
 
 
 def packed_graphs(model, n, k, m, q, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from plantedclique import (ConfigError, ExperimentConfig, LandscapeConfig,
                            load_graph, load_preset, parse_config, preset_names,
                            run_experiment, run_landscape, run_sweep,
                            write_config)
+from plantedclique import harness
 from plantedclique.cli import main
 from plantedclique.harness import (RunSummary, config_text, parse_config_text,
                                    run_coupled_cells, run_peel_cells)
@@ -175,8 +177,52 @@ class TestRunExperiment:
             assert json.loads((d / "summary.json").read_text())["params"]["gamma"] == value
 
     def test_sweep_rejects_other_params(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_sweep(tiny_config(tmp_path), "n", ["10"])
+        # any config field but out_dir, which names the sweep's directories
+        for param in ("out_dir", "nodes"):
+            with pytest.raises(ConfigError) as err:
+                run_sweep(tiny_config(tmp_path), param, ["10"])
+            assert [f for f, _ in err.value.errors] == [
+                "param" if param == "out_dir" else param]
+        with pytest.raises(ConfigError, match="no values"):
+            run_sweep(tiny_config(tmp_path), "k", [])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("param, values, overrides", [
+        ("k", {"12": 12, "30": 30}, {}),
+        ("q", {"0.6": 0.6, "0.75": 0.75}, dict(model="contaminated", m=20, q=0.5)),
+        ("n", {"120": 120}, {}),
+    ])
+    def test_sweep_cell_matches_a_plain_run(self, tmp_path, param, values,
+                                            overrides):
+        cfg = tiny_config(tmp_path, seeds="0..1", **overrides)
+        swept = run_sweep(cfg, param, list(values))
+        assert list(swept) == list(values)
+        for text, value in values.items():
+            plain_dir = tmp_path / "plain" / text
+            plain = run_experiment(dataclasses.replace(
+                cfg, out_dir=str(plain_dir), **{param: value}))
+            cell_dir = tmp_path / "out" / f"{param}={text}"
+            assert swept[text].rows == plain.rows
+            names = sorted(p.name for p in plain_dir.iterdir())
+            assert sorted(p.name for p in cell_dir.iterdir()) == names
+            for name in names:
+                if name != "summary.json":
+                    assert ((cell_dir / name).read_bytes()
+                            == (plain_dir / name).read_bytes()), name
+            got, want = (json.loads((d / "summary.json").read_text())
+                         for d in (cell_dir, plain_dir))
+            assert got["params"] == {**want["params"], "out_dir": str(cell_dir)}
+            assert got["params"][param] == value
+            assert (got["rows"], got["aggregates"]) == (want["rows"], want["aggregates"])
+
+    def test_sweep_values_parse_as_their_field(self, tmp_path):
+        cfg = tiny_config(tmp_path, seeds="0")
+        with pytest.raises(ConfigError) as err:
+            run_sweep(cfg, "k", ["12", "1.5"])
+        assert err.value.errors == [("k", "not an integer: '1.5'")]
+        with pytest.raises(ConfigError, match="need 1 <= k <= n"):
+            run_sweep(cfg, "k", ["12", "151"])
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_beta_rejected_for_gd(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -333,6 +379,18 @@ class TestCli:
         assert "config error: gamma" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("param, values, field", [
+        ("out_dir", "a,b", "param"), ("nodes", "10", "nodes"), ("k", ",", "values"),
+        ("k", " , ", "values")])
+    def test_sweep_verb_refuses_before_running(self, tmp_path, capsys, param,
+                                               values, field):
+        path = tmp_path / "exp.cfg"
+        write_config(path, tiny_config(tmp_path, seeds="0"))
+        assert main(["sweep", "--config", str(path), "--param", param,
+                     "--values", values]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_beta_values_must_be_numbers(self, tmp_path):
         cfg = tiny_config(tmp_path, chain="gibbs", beta=1.0, seeds="0")
         with pytest.raises(ConfigError, match="not a number"):
@@ -433,6 +491,36 @@ class TestCli:
         with pytest.raises(ConfigError, match="model = planted"):
             run_coupled_cells(cfg)
         assert not Path(cfg.out_dir).exists()
+
+    @pytest.mark.parametrize("flags", [["--n", "20", "--seeds", "0"],
+                                       ["--mode", "kappa"], ["--budget", "10"]])
+    @pytest.mark.parametrize("source", ["preset", "config"])
+    def test_landscape_model_flags_refuse_a_config(self, tmp_path, capsys,
+                                                   flags, source):
+        # one source of model values: a flag next to a config would go unread
+        out = tmp_path / "l"
+        path = tmp_path / "l.cfg"
+        write_config(path, LandscapeConfig(seeds="0"))
+        given = ["--preset", "landscape-n12"] if source == "preset" else [
+            "--config", str(path)]
+        assert main(["landscape", *given, *flags, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        for flag in flags[::2]:
+            assert f"config error: {flag[2:]}: this flag cannot be combined" in err
+        assert not out.exists()
+        if source == "config":  # --out-dir alone still joins a config
+            assert main(["landscape", *given, "--out-dir", str(out)]) == 0
+            assert (out / "brute_force.csv").exists()
+
+    def test_landscape_flags_fill_the_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(harness, "run_landscape", lambda cfg: seen.append(cfg) or [])
+        assert main(["landscape"]) == 0
+        assert main(["landscape", "--k", "5", "--m-values", "3", "--mode", "scan",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert seen == [LandscapeConfig(),
+                        LandscapeConfig(k=5, m_values="3", mode="scan",
+                                        out_dir=str(tmp_path))]
 
     def test_landscape_verb_kappa(self, tmp_path):
         rc = main(["landscape", "--mode", "kappa", "--gammas", "2,3",
