@@ -293,20 +293,15 @@ def _peel_step_u(state: SubsetState, u: float) -> Move:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_init(init, n: int) -> tuple[np.ndarray, Union[str, tuple]]:
+def _resolve_init(init, n: int):
+    """The initial members (a mask, or vertices ``init_state`` checks) and
+    the init's spec."""
     if isinstance(init, str):
-        if init == "full":
-            return np.ones(n, dtype=bool), "full"
-        if init == "empty":
-            return np.zeros(n, dtype=bool), "empty"
+        if init in ("full", "empty"):
+            return np.full(n, init == "full"), init
         raise ValueError(f"unknown init {init!r} (use 'full', 'empty' or vertices)")
-    members = np.zeros(n, dtype=bool)
     verts = tuple(sorted(set(int(v) for v in init)))
-    for v in verts:
-        if not 0 <= v < n:
-            raise ValueError(f"init vertex {v} out of range")
-        members[v] = True
-    return members, verts
+    return verts, verts
 
 
 class _ChainDriver:
@@ -319,7 +314,7 @@ class _ChainDriver:
         members, self.init_spec = _resolve_init(init, graph.n)
         self.state = init_state(graph, members, gamma)
         self.kind, self.k, self.record_every = kind, k, record_every
-        self.n1 = int(np.count_nonzero(members[:k]))
+        self.n1 = int(np.count_nonzero(self.state.member[:k]))
         self.n2 = self.state.size - self.n1
         self.plateau_used = self.steps = self.pc_run = 0
         self.absorbed, self.pending = False, None  # pending: the last move, without a row
@@ -550,17 +545,15 @@ def run_coupled_gd(n: int, k: int, gamma: GammaParam, plateau_budget: int,
 
 
 def replay(instance_graph: Union[Graph, PlantedInstance], trajectory: Trajectory,
-           gamma: GammaParam, upto: Optional[int] = None) -> SubsetState:
-    """Rebuild the state at step ``upto`` (default: terminal) by replaying the
-    trajectory's moves. Requires every move (``record_every`` 1)."""
+           gamma: GammaParam) -> SubsetState:
+    """Rebuild the terminal state by replaying the trajectory's moves.
+    Requires every move (``record_every`` 1)."""
     graph = instance_graph.graph if isinstance(instance_graph, PlantedInstance) else instance_graph
     members, _ = _resolve_init(trajectory.init_spec, graph.n)
     state = init_state(graph, members, gamma)
     for t, x, energy in zip(trajectory.move_t[1:].tolist(),
                             trajectory.move_vertex[1:].tolist(),
                             trajectory.move_energy[1:]):
-        if upto is not None and t > upto:
-            break
         apply_flip(state, x)
         if state.scaled_energy != energy:
             raise AssertionError(f"replay diverged at step {t}")

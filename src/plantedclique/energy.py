@@ -59,10 +59,6 @@ class GammaParam:
         return cls(frac.numerator, frac.denominator)
 
     @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q_den)
-
-    @property
     def kappa(self) -> Fraction:
         """Degree-density threshold gamma / (1 + gamma) = p / (p + q_den)."""
         return Fraction(self.p, self.p + self.q_den)
@@ -103,14 +99,6 @@ class SubsetState:
                  size: int, key: np.ndarray, scaled_energy: int):
         self.graph, self.gamma, self.member = graph, gamma, member
         self.size, self.key, self.scaled_energy = size, key, scaled_energy
-
-    def copy(self) -> "SubsetState":
-        return SubsetState(self.graph, self.gamma, self.member.copy(),
-                           self.size, self.key.copy(), self.scaled_energy)
-
-    def energy(self) -> Fraction:
-        """Unscaled H(U) as an exact rational."""
-        return Fraction(self.scaled_energy, self.gamma.q_den)
 
     def _delta_at(self, key: int) -> int:
         """Scaled delta of flipping a vertex whose key is ``key``."""

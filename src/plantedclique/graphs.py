@@ -242,11 +242,6 @@ class PlantedInstance:
         """Planted clique in internal labels (always 0..k-1)."""
         return np.arange(self.k)
 
-    @property
-    def v_set(self) -> np.ndarray:
-        m = self.contamination.m if self.contamination else 0
-        return np.arange(self.k, self.k + m)
-
     def validate(self) -> None:
         """Raise ValueError unless 0..k-1 is a clique and labels a bijection."""
         rows = self.graph.packed_rows[: self.k]

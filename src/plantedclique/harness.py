@@ -24,8 +24,8 @@ from .chains import (GibbsChain, GradientDescent, run_chain, run_coupled_gd,
                      run_peel)
 from .energy import GammaParam
 from .graphs import gen_contaminated, gen_er, gen_planted
-from .landscape import (binary_entropy, brute_force_min, check_sample_rate,
-                        enumerate_local_minima)
+from .landscape import (_BRUTE_FORCE_LIMIT, binary_entropy, brute_force_min,
+                        check_sample_rate, enumerate_local_minima)
 
 __all__ = ["ExperimentConfig", "LandscapeConfig", "RunSummary", "ConfigError",
            "parse_config", "parse_config_text", "write_config", "config_text",
@@ -219,8 +219,8 @@ class LandscapeConfig(_Config):
                 errors.append(("gammas", str(exc)))
         elif not 1 <= self.k <= self.n:
             errors.append(("k", f"need 1 <= k <= n"))
-        if self.mode == "brute" and self.n > 24:
-            errors.append(("n", "brute mode is limited to n <= 24"))
+        if self.mode == "brute" and self.n > _BRUTE_FORCE_LIMIT:
+            errors.append(("n", f"brute mode is limited to n <= {_BRUTE_FORCE_LIMIT}"))
         if self.mode == "scan":
             try:
                 if not self.m_list():
@@ -387,7 +387,7 @@ class RunSummary:
         }
 
 
-def build_instance(config: ExperimentConfig, seed: int):
+def build_instance(config: Union[ExperimentConfig, LandscapeConfig], seed: int):
     """The config's graph (er) or planted instance for one seed."""
     if config.model == "er":
         return gen_er(config.n, seed)
@@ -397,8 +397,8 @@ def build_instance(config: ExperimentConfig, seed: int):
 
 
 # A cell maps (config, seed) to (seed, summary row, {file name: text}); cells
-# are module-level so worker pools can pickle them. Every row carries the
-# tau, first_divergence and retained_count keys, None where they do not apply.
+# are module-level so worker pools can pickle them. Every run-config row carries
+# the tau, first_divergence and retained_count keys, None where they do not apply.
 
 
 def _run_cell(config: ExperimentConfig, seed: int):
@@ -454,15 +454,16 @@ def _coupled_cell(config: ExperimentConfig, seed: int):
                        f"coupled_unplanted_s{seed}.csv": res.unplanted.csv_text()}
 
 
-def _run_cells(config: ExperimentConfig, cell) -> RunSummary:
-    """Run ``cell`` for every seed, in parallel when jobs > 1, then write
-    each cell's files and one summary.json of the rows. Results are merged
-    in seed order, so parallel and serial outputs are identical."""
+def _run_cells(config, cell, jobs: int = 1) -> list:
+    """Run ``cell`` for every seed, in a pool of ``jobs`` workers when > 1,
+    then create the output directory and write each cell's files; returns
+    the rows. Results are merged in seed order, so parallel and serial
+    outputs are identical, and a seed that fails leaves nothing written."""
     config.validate()
     seeds = config.seed_list()
-    if config.jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~14 ms: only for a pool
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(cell, [config] * len(seeds), seeds))
     else:
         results = [cell(config, s) for s in seeds]
@@ -473,21 +474,28 @@ def _run_cells(config: ExperimentConfig, cell) -> RunSummary:
         rows.append(row)
         for name, text in files.items():
             (out_dir / name).write_text(text)
+    return rows
+
+
+def _summary_json(config, **body) -> str:
+    """summary.json text: the creation time, the config echo, then ``body``."""
+    return json.dumps({"created": datetime.now(timezone.utc).isoformat(),
+                       "params": dataclasses.asdict(config), **body}, indent=2) + "\n"
+
+
+def _run_summary(config: ExperimentConfig, cell) -> RunSummary:
+    """Run the cells and add one summary.json of their rows."""
+    rows = _run_cells(config, cell, config.jobs)
     aggregates = RunSummary.compute_aggregates(rows)
-    payload = {
-        "created": datetime.now(timezone.utc).isoformat(),
-        "params": dataclasses.asdict(config),
-        "rows": rows,
-        "aggregates": aggregates,
-    }
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (config.resolved_out_dir() / "summary.json").write_text(
+        _summary_json(config, rows=rows, aggregates=aggregates))
     return RunSummary(rows, aggregates)
 
 
 def run_experiment(config: ExperimentConfig) -> RunSummary:
     """Run the config's chain on every seed; writes traj_s<seed>.csv per
     seed plus summary.json."""
-    return _run_cells(config, _run_cell)
+    return _run_summary(config, _run_cell)
 
 
 def run_peel_cells(config: ExperimentConfig, stop_n2: int, c1: Optional[float]
@@ -499,7 +507,7 @@ def run_peel_cells(config: ExperimentConfig, stop_n2: int, c1: Optional[float]
         errors.append(("c1", f"c1 must be finite, got {c1}"))
     if errors:
         raise ConfigError(errors)
-    return _run_cells(config, functools.partial(_peel_cell, stop_n2, c1))
+    return _run_summary(config, functools.partial(_peel_cell, stop_n2, c1))
 
 
 def run_coupled_cells(config: ExperimentConfig) -> RunSummary:
@@ -508,7 +516,7 @@ def run_coupled_cells(config: ExperimentConfig) -> RunSummary:
     if config.model != "planted":
         raise ConfigError([("model", f"coupled runs need model = planted, "
                                      f"got {config.model!r}")])
-    return _run_cells(config, _coupled_cell)
+    return _run_summary(config, _coupled_cell)
 
 
 def run_sweep(config: ExperimentConfig, param: str,
@@ -537,67 +545,57 @@ def run_sweep(config: ExperimentConfig, param: str,
 # Landscape scans
 # ---------------------------------------------------------------------------
 
-SCAN_CSV_HEADER = "m,count_or_estimate,stderr,predicted_exponent,kappa,h_kappa,n,gamma"
+def _brute_cell(config: LandscapeConfig, seed: int):
+    instance = build_instance(config, seed)
+    best, argmins = brute_force_min(instance.graph, config.gamma_param())
+    pc = frozenset(range(config.k))
+    row = {"seed": seed, "min_scaled_energy": best, "n_argmins": len(argmins),
+           "argmin_is_pc": len(argmins) == 1 and argmins[0] == pc,
+           "argmin_contains_pc": len(argmins) == 1 and pc <= argmins[0]}
+    return seed, row, {}
+
+
+def _scan_cell(config: LandscapeConfig, seed: int):
+    """Local-minima counts of one seed's instance across the subset sizes;
+    the row is a list, one dict per size."""
+    instance = build_instance(config, seed)
+    gamma = config.gamma_param()
+    kappa = float(gamma.kappa)
+    h_kappa = binary_entropy(kappa)
+    rows, text = [], "m,count_or_estimate,stderr,predicted_exponent,kappa,h_kappa,n,gamma\n"
+    for m in config.m_list():
+        found, est = enumerate_local_minima(instance.graph, m, instance.pc, gamma,
+                                            config.budget, seed=seed)
+        pred = "" if est.predicted_exponent is None else f"{est.predicted_exponent:.6g}"
+        text += (f"{m},{est.count_estimate:.6g},{est.stderr:.6g},{pred},"
+                 f"{kappa:.6g},{h_kappa:.6g},{config.n},{gamma}\n")
+        rows.append({"seed": seed, "m": m, "found": len(found),
+                     "count_estimate": est.count_estimate, "stderr": est.stderr,
+                     "predicted_exponent": est.predicted_exponent,
+                     "sampled": est.sampled})
+    return seed, rows, {f"scan_s{seed}.csv": text}
 
 
 def run_landscape(config: LandscapeConfig) -> list[dict]:
     """Drive the landscape module per the config's mode; returns the rows it
-    wrote (one dict per CSV row)."""
-    config.validate()
+    wrote (one dict per CSV row). Brute and scan run one cell per seed."""
+    if config.mode == "scan":
+        return [row for rows in _run_cells(config, _scan_cell) for row in rows]
+    if config.mode == "brute":
+        rows = _run_cells(config, _brute_cell)
+        out_dir = config.resolved_out_dir()
+        lines = [",".join(rows[0])]  # the header is the row keys
+        lines += [",".join(str(int(v)) for v in r.values()) for r in rows]
+        (out_dir / "brute_force.csv").write_text("\n".join(lines) + "\n")
+        freq = sum(r["argmin_is_pc"] for r in rows) / len(rows)
+        (out_dir / "brute_force_summary.json").write_text(
+            _summary_json(config, unique_pc_frequency=freq, rows=len(rows)))
+        return rows
+    config.validate()  # kappa mode: one table, no seeds
+    rows = [{"gamma": str(g), "kappa": str(g.kappa), "h_kappa": binary_entropy(float(g.kappa))}
+            for g in config.gamma_list()]
     out_dir = config.resolved_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if config.mode == "kappa":
-        rows = []
-        with open(out_dir / "kappa_table.csv", "w") as f:
-            f.write("gamma,kappa,h_kappa\n")
-            for g in config.gamma_list():
-                h = binary_entropy(float(g.kappa))
-                f.write(f"{g},{g.kappa},{h:.12g}\n")
-                rows.append({"gamma": str(g), "kappa": str(g.kappa), "h_kappa": h})
-        return rows
-
-    gamma = config.gamma_param()
-    if config.mode == "brute":
-        rows = []
-        pc = frozenset(range(config.k))
-        with open(out_dir / "brute_force.csv", "w") as f:
-            f.write("seed,min_scaled_energy,n_argmins,argmin_is_pc,argmin_contains_pc\n")
-            for seed in config.seed_list():
-                instance = gen_planted(config.n, config.k, seed)
-                best, argmins = brute_force_min(instance.graph, gamma)
-                unique_pc = len(argmins) == 1 and argmins[0] == pc
-                contains = len(argmins) == 1 and pc <= argmins[0]
-                f.write(f"{seed},{best},{len(argmins)},{int(unique_pc)},{int(contains)}\n")
-                rows.append({"seed": seed, "min_scaled_energy": best,
-                             "n_argmins": len(argmins), "argmin_is_pc": unique_pc,
-                             "argmin_contains_pc": contains})
-        freq = sum(r["argmin_is_pc"] for r in rows) / len(rows)
-        (out_dir / "brute_force_summary.json").write_text(json.dumps({
-            "created": datetime.now(timezone.utc).isoformat(),
-            "params": dataclasses.asdict(config),
-            "unique_pc_frequency": freq,
-            "rows": len(rows),
-        }, indent=2) + "\n")
-        return rows
-
-    # mode == "scan": per-seed CSV of local-minima counts across sizes
-    h_kappa = binary_entropy(float(gamma.kappa))
-    all_rows = []
-    for seed in config.seed_list():
-        instance = gen_planted(config.n, config.k, seed)
-        with open(out_dir / f"scan_s{seed}.csv", "w") as f:
-            f.write(SCAN_CSV_HEADER + "\n")
-            for m in config.m_list():
-                found, est = enumerate_local_minima(
-                    instance.graph, m, instance.pc, gamma, config.budget,
-                    seed=seed)
-                pred = "" if est.predicted_exponent is None else f"{est.predicted_exponent:.6g}"
-                f.write(f"{m},{est.count_estimate:.6g},{est.stderr:.6g},{pred},"
-                        f"{float(gamma.kappa):.6g},{h_kappa:.6g},{config.n},{gamma}\n")
-                all_rows.append({"seed": seed, "m": m, "found": len(found),
-                                 "count_estimate": est.count_estimate,
-                                 "stderr": est.stderr,
-                                 "predicted_exponent": est.predicted_exponent,
-                                 "sampled": est.sampled})
-    return all_rows
+    (out_dir / "kappa_table.csv").write_text("gamma,kappa,h_kappa\n" + "".join(
+        f"{r['gamma']},{r['kappa']},{r['h_kappa']:.12g}\n" for r in rows))
+    return rows

@@ -193,8 +193,9 @@ def test_criterion_4_zero_temperature_consistency():
                 continue  # argmin not unique across the n+1 candidates
             beta = 50 * gam.q_den * math.log(n + 1)
             seed = int(rng.integers(0, 2**63))
-            move_gd, _ = gd_step(state.copy(), stream_rng(seed, 2))
-            move_gb, _ = gibbs_step(state.copy(), beta, stream_rng(seed, 2))
+            move_gb, _ = gibbs_step(init_state(g, members, gam), beta,
+                                    stream_rng(seed, 2))
+            move_gd, _ = gd_step(state, stream_rng(seed, 2))
             trials += 1
             agree += move_gd == move_gb
     rate = agree / trials

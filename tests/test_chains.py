@@ -394,6 +394,15 @@ class TestRunChain:
         assert traj.absorbed and traj.steps == 0
         assert traj.reached_pc and traj.first_pc_step == 0
 
+    @pytest.mark.parametrize("init, message", [
+        ("half", "unknown init 'half'"), ((3, 30), "vertex out of range"),
+        ((-1, 2), "vertex out of range")], ids=["string", "past-n", "negative"])
+    def test_bad_init_is_rejected(self, init, message):
+        # the init string is checked by the driver, its vertices by init_state
+        inst = gen_planted(30, 5, 0)
+        with pytest.raises(ValueError, match=message):
+            run_chain(inst, init, GradientDescent(), GammaParam(4), 10, 0)
+
     def test_small_planted_success(self):
         ok = 0
         for seed in range(5):
@@ -452,6 +461,9 @@ class TestRunChain:
         traj = run_chain(inst, range(10), GradientDescent(), GammaParam(3), 50, 1)
         assert traj.n1[0] == 10 and traj.n2[0] == 0
         assert traj.first_pc_step == 0
+        # unsorted, repeated vertices: counted once, from the built state
+        traj = run_chain(inst, (4, 3, 20, 3), GradientDescent(), GammaParam(3), 50, 1)
+        assert (traj.n1[0], traj.n2[0], traj.init_spec) == (2, 1, (3, 4, 20))
 
     def test_max_steps_reported_not_raised(self):
         inst = gen_planted(100, 15, 3)

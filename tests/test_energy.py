@@ -98,7 +98,7 @@ class TestInitState:
         st_ = init_state(inst.graph, range(9), gam)
         # the clique is complete, so H(PC) = -C(k,2), scaled by q_den
         assert st_.scaled_energy == -gam.q_den * (9 * 8 // 2)
-        assert st_.energy() == Fraction(-36)
+        assert Fraction(st_.scaled_energy, gam.q_den) == Fraction(-36)
 
 
 class TestDeltas:
@@ -224,10 +224,10 @@ class TestDeltaCache:
             assert np.array_equal(state.key, np.where(state.member, deg, deg + n))
             assert state.scaled_energy == fresh.scaled_energy
 
-    def test_copy_is_independent(self):
+    def test_rebuilt_state_is_independent(self):
         g = gen_er(70, 1)
         state = init_state(g, range(0, 70, 2), GammaParam(7, 2))
-        twin = state.copy()
+        twin = init_state(state.graph, state.member, state.gamma)
         before = (state.member.copy(), state.all_flip_deltas().copy(),
                   state.size, state.scaled_energy)
         for x in (1, 2, 69):

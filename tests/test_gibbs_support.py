@@ -94,7 +94,7 @@ def test_every_move_matches_the_dense_path(n, gamma, max_stays):
         for init in inits(n, NS[n]):
             members = {"full": range(n), "empty": ()}.get(init, init)
             a = init_state(inst.graph, members, gamma)
-            b = a.copy()
+            b = init_state(inst.graph, members, gamma)
             ra = _Uniforms(stream_rng(5, CHAIN_STREAM))
             rb = _Uniforms(stream_rng(5, CHAIN_STREAM))
             for _ in range(40):
@@ -205,7 +205,8 @@ def test_steps_match_at_critical_draws():
             for r in _critical_draws(probs):
                 if r >= probs[0]:
                     clamped += acc.searchsorted(r - probs[0], side="right") >= n
-                a, b = state.copy(), state.copy()
+                a = init_state(state.graph, state.member, state.gamma)
+                b = init_state(state.graph, state.member, state.gamma)
                 move, _ = gibbs_step(a, beta, _Draws([r]))
                 ref, _ = dense_step(b, beta, _Draws([r]))
                 assert move == ref, (beta, r)
@@ -313,14 +314,21 @@ def _beta_for_scale(scale, q, above):
     return beta
 
 
+def _twin(state):
+    """An independent state with the same fields. Crafted states hold keys
+    that no graph gives, so ``init_state`` cannot rebuild them."""
+    return SubsetState(state.graph, state.gamma, state.member.copy(), state.size,
+                       state.key.copy(), state.scaled_energy)
+
+
 def _assert_steps_match(state, beta):
     """Totals, probabilities and the moves at every critical draw equal the
     reference's."""
-    weights, total, _, _ = reference_gibbs_support(state.copy(), beta)
+    weights, total, _, _ = reference_gibbs_support(_twin(state), beta)
     assert chains._gibbs_support(state, beta)[1] == total
     assert np.array_equal(gibbs_probabilities(state, beta), weights / total)
     for r in _critical_draws(weights / total):
-        a, b = state.copy(), state.copy()
+        a, b = _twin(state), _twin(state)
         move, _ = gibbs_step(a, beta, _Draws([r]))
         ref, _ = reference_gibbs_step(b, beta, _Draws([r]))
         assert move == ref and a.scaled_energy == b.scaled_energy, (beta, r)
@@ -344,7 +352,7 @@ def test_runs_and_moves_match_the_reference(n, monkeypatch):
             assert traj.summary_dict() == ref.summary_dict()
             members = {"full": range(n), "empty": ()}.get(init, init)
             a = init_state(inst.graph, members, gamma)
-            b = a.copy()
+            b = init_state(inst.graph, members, gamma)
             ra = _Uniforms(stream_rng(5, CHAIN_STREAM))
             rb = _Uniforms(stream_rng(5, CHAIN_STREAM))
             for _ in range(30):

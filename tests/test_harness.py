@@ -27,6 +27,14 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+RUN_BASE = dict(task="run", n="100", k="10", seeds="0")
+LANDSCAPE_BASE = dict(task="landscape", mode="brute", n="12", k="8", seeds="0")
+
+
+def config_lines(base, **overrides) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in {**base, **overrides}.items())
+
+
 class TestConfigFormat:
     def test_round_trip_is_lossless(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds="0,2,5", tie_policy="drift:2",
@@ -71,6 +79,35 @@ class TestConfigFormat:
             cfg.validate()
         fields = {f for f, _ in err.value.errors}
         assert {"n", "gamma", "max_steps", "seeds", "tie_policy"} <= fields
+
+    @pytest.mark.parametrize("task, overrides, field", [
+        ("run", dict(version="2"), "version"),
+        ("run", dict(task="peel"), "task"),
+        ("run", dict(model="ring"), "model"),
+        ("run", dict(m="5"), "m"),
+        ("run", dict(chain="metropolis"), "chain"),
+        ("run", dict(chain="gibbs", beta="inf"), "beta"),
+        ("run", dict(init="half"), "init"),
+        ("run", dict(init="explicit:1,100"), "init"),
+        ("run", dict(hold_window="-1"), "hold_window"),
+        ("run", dict(record_every="0"), "record_every"),
+        ("run", dict(seeds="a..b"), "seeds"),
+        ("run", dict(seeds="5..3"), "seeds"),
+        ("landscape", dict(version="2"), "version"),
+        ("landscape", dict(mode="sideways"), "mode"),
+        ("landscape", dict(mode="kappa", gammas=""), "gammas"),
+        ("landscape", dict(mode="kappa", gammas="2,x"), "gammas"),
+        ("landscape", dict(k="0"), "k"),
+        ("landscape", dict(n="25"), "n"),
+        ("landscape", dict(mode="scan", m_values=""), "m_values"),
+        ("landscape", dict(mode="scan", m_values="3", budget="0"), "budget"),
+    ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())
+        if isinstance(v, dict) else None)
+    def test_each_check_names_its_field(self, task, overrides, field):
+        base = RUN_BASE if task == "run" else LANDSCAPE_BASE
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(config_lines(base, **overrides))
+        assert [f for f, _ in err.value.errors] == [field]
 
     def test_model_specific_validation(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -291,6 +328,43 @@ class TestLandscapeRunner:
         assert lines[0] == "m,count_or_estimate,stderr,predicted_exponent,kappa,h_kappa,n,gamma"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("mode, kernel, per_seed", [
+        ("scan", "enumerate_local_minima", 2), ("brute", "brute_force_min", 1)])
+    def test_a_failing_seed_writes_nothing(self, tmp_path, monkeypatch, mode,
+                                           kernel, per_seed):
+        real, calls = getattr(harness, kernel), []
+
+        def second_seed_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > per_seed:
+                raise RuntimeError("seed 1 fails")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, kernel, second_seed_fails)
+        cfg = LandscapeConfig(mode=mode, n=24 if mode == "scan" else 10, k=6,
+                              gamma="8", m_values="3..4" if mode == "scan" else "",
+                              budget=3000, seeds="0..1", out_dir=str(tmp_path / "out"))
+        with pytest.raises(RuntimeError, match="seed 1 fails"):
+            run_landscape(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_cells_call_the_wrapped_names(self, tmp_path, monkeypatch):
+        # perfbench/tracer.py times landscape cells through these harness names:
+        # one instance per seed, one scan per (seed, m)
+        seen = []
+        for name in ("gen_planted", "enumerate_local_minima", "brute_force_min"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, _name=name, _real=real, **kw:
+                                seen.append(_name) or _real(*a, **kw))
+        run_landscape(LandscapeConfig(mode="scan", n=24, k=6, gamma="8",
+                                      m_values="3..4", budget=3000, seeds="0..2",
+                                      out_dir=str(tmp_path / "scan")))
+        assert seen == ["gen_planted", *["enumerate_local_minima"] * 2] * 3
+        seen.clear()
+        run_landscape(LandscapeConfig(mode="brute", n=10, k=6, seeds="0..1",
+                                      out_dir=str(tmp_path / "brute")))
+        assert seen == ["gen_planted", "brute_force_min"] * 2
+
 
 class TestCli:
     def test_run_verb(self, tmp_path, capsys):
@@ -443,6 +517,22 @@ class TestCli:
         assert main(["run", "--config", str(path), "--jobs", "1"]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["params"]["jobs"] == 1
+
+    @pytest.mark.parametrize("verb, text, field", [
+        (["sweep", "--param", "task", "--values", "landscape"],
+         config_lines(RUN_BASE), "task"),
+        (["run"], config_lines(RUN_BASE, hold_window="-1"), "hold_window"),
+        (["landscape"], config_lines(LANDSCAPE_BASE, n="25"), "n"),
+        (["landscape"], config_lines(LANDSCAPE_BASE, mode="kappa", gammas=""),
+         "gammas"),
+    ], ids=["sweep-task", "run-hold_window", "brute-n", "kappa-gammas"])
+    def test_bad_config_exits_before_writing(self, tmp_path, capsys, verb, text,
+                                             field):
+        out, path = tmp_path / "out", tmp_path / "bad.cfg"
+        path.write_text(text + f"out_dir = {out}\n")
+        assert main([verb[0], "--config", str(path), *verb[1:]]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_landscape_verb_takes_no_jobs_flag(self, tmp_path, capsys):
         # landscape runs in one process: the flag was parsed and read by nothing
