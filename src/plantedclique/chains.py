@@ -21,7 +21,7 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
@@ -194,54 +194,71 @@ def _dense_weights(n: int, stay: float, at, flips) -> np.ndarray:
     return weights
 
 
-def _gibbs_support(state: SubsetState, beta: float) -> tuple:
-    """The stay's weight, the normaliser (a probability is weight / total), and
-    the flips that may weigh above 0.0 (None: all) with their weights: a list
-    of floats for a support of at most ``SCALAR_FLIPS`` flips."""
+@lru_cache
+def _weighing(beta: float, q_den: int, n: int) -> tuple:
+    """Per-run constants of the Gibbs weights: scale = beta / q_den, the support's reach
+    floor(750 / scale) (or inf) and, if cold, the weights exp(-scale * j), j <= reach."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite (the beta -> inf limit is gd_step)")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    lo, d_lo, hi, d_hi = state.key_extremes()
-    n, dmin, scale = state.graph.n, min(d_lo, d_hi, 0), beta / state.gamma.q_den
+    scale = beta / q_den
     # exp(x) is exactly 0.0 in IEEE doubles for x < ln(2**-1075) ~ -745.13; 750 also
     # absorbs the rounding of scale * (d - dmin). A property of doubles, not a tunable.
     cut = 750 / scale if scale else math.inf  # inf also when 750 / scale overflows
-    at, deltas = state.all_flip_deltas(
-        dmin + math.floor(cut) if cut < math.inf else cut, (lo, hi))
+    reach = math.floor(cut) if cut < math.inf else cut
+    cold = scale > math.log(n + 1) + _COLD  # then reach <= 750 / 45: a short table
+    return scale, reach, tuple(np.exp(-scale * np.arange(reach + 1)).tolist()) if cold else None
+
+
+def _gibbs_support(state: SubsetState, beta: float) -> tuple:
+    """The stay's weight, the normaliser (a probability is weight / total), the
+    flips that may weigh above 0.0 (None: all), their weights and their deltas:
+    lists for a support of at most ``SCALAR_FLIPS`` flips."""
+    scale, reach, table = _weighing(beta, state.gamma.q_den, state.graph.n)
+    lo, d_lo, hi, d_hi = state._extremes(reach)
+    n, dmin = state.graph.n, min(d_lo, d_hi, 0)
+    at, deltas = state.all_flip_deltas(dmin + reach, (lo, hi))
     if type(deltas) is list:  # numpy's doubles: int -> double, product, np.exp (not libm)
-        flips = np.exp([-scale * (d - dmin) for d in deltas]).tolist()
+        flips = (np.exp([-scale * (d - dmin) for d in deltas]).tolist() if table is None
+                 else [table[d - dmin] for d in deltas])  # the same doubles, made once per run
     else:
         flips = np.exp(-scale * (deltas - dmin))
     stay = math.exp(-scale * (0 - dmin))
-    if scale > math.log(n + 1) + _COLD:
+    if table is not None:
         units = flips.count(1.0) if type(flips) is list else np.count_nonzero(flips == 1.0)
-        return stay, float(units + (stay == 1.0)), at, flips
-    return stay, _dense_weights(n, stay, at, flips).sum(), at, flips
+        return stay, float(units + (stay == 1.0)), at, flips, deltas
+    return stay, _dense_weights(n, stay, at, flips).sum(), at, flips, deltas
 
 
 def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
     """Transition distribution over the n+1 candidates [stay, flip 0, ...,
     flip n-1], proportional to exp(-beta * H(candidate)) shifted by the least
     energy. A flip whose weight underflows is an exact 0.0, often never computed."""
-    stay, total, at, flips = _gibbs_support(state, beta)
+    stay, total, at, flips, _ = _gibbs_support(state, beta)
     return _dense_weights(state.graph.n, stay, at, flips) / total
 
 
 class _Uniforms:
-    """One generator's uniforms, fetched 4096 at a time and handed out in
-    order: under PCG64 ``rng.random(B)`` is the same sequence as B single
-    draws. ``drawn`` counts the draws handed out."""
+    """One generator's uniforms, fetched in blocks that double from 64 to 4096
+    draws and handed out in order: under PCG64 ``rng.random(B)`` is the same
+    sequence as B single draws. ``drawn`` counts the draws handed out;
+    ``values`` is the block as a list once a single draw has read it."""
 
     def __init__(self, rng: np.random.Generator):
-        self.rng, self.buf, self.pos, self.drawn = rng, np.empty(0), 0, 0
+        self.rng, self.buf, self.values, self.pos, self.drawn = rng, np.empty(0), None, 0, 0
 
     def random(self, stay_below: float = 0.0, limit: int = 1) -> float:
         """Consume draws up to the first one >= ``stay_below``, at most
         ``limit`` of them, and return the last one consumed."""
         while True:
             if self.pos == self.buf.size:
-                self.buf, self.pos = self.rng.random(4096), 0
+                size = min(2 * self.buf.size or 64, 4096)  # short runs fetch few
+                self.buf, self.values, self.pos = self.rng.random(size), None, 0
+            if limit == 1 or stay_below <= 0:  # one draw ends the run: read a list
+                self.values = self.values or self.buf.tolist()
+                self.pos, self.drawn = self.pos + 1, self.drawn + 1
+                return self.values[self.pos - 1]
             seg = self.buf[self.pos:self.pos + limit]
             # the first draw usually ends the run: scan only when it does not
             j = 0 if seg[0] >= stay_below else int((seg >= stay_below).argmax())
@@ -262,7 +279,7 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     ``_Uniforms``) it takes up to L steps, one draw each, from this one
     probability vector: the run of stays and the move that ends it. The
     cumsum skips the flips of weight 0.0, which add exactly: the same pick."""
-    stay, total, at, flips = _gibbs_support(state, beta)
+    stay, total, at, flips, deltas = _gibbs_support(state, beta)
     stay /= total  # correctly rounded: the normalised vector's value
     r = rng.random() if max_stays == 1 else rng.random(stay, max_stays)
     if r < stay:
@@ -274,9 +291,10 @@ def gibbs_step(state: SubsetState, beta: float, rng,
         acc = (flips / total).cumsum()
         j = int(acc.searchsorted(r - stay, side="right"))
     # a search past the end is float round-off at the top end: take the last vertex
-    x = (j if at is None else int(at[j])) if j < len(acc) else state.graph.n - 1
+    x, delta = ((j if at is None else int(at[j]), int(deltas[j])) if j < len(acc)
+                else (state.graph.n - 1, None))
     kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
-    apply_flip(state, x)
+    apply_flip(state, x, delta)
     return Move(kind, x, state.scaled_energy - energy), state
 
 
@@ -320,18 +338,12 @@ class _ChainDriver:
         self.absorbed, self.pending = False, None  # pending: the last move, without a row
         self.at_pc = k > 0 and self.n1 == k and self.n2 == 0
         self.first_pc_step = 0 if self.at_pc else None
-        self.ts, self.n1s, self.n2s, self.energies = [], [], [], []
-        self.kinds, self.vertices, self.stays = [], [], {}  # stays: row -> count
+        self.rows, self.stays = [], {}  # rows: (t, n1, n2, energy, kind, x); stays: row -> count
         self._record(0, _STAY, self.state.scaled_energy)
 
     def _record(self, t: int, move: Move, energy: int) -> None:
-        kind, x, _ = move
-        self.ts.append(t)
-        self.n1s.append(self.n1)
-        self.n2s.append(self.n2)
-        self.energies.append(energy)
-        self.kinds.append(kind)
-        self.vertices.append(-1 if x is None else x)
+        x = move.vertex
+        self.rows.append((t, self.n1, self.n2, energy, move.kind, -1 if x is None else x))
         self.pending = None
 
     def step(self, rng, max_stays: int = 1) -> Optional[Move]:
@@ -353,7 +365,7 @@ class _ChainDriver:
             if stays:  # at the state of step t - 1, before the move
                 if self.pending is not None:
                     self._record(t - 1, self.pending, energy)
-                row = len(self.ts) - 1
+                row = len(self.rows) - 1
                 self.stays[row] = self.stays.get(row, 0) + stays
                 self.pc_run += stays if self.at_pc else 0
                 t += stays
@@ -382,10 +394,11 @@ class _ChainDriver:
         if self.pending is not None:
             self._record(self.steps, self.pending, self.state.scaled_energy)
         stays = np.array(list(self.stays.items()), dtype=np.int64).reshape(-1, 2)
+        t, n1, n2, energy, kind, vertex = zip(*self.rows)
         return Trajectory(
-            *(np.array(col, dtype=np.int64) for col in (self.ts, self.n1s, self.n2s)),
-            np.array(self.energies, dtype=object), np.array(self.kinds),
-            np.array(self.vertices, dtype=np.int64), stays[:, 0], stays[:, 1],
+            *(np.array(col, dtype=np.int64) for col in (t, n1, n2)),
+            np.array(energy, dtype=object), np.array(kind),
+            np.array(vertex, dtype=np.int64), stays[:, 0], stays[:, 1],
             self.record_every, self.absorbed, self.first_pc_step is not None,
             self.steps, self.first_pc_step, stop_reason, self.init_spec,
             self.state.size, self.n1, self.n2)
@@ -410,11 +423,9 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
     if hold_window is not None and hold_window < 0:
         raise ValueError("hold_window must be >= 0")
     graph, k = (instance, 0) if isinstance(instance, Graph) else (instance.graph, instance.k)
-    rng = stream_rng(seed, CHAIN_STREAM)
-    hold = 0
+    rng, hold = _Uniforms(stream_rng(seed, CHAIN_STREAM)), 0
     if isinstance(kind, GibbsChain):
         hold = 10 * graph.n if hold_window is None else hold_window
-        rng = _Uniforms(rng)
     driver = _ChainDriver(graph, k, init, kind, gamma, record_every)
     reason = "max_steps"
     while driver.steps < max_steps:

@@ -90,15 +90,17 @@ class SubsetState:
 
     ``key`` is read-only outside ``apply_flip``. Keys stay below 2n, so int32
     holds them; products with w are taken in int64 (see ``check_fits``).
+    ``hi_bound`` is None or an upper bound on the keys: ``key_extremes`` sets
+    it to the greatest key and ``apply_flip`` keeps it a bound.
     Single-owner: never mutate one state concurrently.
     """
 
-    __slots__ = ("graph", "gamma", "member", "size", "scaled_energy", "key")
+    __slots__ = ("graph", "gamma", "member", "size", "scaled_energy", "key", "hi_bound")
 
     def __init__(self, graph: Graph, gamma: GammaParam, member: np.ndarray,
                  size: int, key: np.ndarray, scaled_energy: int):
         self.graph, self.gamma, self.member = graph, gamma, member
-        self.size, self.key, self.scaled_energy = size, key, scaled_energy
+        self.size, self.key, self.scaled_energy, self.hi_bound = size, key, scaled_energy, None
 
     def _delta_at(self, key: int) -> int:
         """Scaled delta of flipping a vertex whose key is ``key``."""
@@ -135,17 +137,28 @@ class SubsetState:
 
     def key_extremes(self) -> tuple:
         """The least and greatest key (int32) and their deltas: (lo, d_lo, hi, d_hi)."""
+        return self._extremes(math.inf)
+
+    def _extremes(self, reach: float) -> tuple:
+        """``key_extremes``, setting ``hi_bound`` to hi, but with no argmax when the
+        bound puts every add-delta above d_lo + ``reach``: hi is then the bound
+        and d_hi its add-delta, a lower bound on every add-delta."""
         key, p, n, s = self.key, self.gamma.p, self.graph.n, self.size
         w = p + self.gamma.q_den
-        lo, hi = key[key.argmin()], key[key.argmax()]  # int32: quick to compare
+        lo = key[key.argmin()]  # int32: quick to compare
         d_lo = w * int(lo) - p * (s - 1) if lo < n else p * s - w * (int(lo) - n)
+        hi = self.hi_bound
+        if hi is not None and p * s - w * (hi - n) > d_lo + reach:
+            return lo, d_lo, hi, p * s - w * (hi - n)
+        hi = key[key.argmax()]
+        self.hi_bound = int(hi)
         d_hi = w * int(hi) - p * (s - 1) if hi < n else p * s - w * (int(hi) - n)
         return lo, d_lo, hi, d_hi
 
     def best_flips(self) -> tuple[int, np.ndarray]:
         """``min(d)`` and ``flatnonzero(d == min(d))`` for
         ``d = all_flip_deltas()``: the best flip delta and its vertices."""
-        lo, d_lo, hi, d_hi = self.key_extremes()
+        lo, d_lo, hi, d_hi = self._extremes(0)
         hit = self.key == (lo if d_lo <= d_hi else hi)
         if d_lo == d_hi and lo != hi:  # the best remove ties the best add
             hit |= self.key == hi
@@ -185,6 +198,8 @@ def apply_flip(state: SubsetState, x: int,
     row = np.unpackbits(state.graph._row(x), count=n)
     (np.subtract if remove else np.add)(key, row, out=key)
     key[x] += n if remove else -n
+    if state.hi_bound is not None:  # other keys fall by a remove, rise by 1 at most
+        state.hi_bound = max(state.hi_bound, int(key[x])) if remove else state.hi_bound + 1
     state.size += -1 if remove else 1
     state.member[x] = not remove
     state.scaled_energy += delta

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -79,10 +80,13 @@ class _Config:
         try:
             seeds = self.seed_list()
             bad = [s for s in seeds if not 0 <= s < 2**64]
+            repeat = next((s for s, count in Counter(seeds).items() if count > 1), None)
             if not seeds:
                 errors.append(("seeds", "no seeds specified"))
             elif bad:
                 errors.append(("seeds", f"seed {bad[0]} is outside 0..2^64 - 1"))
+            elif repeat is not None:
+                errors.append(("seeds", f"seed {repeat} is repeated"))
         except ValueError as exc:
             errors.append(("seeds", str(exc)))
         return errors

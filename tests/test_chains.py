@@ -13,7 +13,7 @@ from plantedclique import (CoupledResult, GammaParam, GibbsChain,
                            gibbs_step, init_state, local_min_check, replay,
                            run_chain, run_coupled_gd, run_peel, stream_rng,
                            verify_hamming_descent, verify_removal_phase)
-from plantedclique import graphs
+from plantedclique import chains, graphs
 from plantedclique.harness import ConfigError, ExperimentConfig
 from plantedclique.chains import (TRAJECTORY_CSV_HEADER, _ChainDriver,
                                   _peel_step_u, _Uniforms)
@@ -280,17 +280,23 @@ class TestEventSkippingGibbs:
 
     def test_buffered_uniforms_match_single_draws(self):
         ref = stream_rng(3, 2)
-        singles = np.array([ref.random() for _ in range(20000)])
+        singles = np.array([ref.random() for _ in range(30000)])
         src = _Uniforms(stream_rng(3, 2))
         calls = ([(0.0, 1)] * 3000 + [(2.0, 6000), (0.999, 10 ** 6), (0.5, 3)]
-                 + [(0.9, 50)] * 100 + [(2.0, 4096), (0.0, 7)])
-        pos = 0
+                 + [(0.9, 50)] * 100 + [(2.0, 4096), (0.0, 7)]
+                 + [(-1.0, 5)] * 3000 + [(0.0, 10 ** 6)] * 3000)
+        pos = one_draw_refills = 0
         for stay_below, limit in calls:
+            buf = src.buf
             u = src.random(stay_below, limit)
             hits = np.flatnonzero(singles[pos:pos + limit] >= stay_below)
             pos += int(hits[0]) + 1 if hits.size else limit
             assert u == singles[pos - 1] and src.drawn == pos
-        assert pos > 3 * 4096  # the calls crossed several refills
+            assert type(u) is float
+            # a stay_below <= 0 call reads one draw, whatever its limit
+            one_draw_refills += src.buf is not buf and stay_below <= 0 < limit - 1
+        assert pos > 4 * 4096  # the calls crossed several refills
+        assert one_draw_refills >= 1
 
     def test_one_delta_scan_per_visited_state(self, monkeypatch):
         # one support scan per visited state, each building few deltas
@@ -314,6 +320,42 @@ class TestEventSkippingGibbs:
         assert len(scans) <= moved + stay_runs + 1
         assert len(scans) < traj.steps / 10
         assert np.median(scans) < 200 / 10
+
+
+class TestTracedNames:
+    """The benchmark's tracer wraps ``chains.apply_flip``, ``chains.gibbs_step``
+    and ``SubsetState.all_flip_deltas`` and reads each call as one unit of
+    work: one flip per applied move, one Gibbs step per driver step and one
+    support scan per Gibbs step."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name, calls):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    @pytest.mark.parametrize("kind, init", [
+        (GradientDescent(), "full"), (GradientDescent(3), "empty"),
+        (GibbsChain(10 * math.log(300)), "full"), (GibbsChain(0.5), "empty")],
+        ids=["gd-full", "gd-empty", "gibbs-cold", "gibbs-warm"])
+    def test_one_call_per_unit_of_work(self, monkeypatch, kind, init):
+        calls = {}
+        for owner, name in ((chains, "apply_flip"), (chains, "gibbs_step"),
+                            (SubsetState, "all_flip_deltas"), (_ChainDriver, "step")):
+            self._count(monkeypatch, owner, name, calls)
+        traj = run_chain(gen_planted(300, 40, 4), init, kind, GammaParam(4),
+                         3000, 4, hold_window=200)
+        moves = int(np.count_nonzero(traj.move_kind != "stay"))
+        assert moves > 20 and calls["apply_flip"] == moves
+        if isinstance(kind, GibbsChain):
+            assert calls["gibbs_step"] == calls["step"] < traj.steps
+            assert calls["all_flip_deltas"] == calls["gibbs_step"]
+        else:
+            assert "gibbs_step" not in calls and "all_flip_deltas" not in calls
 
 
 def assert_rows_match(traj, ref, labels=None):

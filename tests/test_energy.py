@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantedclique import (GammaParam, GradientDescent, apply_flip, gen_er,
-                           gen_planted, init_state, run_chain)
+from plantedclique import (GammaParam, GradientDescent, SubsetState, apply_flip,
+                           chains, gen_er, gen_planted, init_state, run_chain)
 
 from conftest import graph_from_edges, py_scaled_energy
 
@@ -283,6 +283,49 @@ class TestKeySelection:
             apply_flip(state, v % n)
             _check_selection(state, g, gam)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 40),
+           st.sampled_from(["empty", "full", "random", "vertices"]),
+           st.lists(st.tuples(st.sampled_from(["flip", "flip", "flip", "best",
+                                               "extremes", "gibbs"]),
+                              st.integers(0, 39)), max_size=60),
+           st.sampled_from([GammaParam(2), GammaParam(4), GammaParam(7, 2)]))
+    def test_key_bound_stays_an_upper_bound(self, seed, n, start, ops, gam):
+        """``hi_bound`` starts None, only the extremes set it (to the greatest
+        key) and flips keep it an upper bound. A query that skips the argmax
+        on it answers as a state without a bound does."""
+        g = gen_planted(n, max(1, n // 4), seed).graph
+        member = {"empty": (), "full": range(n),
+                  "random": np.random.default_rng(seed).random(n) < 0.5,
+                  "vertices": [v % n for v in (seed, seed // 7, 3)]}[start]
+        state = init_state(g, member, gam)
+        assert state.hi_bound is None
+        for op, v in ops:
+            bound, unbounded = state.hi_bound, SubsetState(
+                g, gam, state.member.copy(), state.size, state.key.copy(),
+                state.scaled_energy)
+            assert unbounded.hi_bound is None
+            if op == "flip":
+                apply_flip(state, v % n)
+                assert (state.hi_bound is None) == (bound is None)
+            elif op == "extremes":
+                got = state.key_extremes()
+                assert got == unbounded.key_extremes()
+                assert state.hi_bound == int(state.key.max())
+            elif op == "best":
+                best, at = state.best_flips()
+                want_best, want_at = unbounded.best_flips()
+                assert best == want_best and np.array_equal(at, want_at)
+            else:
+                beta = (0.0, 0.5, 5.0, 80.0, 1e300)[v % 5]
+                got = chains._gibbs_support(state, beta)
+                want = chains._gibbs_support(unbounded, beta)
+                for a, b in zip(got, want):
+                    assert type(a) is type(b) and np.array_equal(a, b)
+            if op in ("best", "gibbs"):  # skipped the argmax, or took it
+                assert state.hi_bound in (bound, int(state.key.max()))
+            assert state.hi_bound is None or state.hi_bound >= state.key.max()
+
     def test_best_remove_ties_best_add(self):
         # gamma 2 (w = 3), U = {0, 1}: removing 0 or 1 (3 - 2) and adding 2
         # (4 - 3) all cost 1; adding 3 costs 4
@@ -292,6 +335,16 @@ class TestKeySelection:
         assert best == 1 and candidates.tolist() == [0, 1, 2]
         assert state.all_flip_deltas().tolist() == [1, 1, 1, 4]
         _check_selection(state, g, GammaParam(2))
+
+    def test_a_tight_bound_keeps_a_tied_add(self):
+        # the example above with hi_bound at the greatest key: the bound's
+        # add-delta equals the best remove's, so the argmax must still run
+        g = graph_from_edges(4, [(0, 1), (0, 2)])
+        state = init_state(g, [0, 1], GammaParam(2))
+        state.key_extremes()
+        assert state.hi_bound == int(state.key.max()) == 4 + 1
+        best, candidates = state.best_flips()
+        assert best == 1 and candidates.tolist() == [0, 1, 2]
 
     def test_empty_set_ties_every_add_at_zero(self):
         g = gen_er(30, 4)

@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from plantedclique import (GammaParam, GibbsChain, Move, SubsetState, apply_flip,
-                           chains, energy, gen_planted, gibbs_probabilities, gibbs_step,
-                           init_state, run_chain, stream_rng)
+from plantedclique import (GammaParam, GibbsChain, GradientDescent, Move, SubsetState,
+                           apply_flip, chains, energy, gen_planted, gibbs_probabilities,
+                           gibbs_step, init_state, run_chain, stream_rng)
 from plantedclique.chains import _Uniforms
 from plantedclique.graphs import CHAIN_STREAM
 
@@ -288,7 +288,7 @@ def test_tiny_betas_weigh_every_flip():
     every flip and no index array is built."""
     state = next(_states())
     for beta in (0.0, 5e-324, 1e-310):
-        stay, total, at, flips = chains._gibbs_support(state, beta)
+        stay, total, at, flips, _ = chains._gibbs_support(state, beta)
         assert at is None and flips.size == state.graph.n
         assert np.array_equal(np.append(stay, flips) / total,
                               dense_probabilities(state, beta))
@@ -409,7 +409,7 @@ def test_every_flip_tied_at_cold_beta(n):
     and every candidate has probability 1 / (n + 1)."""
     state = init_state(gen_planted(n, 3, n).graph, (), GammaParam(4))
     for beta in (10 * math.log(n), 1e3):
-        _, total, at, _ = chains._gibbs_support(state, beta)
+        _, total, at, _, _ = chains._gibbs_support(state, beta)
         assert at is None and total == n + 1
         assert (gibbs_probabilities(state, beta) == 1 / (n + 1)).all()
         _assert_steps_match(state, beta)
@@ -477,3 +477,85 @@ def test_unit_count_equals_the_dense_sum():
             spread += np.unique(tiny // 128).size >= 8 and units < tiny.size
             edge = max(edge, weights[tiny].sum())
     assert spread >= 40 and edge > 2.0 ** -55  # near the 2**-54 the bound allows
+
+
+@pytest.mark.parametrize("n", [1, 2, 2000, 10**6])
+def test_cold_weight_table_is_numpys_exp(n):
+    """The per-run table holds exp(-scale * j) for j = 0..floor(750 / scale)
+    exactly as ``np.exp`` gives it, so a cold support reads its weights off
+    it; warmer scales get no table."""
+    tables = 0
+    for q in (1, 3):
+        for beta in (_beta_for_scale(_cold_bound(n), q, True), 10 * math.log(n), 1e300):
+            scale, reach, table = chains._weighing(beta, q, n)
+            assert scale == beta / q
+            assert reach == (math.floor(EXP_ZERO / scale) if scale else math.inf)
+            if scale <= _cold_bound(n):
+                assert table is None
+                continue
+            assert type(table) is tuple  # shared by every call: not mutable
+            assert len(table) == reach + 1 <= EXP_ZERO / math.log(2) / 54 + 1
+            for j, weight in enumerate(table):
+                assert type(weight) is float and weight == np.exp([-scale * j])[0]
+            tables += 1
+    assert tables >= 4
+
+
+class _ArgmaxCount(np.ndarray):
+    """A key array that counts its argmax calls."""
+
+    calls = 0
+
+    def argmax(self, *args, **kwargs):
+        _ArgmaxCount.calls += 1
+        return super().argmax(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind", [GradientDescent(), GibbsChain(10 * math.log(400))],
+                         ids=["gd", "gibbs"])
+def test_descents_carry_the_key_bound(kind, monkeypatch):
+    """From the full set the carried key bound rules out every add, so a step
+    takes one argmin and almost never the argmax; the run is unchanged."""
+    inst = gen_planted(400, 40, 1)
+    args = (inst, "full", kind, GammaParam(4), 5000, 1)
+    ref = run_chain(*args, hold_window=100)
+    real = chains.init_state
+
+    def counting(*a):
+        state = real(*a)
+        state.key = state.key.view(_ArgmaxCount)
+        return state
+
+    monkeypatch.setattr(chains, "init_state", counting)
+    _ArgmaxCount.calls = 0
+    traj = run_chain(*args, hold_window=100)
+    assert traj.csv_text() == ref.csv_text()
+    moves = int(np.count_nonzero(traj.move_kind != "stay"))
+    assert moves > 300 and 1 <= _ArgmaxCount.calls < moves / 20
+
+
+def test_a_tight_key_bound_keeps_the_edge_of_the_support():
+    """With ``hi_bound`` at the greatest key, the best add sits exactly on the
+    bound. At floor(750 / scale) = its gap to dmin it is in the support, so
+    the argmax must run; one below, it is out and the argmax is skipped.
+    Either way the support is an unbounded state's, and so are the moves.
+    (A support of more than n / 2 flips is read dense: every flip.)"""
+    edges = 0
+    for state in list(_crafted_states(60)) + list(_states(24)):
+        n = state.graph.n
+        lo, d_lo, hi, d_hi = _twin(state).key_extremes()
+        if not (lo < n <= hi and d_lo < 0 and d_hi > d_lo):
+            continue  # the bound rules out the adds only above a remove
+        best_adds = np.flatnonzero(state.all_flip_deltas() == d_hi)
+        for cut in (d_hi - d_lo, d_hi - d_lo - 1):
+            beta = _beta_with_cut(cut, state.gamma.q_den)
+            tight = _twin(state)
+            tight.key_extremes()
+            got = chains._gibbs_support(tight, beta)
+            for a, b in zip(got, chains._gibbs_support(_twin(state), beta)):
+                assert type(a) is type(b) and np.array_equal(a, b)
+            if got[2] is not None:
+                assert np.isin(best_adds, got[2]).any() == (cut == d_hi - d_lo)
+                edges += 1
+            _assert_steps_match(tight, beta)
+    assert edges >= 30

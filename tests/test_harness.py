@@ -93,6 +93,7 @@ class TestConfigFormat:
         ("run", dict(record_every="0"), "record_every"),
         ("run", dict(seeds="a..b"), "seeds"),
         ("run", dict(seeds="5..3"), "seeds"),
+        ("run", dict(seeds="1,1,2"), "seeds"),
         ("landscape", dict(version="2"), "version"),
         ("landscape", dict(mode="sideways"), "mode"),
         ("landscape", dict(mode="kappa", gammas=""), "gammas"),
@@ -101,6 +102,7 @@ class TestConfigFormat:
         ("landscape", dict(n="25"), "n"),
         ("landscape", dict(mode="scan", m_values=""), "m_values"),
         ("landscape", dict(mode="scan", m_values="3", budget="0"), "budget"),
+        ("landscape", dict(seeds="3,0..4"), "seeds"),
     ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())
         if isinstance(v, dict) else None)
     def test_each_check_names_its_field(self, task, overrides, field):
@@ -108,6 +110,19 @@ class TestConfigFormat:
         with pytest.raises(ConfigError) as err:
             parse_config_text(config_lines(base, **overrides))
         assert [f for f, _ in err.value.errors] == [field]
+
+    @pytest.mark.parametrize("seeds, repeat", [
+        ("1,1,2", 1), ("0..4,2", 2), ("7,3..5,4,7", 7), ("2..3,1..2", 2)])
+    def test_repeated_seed_is_named(self, tmp_path, seeds, repeat):
+        # a repeated seed was run and counted twice: in aggregates.runs and
+        # in the brute-force unique_pc_frequency
+        for cfg in (tiny_config(tmp_path, seeds=seeds),
+                    LandscapeConfig(mode="brute", n=12, k=8, seeds=seeds)):
+            with pytest.raises(ConfigError) as err:
+                cfg.validate()
+            assert err.value.errors == [("seeds", f"seed {repeat} is repeated")]
+        tiny_config(tmp_path, seeds="0..2,5,3").validate()
+        LandscapeConfig(mode="brute", n=12, k=8, seeds="4,0..3").validate()
 
     def test_model_specific_validation(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -522,10 +537,11 @@ class TestCli:
         (["sweep", "--param", "task", "--values", "landscape"],
          config_lines(RUN_BASE), "task"),
         (["run"], config_lines(RUN_BASE, hold_window="-1"), "hold_window"),
+        (["run"], config_lines(RUN_BASE, seeds="1,1,2"), "seeds"),
         (["landscape"], config_lines(LANDSCAPE_BASE, n="25"), "n"),
         (["landscape"], config_lines(LANDSCAPE_BASE, mode="kappa", gammas=""),
          "gammas"),
-    ], ids=["sweep-task", "run-hold_window", "brute-n", "kappa-gammas"])
+    ], ids=["sweep-task", "run-hold_window", "run-seeds", "brute-n", "kappa-gammas"])
     def test_bad_config_exits_before_writing(self, tmp_path, capsys, verb, text,
                                              field):
         out, path = tmp_path / "out", tmp_path / "bad.cfg"
