@@ -4,9 +4,8 @@ landscape analysis, and an experiment harness with a CLI."""
 
 from .chains import (CoupledResult, GibbsChain, GradientDescent, Move,
                      PeelDiagnostics, Trajectory,
-                     gd_step, gibbs_probabilities, gibbs_step, replay,
-                     run_chain, run_coupled_gd, run_peel,
-                     verify_hamming_descent, verify_removal_phase)
+                     gd_step, gibbs_step, replay, run_chain, run_coupled_gd,
+                     run_peel)
 from .energy import GammaParam, SubsetState, apply_flip, init_state
 from .graphs import (Contamination, Graph, PlantedInstance, gen_contaminated,
                      gen_coupled, gen_er, gen_planted, load_graph, read_edge_list,

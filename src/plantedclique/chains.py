@@ -1,4 +1,4 @@
-"""The three dynamics over subset space, plus coupled runs and run checkers.
+"""The three dynamics over subset space, plus coupled runs and replay.
 
 * Gradient descent: move to a uniformly random strictly-lowest-energy
   Hamming-1 neighbour; halt when none exists. A plateau budget allows a
@@ -33,9 +33,7 @@ from .graphs import CHAIN_STREAM, Graph, PlantedInstance, gen_coupled, stream_rn
 __all__ = [
     "Move", "Trajectory", "GradientDescent",
     "GibbsChain", "PeelDiagnostics", "CoupledResult", "gd_step", "gibbs_step",
-    "gibbs_probabilities", "run_chain", "run_peel", "run_coupled_gd", "replay",
-    "RemovalPhaseReport", "HammingReport", "verify_removal_phase",
-    "verify_hamming_descent", "TRAJECTORY_CSV_HEADER",
+    "run_chain", "run_peel", "run_coupled_gd", "replay", "TRAJECTORY_CSV_HEADER",
 ]
 
 
@@ -163,6 +161,17 @@ def _choose(candidates: np.ndarray, u: float) -> int:
     return int(candidates[int(u * candidates.size)])
 
 
+def _gd_pick(state: SubsetState, u: float, plateau_budget: int,
+             plateau_used: int) -> Optional[tuple[int, int]]:
+    """The best flip delta and the flip draw u picks among its vertices, or
+    None when a gd step stays: the delta is positive, or zero with
+    ``plateau_used`` >= ``plateau_budget``."""
+    dmin, candidates = state.best_flips()
+    if dmin > 0 or dmin == 0 and plateau_used >= plateau_budget:
+        return None
+    return dmin, _choose(candidates, u)
+
+
 def gd_step(state: SubsetState, rng: np.random.Generator,
             plateau_budget: int = 0, plateau_used: int = 0
             ) -> tuple[Move, SubsetState]:
@@ -170,11 +179,10 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
     strict argmin of the n single-flip deltas, or stay if the minimum is
     positive, or zero with ``plateau_used`` >= ``plateau_budget``. The state
     is mutated in place. Consumes exactly one uniform draw."""
-    u = rng.random()
-    dmin, candidates = state.best_flips()
-    if dmin > 0 or dmin == 0 and plateau_used >= plateau_budget:
+    pick = _gd_pick(state, rng.random(), plateau_budget, plateau_used)
+    if pick is None:
         return _STAY, state
-    x = _choose(candidates, u)
+    dmin, x = pick
     kind = "remove" if state.member[x] else "add"
     apply_flip(state, x, dmin)
     return Move(kind, x, dmin), state
@@ -229,14 +237,6 @@ def _gibbs_support(state: SubsetState, beta: float) -> tuple:
         units = flips.count(1.0) if type(flips) is list else np.count_nonzero(flips == 1.0)
         return stay, float(units + (stay == 1.0)), at, flips, deltas
     return stay, _dense_weights(n, stay, at, flips).sum(), at, flips, deltas
-
-
-def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
-    """Transition distribution over the n+1 candidates [stay, flip 0, ...,
-    flip n-1], proportional to exp(-beta * H(candidate)) shifted by the least
-    energy. A flip whose weight underflows is an exact 0.0, often never computed."""
-    stay, total, at, flips, _ = _gibbs_support(state, beta)
-    return _dense_weights(state.graph.n, stay, at, flips) / total
 
 
 class _Uniforms:
@@ -324,8 +324,9 @@ def _resolve_init(init, n: int):
 
 class _ChainDriver:
     """Steps one chain and maintains its trajectory bookkeeping: overlap
-    counts, the run-length trajectory rows and clique visits. Gradient
-    descent, Gibbs and peeling (``kind`` None) all step through it."""
+    counts, the run-length trajectory rows and clique visits. Gibbs and
+    peeling (``kind`` None) step through it; gradient descent takes its
+    moves in one ``descend``."""
 
     def __init__(self, graph: Graph, k: int, init, kind: Optional[ChainKind],
                  gamma: GammaParam, record_every: int = 1):
@@ -346,19 +347,42 @@ class _ChainDriver:
         self.rows.append((t, self.n1, self.n2, energy, move.kind, -1 if x is None else x))
         self.pending = None
 
-    def step(self, rng, max_stays: int = 1) -> Optional[Move]:
-        """Take step ``steps + 1`` (past up to ``max_stays - 1`` leading
-        Gibbs stays); returns the applied move, or None on gd absorption."""
-        t, chain, was_at_pc = self.steps + 1, self.kind, self.at_pc
-        if isinstance(chain, GradientDescent):
-            move, _ = gd_step(self.state, rng, chain.plateau_budget,
-                              self.plateau_used)
-            if move.kind == "stay":
+    def descend(self, rng, max_steps: int) -> None:
+        """Take gradient-descent moves until absorption or step ``max_steps``,
+        one draw each, with the counters in locals until the run ends."""
+        state, k, every, rows = self.state, self.k, self.record_every, self.rows
+        budget, member, draw = self.kind.plateau_budget, state.member, rng.random
+        t, n1, n2, used = self.steps, self.n1, self.n2, self.plateau_used
+        first_pc, last = self.first_pc_step, None  # last: the move not yet in a row
+        while t < max_steps:
+            pick = _gd_pick(state, draw(), budget, used)
+            if pick is None:
                 self.absorbed = True
-                return None
-            if move.scaled_delta == 0:
-                self.plateau_used += 1
-        elif isinstance(chain, GibbsChain):
+                break
+            dmin, x = pick
+            kind, step = ("remove", -1) if member[x] else ("add", 1)
+            apply_flip(state, x, dmin)
+            t, used = t + 1, used + (dmin == 0)
+            if x < k:
+                n1 += step
+            else:
+                n2 += step
+            if first_pc is None and n1 == k > 0 and n2 == 0:
+                first_pc = t
+            last = (kind, x, dmin)
+            if t % every == 0:
+                rows.append((t, n1, n2, state.scaled_energy, kind, x))
+                last = None
+        if t > self.steps:  # a move was taken: ``pending`` is the last one, unless recorded
+            self.pending = None if last is None else Move(*last)
+        self.steps, self.n1, self.n2, self.plateau_used = t, n1, n2, used
+        self.first_pc_step, self.at_pc = first_pc, n1 == k > 0 and n2 == 0
+
+    def step(self, rng, max_stays: int = 1) -> Move:
+        """Take step ``steps + 1`` (past up to ``max_stays - 1`` leading
+        Gibbs stays); returns the applied move."""
+        t, chain, was_at_pc = self.steps + 1, self.kind, self.at_pc
+        if isinstance(chain, GibbsChain):
             drawn, energy = rng.drawn, self.state.scaled_energy
             move, _ = gibbs_step(self.state, chain.beta, rng, max_stays=max_stays)
             stays = rng.drawn - drawn - (move.vertex is not None)
@@ -427,14 +451,15 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
     if isinstance(kind, GibbsChain):
         hold = 10 * graph.n if hold_window is None else hold_window
     driver = _ChainDriver(graph, k, init, kind, gamma, record_every)
+    if isinstance(kind, GradientDescent):
+        driver.descend(rng, max_steps)
+        return driver.finish("absorbed" if driver.absorbed else "max_steps")
     reason = "max_steps"
     while driver.steps < max_steps:
         cap = max_steps - driver.steps
         if hold and driver.at_pc:
             cap = min(cap, hold - driver.pc_run)
-        if driver.step(rng, cap) is None:
-            reason = "absorbed"
-            break
+        driver.step(rng, cap)
         if hold and driver.pc_run >= hold:
             reason = "held"
             break
@@ -551,7 +576,7 @@ def run_coupled_gd(n: int, k: int, gamma: GammaParam, plateau_budget: int,
 
 
 # ---------------------------------------------------------------------------
-# Replay-based run checkers
+# Replay
 # ---------------------------------------------------------------------------
 
 
@@ -569,73 +594,3 @@ def replay(instance_graph: Union[Graph, PlantedInstance], trajectory: Trajectory
         if state.scaled_energy != energy:
             raise AssertionError(f"replay diverged at step {t}")
     return state
-
-
-@dataclass
-class RemovalPhaseReport:
-    checked_steps: int
-    violations: int
-    first_violation_step: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-def verify_removal_phase(instance: PlantedInstance, trajectory: Trajectory,
-                         gamma: GammaParam, n2_threshold: float) -> RemovalPhaseReport:
-    """Check that while more than ``n2_threshold`` non-clique vertices remain,
-    every move removes a vertex of minimum degree within the current set,
-    which is exactly the argmin of the removal deltas."""
-    members, _ = _resolve_init(trajectory.init_spec, instance.n)
-    state = init_state(instance.graph, members, gamma)
-    checked, bad = 0, []
-    # row i's move is taken from row i - 1's state
-    for t, n2, kind, x in zip(trajectory.t[1:].tolist(),
-                              trajectory.n2[:-1].tolist(),
-                              trajectory.kind[1:].tolist(),
-                              trajectory.vertex[1:].tolist()):
-        if n2 > n2_threshold:
-            checked += 1
-            key = state.key  # members' keys are their degrees, below the rest
-            if kind != "remove" or not state.member[x] or key[x] != key.min():
-                bad.append(t)
-        if x >= 0:
-            apply_flip(state, x)
-    return RemovalPhaseReport(checked, len(bad), bad[0] if bad else None)
-
-
-@dataclass
-class HammingReport:
-    entered_step: Optional[int]
-    checked_steps: int
-    violations: int
-    first_violation_step: Optional[int]
-    reached_zero: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.entered_step is not None and self.violations == 0
-                and self.reached_zero)
-
-
-def verify_hamming_descent(trajectory: Trajectory, k: int, gamma: GammaParam,
-                           xi: float = 0.2) -> HammingReport:
-    """From the first step where n1 >= max(gamma * n2 + 2, (1 - xi) * k),
-    check the Hamming distance to the clique strictly decreases to zero."""
-    n1, n2 = trajectory.n1, trajectory.n2
-    # object arrays keep the gamma test exact however large q_den is
-    above = (gamma.q_den * n1.astype(object)
-             >= gamma.p * n2.astype(object) + 2 * gamma.q_den)
-    start = np.flatnonzero(above.astype(bool) & (n1 >= (1 - xi) * k))
-    if start.size == 0:
-        return HammingReport(None, 0, 0, None, False)
-    i = int(start[0])
-    d = ((k - n1) + n2)[i:]
-    zeros = np.flatnonzero(d == 0)
-    # check every row after entry up to the first at the clique
-    end = int(zeros[0]) if zeros.size else d.size - 1
-    bad = np.flatnonzero(d[1:end + 1] >= d[:end])
-    first_bad = int(trajectory.t[i + 1 + bad[0]]) if bad.size else None
-    return HammingReport(int(trajectory.t[i]), end, int(bad.size), first_bad,
-                         zeros.size > 0)

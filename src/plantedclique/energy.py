@@ -8,7 +8,8 @@ and everything here works with the integer scaling q_den * H(U)
 = p * C(|U|, 2) - (p + q_den) * |E(U)|, so energy comparisons, argmins and
 tie decisions are exact. A state keeps one int32 key per vertex y: |E(y,U)|,
 plus n if y is outside U. A flip of x adds row x to every key (removal:
-subtracts it) and moves key[x] by n: one pass over one unpacked row. A flip
+subtracts it) and moves key[x] by n: one pass over the keys, eight at a
+time, each packed byte of the row looked up in a table of its bits. A flip
 delta depends on the key alone (remove: w * key - p(|U|-1); add:
 p|U| - w(key - n), w = p + q_den), rising with it inside U and falling
 outside, so the best flip sits at the smallest or the largest key.
@@ -80,6 +81,9 @@ class GammaParam:
         return str(self.p) if self.q_den == 1 else f"{self.p}/{self.q_den}"
 
 
+# Row b holds byte b's eight bits in np.packbits order, as int32 addends for the keys.
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int32)
+
 # Supports of at most this many flips are handled in Python scalars: below it they
 # cost less than numpy's per-call overhead (crossover measured at n = 2000 and 5000).
 SCALAR_FLIPS = 30
@@ -88,19 +92,26 @@ SCALAR_FLIPS = 30
 class SubsetState:
     """A subset U with its per-vertex keys and its scaled energy.
 
-    ``key`` is read-only outside ``apply_flip``. Keys stay below 2n, so int32
-    holds them; products with w are taken in int64 (see ``check_fits``).
+    ``key`` is read-only outside ``apply_flip``: the first n entries of
+    ``key_rows``, a copy of the given keys padded with zeros to whole bytes
+    and viewed as (ceil(n / 8), 8), so a flip adds a packed row byte by byte.
+    Keys stay below 2n, so int32 holds them; products with w are taken in
+    int64 (see ``check_fits``).
     ``hi_bound`` is None or an upper bound on the keys: ``key_extremes`` sets
     it to the greatest key and ``apply_flip`` keeps it a bound.
     Single-owner: never mutate one state concurrently.
     """
 
-    __slots__ = ("graph", "gamma", "member", "size", "scaled_energy", "key", "hi_bound")
+    __slots__ = ("graph", "gamma", "member", "size", "scaled_energy", "key",
+                 "key_rows", "hi_bound")
 
     def __init__(self, graph: Graph, gamma: GammaParam, member: np.ndarray,
                  size: int, key: np.ndarray, scaled_energy: int):
         self.graph, self.gamma, self.member = graph, gamma, member
-        self.size, self.key, self.scaled_energy, self.hi_bound = size, key, scaled_energy, None
+        self.key_rows = np.zeros((-(-graph.n // 8), 8), dtype=np.int32)
+        self.key = self.key_rows.reshape(-1)[:graph.n]
+        self.key[:] = key
+        self.size, self.scaled_energy, self.hi_bound = size, scaled_energy, None
 
     def _delta_at(self, key: int) -> int:
         """Scaled delta of flipping a vertex whose key is ``key``."""
@@ -185,8 +196,7 @@ def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],
     size = int(np.count_nonzero(member))
     p, w = gamma.p, gamma.edge_weight
     scaled = p * (size * (size - 1) // 2) - w * (int(deg[member].sum()) // 2)
-    key = np.where(member, deg, deg + n).astype(np.int32)
-    return SubsetState(graph, gamma, member, size, key, scaled)
+    return SubsetState(graph, gamma, member, size, np.where(member, deg, deg + n), scaled)
 
 
 def apply_flip(state: SubsetState, x: int,
@@ -195,8 +205,8 @@ def apply_flip(state: SubsetState, x: int,
     flip's scaled delta, when the caller has it already."""
     key, n, remove = state.key, state.graph.n, bool(state.member[x])
     delta = state._delta_at(int(key[x])) if delta is None else delta
-    row = np.unpackbits(state.graph._row(x), count=n)
-    (np.subtract if remove else np.add)(key, row, out=key)
+    rows = state.key_rows  # a packed row's padding bits are 0: padding keys stay 0
+    (np.subtract if remove else np.add)(rows, _BITS.take(state.graph._row(x), axis=0), out=rows)
     key[x] += n if remove else -n
     if state.hi_bound is not None:  # other keys fall by a remove, rise by 1 at most
         state.hi_bound = max(state.hi_bound, int(key[x])) if remove else state.hi_bound + 1

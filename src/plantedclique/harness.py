@@ -80,7 +80,7 @@ class _Config:
         try:
             seeds = self.seed_list()
             bad = [s for s in seeds if not 0 <= s < 2**64]
-            repeat = next((s for s, count in Counter(seeds).items() if count > 1), None)
+            repeat = _first_repeat(seeds)
             if not seeds:
                 errors.append(("seeds", "no seeds specified"))
             elif bad:
@@ -217,8 +217,11 @@ class LandscapeConfig(_Config):
                                     f"got {self.model!r}"))
         if self.mode == "kappa":
             try:
-                if not self.gamma_list():
+                gammas = self.gamma_list()  # exact fractions: 2 and 4/2 are one gamma
+                if not gammas:
                     errors.append(("gammas", "kappa mode needs a gamma list"))
+                elif (repeat := _first_repeat(gammas)) is not None:
+                    errors.append(("gammas", f"gamma {repeat} is repeated"))
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 errors.append(("gammas", str(exc)))
         elif not 1 <= self.k <= self.n:
@@ -234,12 +237,19 @@ class LandscapeConfig(_Config):
                         raise ValueError(f"subset size {m} is outside 1..n - k = "
                                          f"1..{self.n - self.k}")
                     check_sample_rate(self.n - self.k, m, self.budget)
+                if (repeat := _first_repeat(self.m_list())) is not None:
+                    raise ValueError(f"subset size {repeat} is repeated")
             except ValueError as exc:
                 errors.append(("m_values", str(exc)))
             if self.budget < 1:
                 errors.append(("budget", "budget must be >= 1"))
         if errors:
             raise ConfigError(errors)
+
+
+def _first_repeat(values: list):
+    """The first value listed more than once, or None."""
+    return next((v for v, count in Counter(values).items() if count > 1), None)
 
 
 def _parse_seeds(text: str) -> list[int]:

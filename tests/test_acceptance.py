@@ -17,12 +17,12 @@ import pytest
 from plantedclique import (GammaParam, GibbsChain, GradientDescent,
                            brute_force_min, enumerate_local_minima,
                            gen_contaminated, gen_er, gen_planted,
-                           gibbs_probabilities, gibbs_step, gd_step,
-                           init_state, run_chain, run_coupled_gd,
-                           stream_rng, verify_hamming_descent,
-                           verify_removal_phase)
+                           gibbs_step, gd_step, init_state, run_chain,
+                           run_coupled_gd, stream_rng)
 from plantedclique.energy import apply_flip
 
+from checkers import (gibbs_probabilities, verify_hamming_descent,
+                      verify_removal_phase)
 from conftest import (added_vertices, first_clique_add, miss_probability,
                       py_scaled_energy)
 

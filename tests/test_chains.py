@@ -9,16 +9,17 @@ import pytest
 from plantedclique import (CoupledResult, GammaParam, GibbsChain,
                            GradientDescent, Graph, Move, SubsetState,
                            Trajectory, apply_flip, gd_step,
-                           gen_coupled, gen_er, gen_planted, gibbs_probabilities,
-                           gibbs_step, init_state, local_min_check, replay,
-                           run_chain, run_coupled_gd, run_peel, stream_rng,
-                           verify_hamming_descent, verify_removal_phase)
+                           gen_coupled, gen_er, gen_planted, gibbs_step,
+                           init_state, local_min_check, replay, run_chain,
+                           run_coupled_gd, run_peel, stream_rng)
 from plantedclique import chains, graphs
 from plantedclique.harness import ConfigError, ExperimentConfig
 from plantedclique.chains import (TRAJECTORY_CSV_HEADER, _ChainDriver,
                                   _peel_step_u, _Uniforms)
 from plantedclique.graphs import CHAIN_STREAM
 
+from checkers import (gibbs_probabilities, verify_hamming_descent,
+                      verify_removal_phase)
 from conftest import (RowTrajectory, first_clique_add, graph_from_edges,
                       miss_probability, moves, py_scaled_energy,
                       terminal_members)
@@ -429,6 +430,31 @@ class TestRunLengthTrajectory:
             assert_rows_match(traj, ref)
 
 
+class TestGdRun:
+    """``run_chain`` takes a descent's moves in one driver call; it must
+    equal the one-step public ``gd_step`` applied step by step, on sizes
+    whose key buffer is padded past n, and when max_steps cuts it short."""
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (9, 3), (301, 30)])
+    @pytest.mark.parametrize("init", ["full", "empty", "explicit"])
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_matches_gd_steps(self, n, k, init, budget):
+        inst, seed = gen_planted(n, k, n + budget), n + budget
+        if init == "explicit":
+            init = tuple(sorted({0, n // 3, n // 2, n - 1}))
+        gamma = GammaParam(4)
+        whole = run_chain(inst, init, GradientDescent(budget), gamma, 10**5, seed)
+        assert whole.absorbed
+        for record_every in (1, 3, 7):
+            for max_steps in sorted({1, max(1, whole.steps // 2), 10**5}):
+                traj = run_chain(inst, init, GradientDescent(budget), gamma,
+                                 max_steps, seed, record_every=record_every)
+                ref = reference_run(inst, init, gamma, gd_steps(budget, seed),
+                                    max_steps, record_every)
+                assert_rows_match(traj, ref, inst.labels)
+                assert traj.stay_rows.size == 0
+
+
 class TestRunChain:
     def test_pc_equals_v_absorbs_at_step_zero(self):
         inst = gen_planted(8, 8, 0)
@@ -658,9 +684,21 @@ class _SharedDraw:
         return self.u
 
 
+def descend_once(driver, u, t):
+    """Step t of the driver's descent on draw u, as a Move read off its row;
+    None on absorption."""
+    energy = driver.state.scaled_energy
+    driver.descend(u, t)
+    if driver.absorbed:
+        return None
+    _, _, _, after, kind, x = driver.rows[-1]
+    return Move(kind, x, after - energy)
+
+
 def lockstep_coupled_gd(n, k, gamma, plateau_budget, max_steps, seed, init):
-    """Reference for ``run_coupled_gd``: one loop steps both drivers, hands
-    draw t of CHAIN_STREAM to step t of each and compares the moves."""
+    """Reference for ``run_coupled_gd``: one loop steps both drivers one move
+    at a time, hands draw t of CHAIN_STREAM to step t of each and compares
+    the moves."""
     g0, instance = gen_coupled(n, k, seed)
     rng = stream_rng(seed, CHAIN_STREAM)
     kind = GradientDescent(plateau_budget)
@@ -672,8 +710,8 @@ def lockstep_coupled_gd(n, k, gamma, plateau_budget, max_steps, seed, init):
         if a.absorbed and b.absorbed:
             break
         u = _SharedDraw(rng.random())
-        move_a = a.step(u) if not a.absorbed else None
-        move_b = b.step(u) if not b.absorbed else None
+        move_a = descend_once(a, u, t) if not a.absorbed else None
+        move_b = descend_once(b, u, t) if not b.absorbed else None
         if first_div is None and move_a != move_b:
             first_div = t
         if tau is None and a.n1 > 0:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantedclique import (GammaParam, GradientDescent, SubsetState, apply_flip,
-                           chains, gen_er, gen_planted, init_state, run_chain)
+                           chains, energy, gen_er, gen_planted, init_state,
+                           run_chain)
 
 from conftest import graph_from_edges, py_scaled_energy
 
@@ -180,6 +181,36 @@ class TestApplyFlip:
             deg = g.deg_into(st_.member)
             assert int(deg[st_.member].sum()) == 2 * edges_inside(st_)
             assert np.array_equal(st_.key, np.where(st_.member, deg, deg + 26))
+
+    def test_bit_table_rows_are_unpacked_bytes(self):
+        table = energy._BITS
+        assert table.shape == (256, 8) and table.dtype == np.int32
+        for b in range(256):
+            assert table[b].tolist() == np.unpackbits(np.uint8(b)).tolist()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 23, 301])
+    def test_flip_on_a_plain_key_array_matches_unpack_and_add(self, n):
+        # the state copies the keys into a buffer padded to whole bytes; the
+        # table flip adds each packed byte's bits and leaves the padding at 0
+        g = gen_planted(n, max(1, n // 4), n).graph
+        gam, rng = GammaParam(7, 2), np.random.default_rng(n)
+        member = rng.random(n) < 0.5
+        deg = g.deg_into(member)
+        plain = np.where(member, deg, deg + n).astype(np.int32)
+        state = SubsetState(g, gam, member.copy(), int(member.sum()), plain, 0)
+        assert state.key_rows.shape == (-(-n // 8), 8)
+        assert state.key.base is not None and state.key.size == n
+        plain[:] = -1  # the state holds a copy
+        want = np.where(member, deg, deg + n)
+        key = state.key
+        for x in rng.integers(0, n, 4 * n + 4).tolist():
+            remove = bool(state.member[x])
+            apply_flip(state, x, 0)
+            row = np.unpackbits(g._row(x), count=n).astype(np.int64)
+            want = want - row if remove else want + row
+            want[x] += n if remove else -n
+            assert state.key is key and np.array_equal(state.key, want)
+            assert not state.key_rows.reshape(-1)[n:].any()
 
 
 @settings(max_examples=120, deadline=None)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from plantedclique import (GammaParam, GibbsChain, GradientDescent, Move, SubsetState,
-                           apply_flip, chains, energy, gen_planted, gibbs_probabilities,
-                           gibbs_step, init_state, run_chain, stream_rng)
+                           apply_flip, chains, energy, gen_planted, gibbs_step,
+                           init_state, run_chain, stream_rng)
 from plantedclique.chains import _Uniforms
 from plantedclique.graphs import CHAIN_STREAM
 
+from checkers import gibbs_probabilities
 from conftest import reference_gibbs_step, reference_gibbs_support
 
 

@@ -53,6 +53,8 @@ def run_call(**overrides):
 
 CALLS = {
     "run-gd-full": run_call(),
+    # n not a multiple of 8: the state's key buffer carries padding entries
+    "run-gd-full-odd-n": run_call(n=123),
     "run-gd-empty-drift": run_call(init="empty", tie="drift:1",
                                    max_steps=2000),
     "run-gibbs-record-every": run_call(chain="gibbs", beta=30.0,
@@ -253,6 +255,16 @@ GOLDEN = {
             '0c05002c3a4465baf25df0e44203e3b6145e50fe397a2fb7a8839558ad1cc021',
         'traj_s2.csv':
             '4c4db947da9e8a22be42e85faae1d604be0dbced45eb6a754e4aac0d8e8fb2a4',
+    },
+    'run-gd-full-odd-n': {
+        'summary.json':
+            '8782bcc5ce7bda94f0d37929a1b5cdebdff3be2c28aa7ce11360efb919364977',
+        'traj_s0.csv':
+            'df26e0f4e91e94bba98b64cae153d5fc7db532da38b076df3d68df734927ffe8',
+        'traj_s1.csv':
+            '1a460b45946a07544c9ec9cc7b9ed56bff450c41cec69ad5d4abb54f6a570818',
+        'traj_s2.csv':
+            '4c426ac0f87725862fc18c01e4604a3eb1a1dfc36ac45b04ed9e46a0122967a8',
     },
     'run-gibbs-record-every': {
         'summary.json':

@@ -124,6 +124,25 @@ class TestConfigFormat:
         tiny_config(tmp_path, seeds="0..2,5,3").validate()
         LandscapeConfig(mode="brute", n=12, k=8, seeds="4,0..3").validate()
 
+    @pytest.mark.parametrize("m_values, repeat", [
+        ("3,3", 3), ("2..4,3", 3), ("4,2..3,2,4", 4)])
+    def test_repeated_subset_size_is_named(self, m_values, repeat):
+        # a repeated size was scanned and written twice, one identical row each
+        cfg = LandscapeConfig(mode="scan", n=20, k=5, m_values=m_values, seeds="0")
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert err.value.errors == [("m_values", f"subset size {repeat} is repeated")]
+        LandscapeConfig(mode="scan", n=20, k=5, m_values="4,2..3", seeds="0").validate()
+
+    @pytest.mark.parametrize("gammas, repeat", [
+        ("2,2", "2"), ("2,4/2", "2"), ("3,7/2,3.5", "7/2"), ("9,2,3,2.0,9", "9")])
+    def test_repeated_gamma_is_named(self, gammas, repeat):
+        # gammas compare as exact fractions; a repeat wrote its kappa row twice
+        with pytest.raises(ConfigError) as err:
+            LandscapeConfig(mode="kappa", gammas=gammas).validate()
+        assert err.value.errors == [("gammas", f"gamma {repeat} is repeated")]
+        LandscapeConfig(mode="kappa", gammas="2,5/2,3,7/2").validate()
+
     def test_model_specific_validation(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             tiny_config(tmp_path, model="er", k=3).validate()
