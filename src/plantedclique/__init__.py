@@ -15,6 +15,6 @@ from .harness import (ConfigError, ExperimentConfig, LandscapeConfig,
                       run_experiment, run_landscape, run_sweep, write_config)
 from .landscape import (ComplexityEstimate, LocalMinReport, binary_entropy,
                         brute_force_min, enumerate_local_minima,
-                        local_min_check)
+                        local_min_check, scan_local_minima)
 
 __version__ = "0.1.0"

@@ -60,7 +60,7 @@ __all__ = [
 # PCG64(SeedSequence(s, spawn_key=(i,))). Stream 0 drives edge coins,
 # stream 1 subset choices (clique first, then the contaminated set),
 # stream 2 chain randomness, and stream 3 the subset sampler of
-# landscape.enumerate_local_minima.
+# landscape.scan_local_minima.
 GENERATOR_SCHEME = "pcg64-streams-v1"
 EDGE_STREAM = 0
 SUBSET_STREAM = 1

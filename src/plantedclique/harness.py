@@ -25,8 +25,9 @@ from .chains import (GibbsChain, GradientDescent, run_chain, run_coupled_gd,
                      run_peel)
 from .energy import GammaParam
 from .graphs import gen_contaminated, gen_er, gen_planted
+# enumerate_local_minima is no longer called here; perfbench/tracer.py wraps it
 from .landscape import (_BRUTE_FORCE_LIMIT, binary_entropy, brute_force_min,
-                        check_sample_rate, enumerate_local_minima)
+                        check_sample_rate, enumerate_local_minima, scan_local_minima)
 
 __all__ = ["ExperimentConfig", "LandscapeConfig", "RunSummary", "ConfigError",
            "parse_config", "parse_config_text", "write_config", "config_text",
@@ -577,13 +578,12 @@ def _scan_cell(config: LandscapeConfig, seed: int):
     kappa = float(gamma.kappa)
     h_kappa = binary_entropy(kappa)
     rows, text = [], "m,count_or_estimate,stderr,predicted_exponent,kappa,h_kappa,n,gamma\n"
-    for m in config.m_list():
-        found, est = enumerate_local_minima(instance.graph, m, instance.pc, gamma,
-                                            config.budget, seed=seed)
+    for found, est in scan_local_minima(instance.graph, config.m_list(), instance.pc,
+                                        gamma, config.budget, seed=seed):
         pred = "" if est.predicted_exponent is None else f"{est.predicted_exponent:.6g}"
-        text += (f"{m},{est.count_estimate:.6g},{est.stderr:.6g},{pred},"
+        text += (f"{est.m},{est.count_estimate:.6g},{est.stderr:.6g},{pred},"
                  f"{kappa:.6g},{h_kappa:.6g},{config.n},{gamma}\n")
-        rows.append({"seed": seed, "m": m, "found": len(found),
+        rows.append({"seed": seed, "m": est.m, "found": len(found),
                      "count_estimate": est.count_estimate, "stderr": est.stderr,
                      "predicted_exponent": est.predicted_exponent,
                      "sampled": est.sampled})

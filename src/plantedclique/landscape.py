@@ -21,7 +21,8 @@ from .energy import GammaParam, init_state
 from .graphs import SAMPLER_STREAM, Graph, stream_rng
 
 __all__ = ["LocalMinReport", "ComplexityEstimate", "binary_entropy",
-           "local_min_check", "brute_force_min", "enumerate_local_minima"]
+           "local_min_check", "brute_force_min", "enumerate_local_minima",
+           "scan_local_minima"]
 
 _BRUTE_FORCE_LIMIT = 24
 
@@ -185,68 +186,96 @@ def check_sample_rate(pool: int, m: int, budget: int) -> None:
                          f"use a smaller m or a budget >= C({pool}, {m}) to enumerate")
 
 
-def enumerate_local_minima(graph: Graph, m: int, forbidden: Iterable[int],
-                           gamma: GammaParam, budget: int, seed: int = 0
-                           ) -> tuple[list[frozenset], ComplexityEstimate]:
-    """Strict local minima of size m among subsets avoiding ``forbidden``.
+def _index(value, name: str, lo: int, hi) -> int:
+    """``value`` as an int in lo..hi: a TypeError for a bool or a non-integer,
+    a ValueError out of range, both naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in {lo}..{hi}, got {value}")
+    return int(value)
 
-    If C(n - |forbidden|, m) fits in ``budget``, enumerates exhaustively and
-    the returned count is exact (stderr 0). Otherwise draws ``budget`` uniform
-    size-m subsets and reports the scaled count estimate with its standard
-    error; the returned list then holds the distinct minima the sample hit.
-    Sampling is by rejection of draws with a repeat, so a size whose
-    distinct-draw rate is below 1/64 raises ValueError (``check_sample_rate``).
-    Every n runs the one ``_word_minima`` kernel: a subset is ceil(n / 64)
-    uint64 words in the packed-row bit layout, and no n x n array is built.
+
+_SEGMENT, _BLOCK = 1 << 17, 1 << 14  # values a draw, rows a kernel call: no output moves
+
+
+def scan_local_minima(graph: Graph, sizes: Iterable[int], forbidden: Iterable[int],
+                      gamma: GammaParam, budget: int, seed: int = 0
+                      ) -> list[tuple[list[frozenset], ComplexityEstimate]]:
+    """Strict local minima of each size m in ``sizes`` among subsets avoiding
+    ``forbidden``: one (found, estimate) per size, in the order given.
+
+    If C(n - |forbidden|, m) fits in ``budget``, size m is enumerated and its
+    count is exact (stderr 0). Otherwise its uniform sample is the first
+    ``budget`` m-tuples without a repeat among the consecutive m-tuples of
+    pool indices from the start of stream ``SAMPLER_STREAM``, the estimate is
+    the scaled hit count with its standard error, and the list holds the
+    distinct minima hit, sorted. A size whose distinct-draw rate is below 1/64
+    raises ValueError (``check_sample_rate``). The sampled sizes share one
+    pass over the stream (numpy's bounded draws do not depend on how they are
+    split into calls). Every n runs the one ``_word_minima`` kernel on
+    ceil(n / 64) uint64 words a subset; no n x n array is built.
     """
-    if m < 1:
-        raise ValueError("subset size must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    forbidden = set(int(v) for v in forbidden)
-    pool = np.array([v for v in range(graph.n) if v not in forbidden],
-                    dtype=np.int64)
-    if m > pool.size:
-        raise ValueError(f"no size-{m} subsets avoid the forbidden set")
-    check_sample_rate(pool.size, m, budget)
-    total = math.comb(pool.size, m)
-    # the word tables are built once per call, not once per chunk
+    budget = _index(budget, "budget", 1, math.inf)
+    forbidden = {_index(v, "forbidden vertex", 0, graph.n - 1) for v in forbidden}
+    pool = np.array([v for v in range(graph.n) if v not in forbidden], dtype=np.int64)
+    sizes = [_index(m, "subset size", 1, pool.size) for m in sizes]
+    for m in sizes:
+        check_sample_rate(pool.size, m, budget)
+    # the word tables are built once per call, not once per size or block
     words = _bit_words(graph.packed_rows)
     own = np.zeros((pool.size, words.shape[0] * 8), dtype=np.uint8)
     own[np.arange(pool.size), pool >> 3] = 0x80 >> (pool & 7)  # packbits order
     adj, bits = words[:, pool], _bit_words(own)
-    batch = 1 << 15
 
-    if total <= budget:
-        found = []
-        it = itertools.combinations(range(pool.size), m)
-        while chunk := list(itertools.islice(it, batch)):
-            found.extend(_word_minima(words, adj, bits, np.array(chunk), batch, gamma)[0])
-        est = ComplexityEstimate(
+    out, left = {}, {}  # size -> [rows still wanted, hits, minima, next value]
+    for m in dict.fromkeys(sizes):
+        total = math.comb(pool.size, m)
+        if total > budget:
+            left[m] = [budget, 0, set(), 0]
+            continue
+        found, it = [], itertools.combinations(range(pool.size), m)
+        while chunk := list(itertools.islice(it, _BLOCK)):
+            found += _word_minima(words, adj, bits, np.array(chunk), _BLOCK, gamma)[0]
+        out[m] = found, ComplexityEstimate(
             m=m, observed_count=len(found), count_estimate=float(len(found)),
             stderr=0.0, predicted_exponent=_predicted_exponent(graph.n, m, gamma),
-            sampled=False, samples=total, total_subsets=total,
-        )
-        return found, est
+            sampled=False, samples=total, total_subsets=total)
 
     rng = stream_rng(seed, SAMPLER_STREAM)
-    hits: set = set()
-    n_hits = 0
-    remaining = budget
-    while remaining > 0:
-        # rejection sampling of index tuples: the first ``remaining`` rows
-        # without a repeat are uniform m-subsets
-        r = min(batch, 2 * remaining + 16)
-        draw = rng.integers(0, pool.size, size=(r, m), dtype=np.int64)
-        found, taken = _word_minima(words, adj, bits, draw, remaining, gamma)
-        n_hits += len(found)
-        hits.update(found)
-        remaining -= taken
-    phat = n_hits / budget
-    est = ComplexityEstimate(
-        m=m, observed_count=n_hits, count_estimate=total * phat,
-        stderr=total * math.sqrt(phat * (1.0 - phat) / budget),
-        predicted_exponent=_predicted_exponent(graph.n, m, gamma),
-        sampled=True, samples=budget, total_subsets=total,
-    )
-    return sorted(hits, key=sorted), est
+    stream, start = np.empty(0, dtype=np.int64), 0  # stream values from index start on
+    while todo := [(m, s) for m, s in left.items() if s[0]]:
+        # keep what a pending size has yet to read (under m values each) and
+        # append the next segment: one copy per segment, not one per size
+        cut = min(s[3] for _, s in todo) - start
+        stream = np.concatenate([stream[cut:], rng.integers(
+            0, pool.size, size=_SEGMENT, dtype=np.int64)])
+        start += cut
+        for m, s in todo:
+            at = s[3] - start
+            rows = stream[at : at + (stream.size - at) // m * m].reshape(-1, m)
+            s[3] += rows.size
+            for b in range(0, len(rows), _BLOCK):
+                found, taken = _word_minima(words, adj, bits, rows[b : b + _BLOCK],
+                                            s[0], gamma)
+                s[0] -= taken
+                s[1] += len(found)
+                s[2].update(found)
+                if not s[0]:
+                    break
+    for m, (_, n_hits, hits, _) in left.items():
+        total, phat = math.comb(pool.size, m), n_hits / budget
+        out[m] = sorted(hits, key=sorted), ComplexityEstimate(
+            m=m, observed_count=n_hits, count_estimate=total * phat,
+            stderr=total * math.sqrt(phat * (1.0 - phat) / budget),
+            predicted_exponent=_predicted_exponent(graph.n, m, gamma),
+            sampled=True, samples=budget, total_subsets=total)
+    return [out[m] for m in sizes]
+
+
+def enumerate_local_minima(graph: Graph, m: int, forbidden: Iterable[int],
+                           gamma: GammaParam, budget: int, seed: int = 0
+                           ) -> tuple[list[frozenset], ComplexityEstimate]:
+    """Strict local minima of size m among subsets avoiding ``forbidden``:
+    the one-size case of ``scan_local_minima``."""
+    return scan_local_minima(graph, (m,), forbidden, gamma, budget, seed)[0]

@@ -1,11 +1,15 @@
-"""Run checkers and the Gibbs probability vector, for tests only.
+"""Run checkers, the Gibbs probability vector and the per-size local-minima
+sampler, for tests only.
 
 ``gibbs_probabilities`` is the transition distribution one Gibbs step
 samples from. ``verify_removal_phase`` and ``verify_hamming_descent`` replay
 or read a trajectory and check the paper's two phases of a full-init
-descent.
+descent. ``per_size_local_minima`` is the local-minima scan of one size
+with a fresh sampler stream, which ``scan_local_minima`` must match.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,6 +18,9 @@ import numpy as np
 from plantedclique import GammaParam, PlantedInstance, SubsetState, Trajectory
 from plantedclique.chains import _dense_weights, _gibbs_support, _resolve_init
 from plantedclique.energy import apply_flip, init_state
+from plantedclique.graphs import SAMPLER_STREAM, stream_rng
+from plantedclique.landscape import (ComplexityEstimate, _bit_words,
+                                     _predicted_exponent, _word_minima)
 
 
 def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:
@@ -92,3 +99,37 @@ def verify_hamming_descent(trajectory: Trajectory, k: int, gamma: GammaParam,
     first_bad = int(trajectory.t[i + 1 + bad[0]]) if bad.size else None
     return HammingReport(int(trajectory.t[i]), end, int(bad.size), first_bad,
                          zeros.size > 0)
+
+
+def per_size_local_minima(graph, m, forbidden, gamma, budget, seed=0):
+    """Strict local minima of one size m avoiding ``forbidden``: exhaustive
+    chunks of 2^15 combinations, or rejection sampling from a fresh
+    ``SAMPLER_STREAM`` drawn as (r, m) index arrays of r = min(2^15,
+    2 * remaining + 16) rows, with the same estimate."""
+    forbidden = set(int(v) for v in forbidden)
+    pool = np.array([v for v in range(graph.n) if v not in forbidden], dtype=np.int64)
+    total, batch = math.comb(pool.size, m), 1 << 15
+    words = _bit_words(graph.packed_rows)
+    own = np.zeros((pool.size, words.shape[0] * 8), dtype=np.uint8)
+    own[np.arange(pool.size), pool >> 3] = 0x80 >> (pool & 7)
+    adj, bits = words[:, pool], _bit_words(own)
+    pred = _predicted_exponent(graph.n, m, gamma)
+    if total <= budget:
+        found, it = [], itertools.combinations(range(pool.size), m)
+        while chunk := list(itertools.islice(it, batch)):
+            found += _word_minima(words, adj, bits, np.array(chunk), batch, gamma)[0]
+        return found, ComplexityEstimate(m, len(found), float(len(found)), 0.0,
+                                         pred, False, total, total)
+    rng = stream_rng(seed, SAMPLER_STREAM)
+    hits, n_hits, remaining = set(), 0, budget
+    while remaining > 0:
+        r = min(batch, 2 * remaining + 16)
+        draw = rng.integers(0, pool.size, size=(r, m), dtype=np.int64)
+        found, taken = _word_minima(words, adj, bits, draw, remaining, gamma)
+        n_hits += len(found)
+        hits.update(found)
+        remaining -= taken
+    phat = n_hits / budget
+    return sorted(hits, key=sorted), ComplexityEstimate(
+        m, n_hits, total * phat, total * math.sqrt(phat * (1.0 - phat) / budget),
+        pred, True, budget, total)

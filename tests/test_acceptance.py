@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from plantedclique import (GammaParam, GibbsChain, GradientDescent,
-                           brute_force_min, enumerate_local_minima,
+                           brute_force_min, scan_local_minima,
                            gen_contaminated, gen_er, gen_planted,
                            gibbs_step, gd_step, init_state, run_chain,
                            run_coupled_gd, stream_rng)
@@ -332,12 +332,9 @@ def test_criterion_8_local_minima_existence():
     found_counts = []
     for seed in range(seeds):
         inst = gen_planted(n, k, seed)
-        total = 0
-        for m in (6, 7, 8):
-            found, _ = enumerate_local_minima(inst.graph, m, inst.pc, gam,
-                                              budget, seed=seed)
-            total += len(found)
-        found_counts.append(total)
+        scans = scan_local_minima(inst.graph, (6, 7, 8), inst.pc, gam, budget,
+                                  seed=seed)
+        found_counts.append(sum(len(found) for found, _ in scans))
     hits = sum(1 for c in found_counts if c >= 1)
     detail = (f"sampling found >= 1 strict clique-free local minimum of size "
               f"6..8 in {hits}/{seeds} seeds (need >= 35)")

@@ -363,7 +363,7 @@ class TestLandscapeRunner:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("mode, kernel, per_seed", [
-        ("scan", "enumerate_local_minima", 2), ("brute", "brute_force_min", 1)])
+        ("scan", "scan_local_minima", 1), ("brute", "brute_force_min", 1)])
     def test_a_failing_seed_writes_nothing(self, tmp_path, monkeypatch, mode,
                                            kernel, per_seed):
         real, calls = getattr(harness, kernel), []
@@ -384,16 +384,17 @@ class TestLandscapeRunner:
 
     def test_cells_call_the_wrapped_names(self, tmp_path, monkeypatch):
         # perfbench/tracer.py times landscape cells through these harness names:
-        # one instance per seed, one scan per (seed, m)
+        # one instance and one scan over every size per seed
         seen = []
-        for name in ("gen_planted", "enumerate_local_minima", "brute_force_min"):
+        for name in ("gen_planted", "scan_local_minima", "brute_force_min"):
             real = getattr(harness, name)
             monkeypatch.setattr(harness, name, lambda *a, _name=name, _real=real, **kw:
                                 seen.append(_name) or _real(*a, **kw))
         run_landscape(LandscapeConfig(mode="scan", n=24, k=6, gamma="8",
                                       m_values="3..4", budget=3000, seeds="0..2",
                                       out_dir=str(tmp_path / "scan")))
-        assert seen == ["gen_planted", *["enumerate_local_minima"] * 2] * 3
+        assert seen == ["gen_planted", "scan_local_minima"] * 3
+        assert callable(harness.enumerate_local_minima)  # the tracer wraps it too
         seen.clear()
         run_landscape(LandscapeConfig(mode="brute", n=10, k=6, seeds="0..1",
                                       out_dir=str(tmp_path / "brute")))

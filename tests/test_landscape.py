@@ -8,11 +8,13 @@ import pytest
 
 from plantedclique import (GammaParam, binary_entropy, brute_force_min,
                            enumerate_local_minima, gen_er, gen_planted,
-                           init_state, local_min_check)
+                           init_state, landscape, local_min_check,
+                           scan_local_minima)
 from plantedclique.graphs import SAMPLER_STREAM, Graph, stream_rng
 from plantedclique.landscape import (ComplexityEstimate, _predicted_exponent,
                                      check_sample_rate)
 
+from checkers import per_size_local_minima
 from conftest import graph_from_edges
 
 
@@ -207,6 +209,94 @@ class TestEnumerateLocalMinima:
             enumerate_local_minima(g, 3, [], GammaParam(2), 0)
         with pytest.raises(ValueError):
             enumerate_local_minima(g, 11, [], GammaParam(2), 100)
+
+    @pytest.mark.parametrize("forbidden, error, match", [
+        ([999, -5], ValueError, "forbidden vertex must lie in 0..23, got 999"),
+        ([-5], ValueError, "forbidden vertex must lie in 0..23, got -5"),
+        ([24], ValueError, "forbidden vertex"),
+        ([1.7], TypeError, "forbidden vertex must be an int, got 1.7"),
+        ([np.float64(2)], TypeError, "forbidden vertex"),
+        (["3"], TypeError, "forbidden vertex"),
+        ([True], TypeError, "forbidden vertex")])
+    def test_forbidden_vertices_are_checked(self, forbidden, error, match):
+        g = gen_er(24, 0)
+        with pytest.raises(error, match=match):
+            scan_local_minima(g, (3,), forbidden, GammaParam(2), 100)
+        with pytest.raises(error, match=match):
+            enumerate_local_minima(g, 3, forbidden, GammaParam(2), 100)
+
+    @pytest.mark.parametrize("budget, error", [
+        (True, TypeError), (False, TypeError), (2.5, TypeError), (100.0, TypeError),
+        ("100", TypeError), (None, TypeError), (0, ValueError), (-3, ValueError)])
+    def test_budget_must_be_a_positive_int(self, budget, error):
+        g = gen_er(24, 0)
+        with pytest.raises(error, match="budget"):
+            scan_local_minima(g, (3,), [], GammaParam(2), budget)
+        with pytest.raises(error, match="budget"):
+            enumerate_local_minima(g, 3, [], GammaParam(2), budget)
+
+    @pytest.mark.parametrize("m, error", [
+        (0, ValueError), (-1, ValueError), (19, ValueError), (True, TypeError),
+        (3.0, TypeError), (np.float32(3), TypeError)])
+    def test_sizes_must_be_ints_in_the_pool(self, m, error):
+        g = gen_er(24, 0)  # six forbidden vertices leave a pool of 18
+        with pytest.raises(error, match="subset size"):
+            scan_local_minima(g, (2, m), range(6), GammaParam(2), 100)
+        with pytest.raises(error, match="subset size"):
+            enumerate_local_minima(g, m, range(6), GammaParam(2), 100)
+
+    def test_numpy_integers_are_accepted(self):
+        inst = gen_planted(24, 6, 0)
+        got = scan_local_minima(inst.graph, np.array([3, 18]), inst.pc,
+                                GammaParam(2), np.int64(100), np.uint64(4))
+        assert got == [enumerate_local_minima(inst.graph, 3, inst.pc.tolist(),
+                                              GammaParam(2), 100, 4),
+                       enumerate_local_minima(inst.graph, 18, inst.pc.tolist(),
+                                              GammaParam(2), 100, 4)]
+        assert got[0][1].samples == 100 and type(got[0][1].samples) is int
+
+    def test_no_sizes_give_no_results(self):
+        assert scan_local_minima(gen_er(24, 0), [], [], GammaParam(2), 100) == []
+
+
+class TestScanMatchesPerSizeSampler:
+    """One pass over the sampler stream gives every size the results of its
+    own fresh stream, however the stream is cut into segments and blocks."""
+
+    @pytest.mark.parametrize("n", [24, 64, 80, 130])
+    @pytest.mark.parametrize("budget", [1, 17, 3000])
+    @pytest.mark.parametrize("segment, block", [
+        (None, None), (1, 13), (7, 1), (13, 7)])
+    def test_scan_equals_a_fresh_stream_per_size(self, monkeypatch, n, budget,
+                                                 segment, block):
+        if segment is not None:
+            monkeypatch.setattr(landscape, "_SEGMENT", segment)
+            monkeypatch.setattr(landscape, "_BLOCK", block)
+        gam = GammaParam(2 if n == 24 else 10)
+        inst = gen_planted(n, n // 4, n)
+        # unsorted, with a repeat; at budget 3000 sizes 1 and 2 are enumerated
+        sizes = [5, 2, 7, 1, 5, 3] if n == 24 else [4, 2, 6, 1, 4]
+        got = scan_local_minima(inst.graph, sizes, inst.pc, gam, budget, seed=3)
+        want = [per_size_local_minima(inst.graph, m, inst.pc, gam, budget, seed=3)
+                for m in sizes]
+        assert got == want
+        assert [est.sampled for _, est in got] == [
+            math.comb(n - n // 4, m) > budget for m in sizes]
+
+
+class TestNumpyBoundedDraws:
+    @pytest.mark.parametrize("pool", [48, 3 * 2**30 + 7])
+    @pytest.mark.parametrize("a", [1, 7, 13, 1001])
+    def test_split_draws_continue_one_stream(self, pool, a):
+        # scan_local_minima draws the sampler stream in segments and relies
+        # on this; at pool 3 * 2^30 + 7 Lemire's method rejects about 1/4
+        # of its 32-bit words, and an odd a leaves half a 64-bit word
+        split = stream_rng(11, SAMPLER_STREAM)
+        first = split.integers(0, pool, size=a, dtype=np.int64)
+        rest = split.integers(0, pool, size=997, dtype=np.int64)
+        whole = stream_rng(11, SAMPLER_STREAM).integers(0, pool, size=a + 997,
+                                                         dtype=np.int64)
+        assert np.array_equal(np.concatenate([first, rest]), whole)
 
 
 # ---------------------------------------------------------------------------
