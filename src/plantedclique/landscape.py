@@ -24,7 +24,7 @@ __all__ = ["LocalMinReport", "ComplexityEstimate", "binary_entropy",
            "local_min_check", "brute_force_min", "enumerate_local_minima",
            "scan_local_minima"]
 
-_BRUTE_FORCE_LIMIT = 24
+_BRUTE_FORCE_LIMIT, _CHUNK = 24, 1 << 16  # subsets, masks a brute-force pass
 
 
 def binary_entropy(p: float) -> float:
@@ -67,31 +67,42 @@ def brute_force_min(graph: Graph, gamma: GammaParam
     """Exact global minimum by enumerating all 2^n subsets (n <= 24).
 
     Returns the minimum scaled energy and every minimizing subset, in
-    ascending bitmask order. Edge counts are built by a doubling pass over
-    bitmasks, edges(S + v) = edges(S) + |N(v) & S| for every S below bit v,
-    in uint16 with uint8 sizes (about 8 bytes per subset at peak), and the
-    minimum is taken per size in exact integers. n = 20 takes about 0.02 s,
-    n = 24 about 0.3 s.
+    ascending bitmask order. Edge counts are built in uint16 by a doubling
+    pass over bitmasks, edges(S + v) = edges(S) + |N(v) & S| for every S below
+    bit v, through reused buffers in chunks of 2^16 masks. A subset's size is
+    its mask's popcount, so no size table is kept (about 3 bytes per subset at
+    peak): the largest edge count of each size is taken over the table viewed
+    as high-bit rows by low-bit columns, the minimum per size in exact
+    integers, and the argmins are searched only at the sizes that reach it.
+    n = 20 takes about 2 ms, n = 24 about 0.02 s.
     """
     n = graph.n
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is limited to n <= {_BRUTE_FORCE_LIMIT}, got {n}")
     adj = np.bitwise_or.reduce(graph.to_dense() << np.arange(n, dtype=np.uint64), axis=1)
-    low = np.arange(1 << n >> 1, dtype=np.uint32)
     edges = np.zeros(1 << n, dtype=np.uint16)
-    size = np.zeros(1 << n, dtype=np.uint8)
-    for v in range(n):
-        edges[1 << v: 2 << v] = edges[: 1 << v] + np.bitwise_count(
-            low[: 1 << v] & np.uint32(adj[v]))
-        size[1 << v: 2 << v] = size[: 1 << v] + 1
+    low = np.arange(min(1 << n, _CHUNK), dtype=np.uint32)
+    word, (base, count) = np.empty_like(low), np.empty((2, low.size), dtype=np.uint8)
+    for v, a in enumerate(adj.tolist()):
+        k = min(1 << v, low.size)  # |N(v) & (c + i)| = |N(v) & c| + |N(v) & i|, i < k
+        np.bitwise_count(np.bitwise_and(low[:k], a, out=word[:k]), out=base[:k])
+        for c in range(0, 1 << v, k):
+            np.add(base[:k], (a & c).bit_count(), out=count[:k])
+            np.add(edges[c : c + k], count[:k], out=edges[(1 << v) + c :][:k])
+    del low, word, base, count  # before the argmin search's compare
+    rows = edges.reshape(-1, 1 << n // 2)  # popcount(mask) = popcount(row) + popcount(column)
+    pc = np.bitwise_count(np.arange(len(rows)))  # as many rows as columns, or twice
+    top = np.array([rows[pc == u].max(axis=0) for u in range(pc[-1] + 1)])
     most = np.zeros(n + 1, dtype=np.uint16)
-    np.maximum.at(most, size, edges)
+    np.maximum.at(most, np.add.outer(np.arange(len(top)), pc[: rows.shape[1]]), top)
     p, w = gamma.p, gamma.edge_weight
     h = [p * (s * (s - 1) // 2) - w * e for s, e in enumerate(most.tolist())]
-    best = min(h)
-    want = np.where([x == best for x in h], most, 1 << 15)  # no edge count is 2^15
-    argmins = np.flatnonzero(edges == want[size]).tolist()
-    return best, [frozenset(i for i in range(n) if mask >> i & 1) for mask in argmins]
+    best, argmins = min(h), []
+    for s in (s for s, x in enumerate(h) if x == best):
+        at = np.flatnonzero(edges == most[s])
+        argmins += at[np.bitwise_count(at) == s].tolist()
+    return best, [frozenset(i for i in range(n) if mask >> i & 1)
+                  for mask in sorted(argmins)]
 
 
 @dataclass(frozen=True)
@@ -151,30 +162,42 @@ def _word_minima(words: np.ndarray, adj: np.ndarray, bits: np.ndarray,
     the pool vertices' neighbourhoods and own bits (``_bit_words``). A row's
     mask is one vector per word and is distinct iff it has m bits. One
     popcount per column keeps the rows whose member has inside degree
-    d > p (m - 1) // w; the few survivors get the outside check
-    d <= (p m - 1) // w (the exact kappa thresholds w d > p (m - 1) and
-    w d < p m) in blocks of up to 2^19 words.
+    d > p (m - 1) // w, column 0 over the whole block; the few survivors get
+    the outside check d <= (p m - 1) // w (the exact kappa thresholds
+    w d > p (m - 1) and w d < p m), each vertex's degree into a survivor
+    being the sum of its members' unpacked rows, in blocks of up to 2 MB.
     """
     p, w, m = gamma.p, gamma.edge_weight, rows.shape[1]
-    masks = [b[rows[:, 0]] for b in bits]
+    col = rows[:, 0]
+    masks = [b[col] for b in bits]
     for j in range(1, m):
         for x, b in zip(masks, bits):
             x |= b[rows[:, j]]
-    taken = keep = np.flatnonzero(_popcount(masks) == m)[:limit]
-    for j in range(m):
-        if not keep.size:  # most chunks run out of rows after a few columns
+    distinct = _popcount(masks) == m
+    taken = np.count_nonzero(distinct)
+    if taken > limit:  # no row after the limit-th distinct one counts
+        distinct[np.flatnonzero(distinct)[limit] :] = False
+        taken = limit
+    inner = p * (m - 1) // w
+    ok = _popcount([a[col] & x for a, x in zip(adj, masks)]) > inner
+    keep = np.flatnonzero(ok & distinct)
+    for j in range(1, m):
+        if not keep.size:  # most blocks run out of rows after a few columns
             break
         col = rows[keep, j]
-        ok = _popcount([a[col] & x[keep] for a, x in zip(adj, masks)]) > p * (m - 1) // w
-        keep = keep[ok]
-    found, step = [], max(1, (1 << 19) // words.size)  # (step, n, W) words: 4 MB
+        keep = keep[_popcount([a[col] & x[keep] for a, x in zip(adj, masks)]) > inner]
+    found, n = [], words.shape[1]
+    step = max(1, (1 << 21) // ((m + 4) * n))  # member rows and 4 arrays of n bytes: 2 MB
     for b in range(0, keep.size, step):
-        h = np.stack([x[keep[b : b + step]] for x in masks], axis=1)
-        inside = np.unpackbits(h.view(np.uint8), axis=1, count=words.shape[1]).view(bool)
-        deg = np.bitwise_count(words.T[None] & h[:, None]).sum(axis=2, dtype=np.uint32)
+        at = keep[b : b + step]
+        h = np.stack([x[at] for x in masks], axis=1)
+        inside = np.unpackbits(h.view(np.uint8), axis=1, count=n).view(bool)
+        member = adj.T[rows[at].ravel()].view(np.uint8)  # each member's row bytes
+        deg = np.unpackbits(member, axis=1, count=n).reshape(len(at), m, n).sum(
+            axis=1, dtype=np.min_scalar_type(m))  # deg <= m
         strict = inside[(inside | (deg <= (p * m - 1) // w)).all(axis=1)]
         found += [frozenset(np.flatnonzero(r).tolist()) for r in strict]
-    return found, taken.size
+    return found, taken
 
 
 def check_sample_rate(pool: int, m: int, budget: int) -> None:
@@ -213,8 +236,11 @@ def scan_local_minima(graph: Graph, sizes: Iterable[int], forbidden: Iterable[in
     distinct minima hit, sorted. A size whose distinct-draw rate is below 1/64
     raises ValueError (``check_sample_rate``). The sampled sizes share one
     pass over the stream (numpy's bounded draws do not depend on how they are
-    split into calls). Every n runs the one ``_word_minima`` kernel on
-    ceil(n / 64) uint64 words a subset; no n x n array is built.
+    split into calls), drawn in segments of ``_SEGMENT`` values: a size reads
+    its rows as views of each segment and keeps only the fewer than m values
+    a segment end cuts off, so no segment is copied. Every n runs the one
+    ``_word_minima`` kernel on ceil(n / 64) uint64 words a subset; no n x n
+    array is built.
     """
     budget = _index(budget, "budget", 1, math.inf)
     forbidden = {_index(v, "forbidden vertex", 0, graph.n - 1) for v in forbidden}
@@ -228,11 +254,11 @@ def scan_local_minima(graph: Graph, sizes: Iterable[int], forbidden: Iterable[in
     own[np.arange(pool.size), pool >> 3] = 0x80 >> (pool & 7)  # packbits order
     adj, bits = words[:, pool], _bit_words(own)
 
-    out, left = {}, {}  # size -> [rows still wanted, hits, minima, next value]
+    out, left = {}, {}  # size -> [rows still wanted, hits, minima, unread values]
     for m in dict.fromkeys(sizes):
         total = math.comb(pool.size, m)
         if total > budget:
-            left[m] = [budget, 0, set(), 0]
+            left[m] = [budget, 0, set(), np.empty(0, dtype=np.int64)]
             continue
         found, it = [], itertools.combinations(range(pool.size), m)
         while chunk := list(itertools.islice(it, _BLOCK)):
@@ -243,21 +269,23 @@ def scan_local_minima(graph: Graph, sizes: Iterable[int], forbidden: Iterable[in
             sampled=False, samples=total, total_subsets=total)
 
     rng = stream_rng(seed, SAMPLER_STREAM)
-    stream, start = np.empty(0, dtype=np.int64), 0  # stream values from index start on
     while todo := [(m, s) for m, s in left.items() if s[0]]:
-        # keep what a pending size has yet to read (under m values each) and
-        # append the next segment: one copy per segment, not one per size
-        cut = min(s[3] for _, s in todo) - start
-        stream = np.concatenate([stream[cut:], rng.integers(
-            0, pool.size, size=_SEGMENT, dtype=np.int64)])
-        start += cut
+        segment = rng.integers(0, pool.size, size=_SEGMENT, dtype=np.int64)
         for m, s in todo:
-            at = s[3] - start
-            rows = stream[at : at + (stream.size - at) // m * m].reshape(-1, m)
-            s[3] += rows.size
-            for b in range(0, len(rows), _BLOCK):
-                found, taken = _word_minima(words, adj, bits, rows[b : b + _BLOCK],
-                                            s[0], gamma)
+            # the fewer than m values a segment end cut off start this
+            # segment's first row, which may need more than the segment
+            cut = -s[3].size % m
+            if cut > segment.size:
+                s[3] = np.concatenate([s[3], segment])
+                continue
+            end = cut + (segment.size - cut) // m * m
+            rows = segment[cut:end].reshape(-1, m)
+            blocks = [rows[b : b + _BLOCK] for b in range(0, len(rows), _BLOCK)]
+            if cut:
+                blocks.insert(0, np.concatenate([s[3], segment[:cut]])[None])
+            s[3] = segment[end:].copy()
+            for block in blocks:
+                found, taken = _word_minima(words, adj, bits, block, s[0], gamma)
                 s[0] -= taken
                 s[1] += len(found)
                 s[2].update(found)

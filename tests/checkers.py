@@ -5,7 +5,8 @@ sampler, for tests only.
 samples from. ``verify_removal_phase`` and ``verify_hamming_descent`` replay
 or read a trajectory and check the paper's two phases of a full-init
 descent. ``per_size_local_minima`` is the local-minima scan of one size
-with a fresh sampler stream, which ``scan_local_minima`` must match.
+with a fresh sampler stream, which ``scan_local_minima`` must match, and
+``word_tables`` builds the bit tables its kernel reads.
 """
 
 import itertools
@@ -101,6 +102,16 @@ def verify_hamming_descent(trajectory: Trajectory, k: int, gamma: GammaParam,
                          zeros.size > 0)
 
 
+def word_tables(graph, pool):
+    """``_word_minima``'s first three arguments for the pool vertices
+    ``pool``: every vertex's neighbourhood words, and the pool vertices'
+    neighbourhoods and own bits."""
+    words = _bit_words(graph.packed_rows)
+    own = np.zeros((pool.size, words.shape[0] * 8), dtype=np.uint8)
+    own[np.arange(pool.size), pool >> 3] = 0x80 >> (pool & 7)
+    return words, words[:, pool], _bit_words(own)
+
+
 def per_size_local_minima(graph, m, forbidden, gamma, budget, seed=0):
     """Strict local minima of one size m avoiding ``forbidden``: exhaustive
     chunks of 2^15 combinations, or rejection sampling from a fresh
@@ -109,10 +120,7 @@ def per_size_local_minima(graph, m, forbidden, gamma, budget, seed=0):
     forbidden = set(int(v) for v in forbidden)
     pool = np.array([v for v in range(graph.n) if v not in forbidden], dtype=np.int64)
     total, batch = math.comb(pool.size, m), 1 << 15
-    words = _bit_words(graph.packed_rows)
-    own = np.zeros((pool.size, words.shape[0] * 8), dtype=np.uint8)
-    own[np.arange(pool.size), pool >> 3] = 0x80 >> (pool & 7)
-    adj, bits = words[:, pool], _bit_words(own)
+    words, adj, bits = word_tables(graph, pool)
     pred = _predicted_exponent(graph.n, m, gamma)
     if total <= budget:
         found, it = [], itertools.combinations(range(pool.size), m)

@@ -12,9 +12,9 @@ from plantedclique import (GammaParam, binary_entropy, brute_force_min,
                            scan_local_minima)
 from plantedclique.graphs import SAMPLER_STREAM, Graph, stream_rng
 from plantedclique.landscape import (ComplexityEstimate, _predicted_exponent,
-                                     check_sample_rate)
+                                     _word_minima, check_sample_rate)
 
-from checkers import per_size_local_minima
+from checkers import per_size_local_minima, word_tables
 from conftest import graph_from_edges
 
 
@@ -266,7 +266,7 @@ class TestScanMatchesPerSizeSampler:
     @pytest.mark.parametrize("n", [24, 64, 80, 130])
     @pytest.mark.parametrize("budget", [1, 17, 3000])
     @pytest.mark.parametrize("segment, block", [
-        (None, None), (1, 13), (7, 1), (13, 7)])
+        (None, None), (1, 13), (7, 1), (13, 7), (2, 3), (5, 2)])
     def test_scan_equals_a_fresh_stream_per_size(self, monkeypatch, n, budget,
                                                  segment, block):
         if segment is not None:
@@ -282,6 +282,25 @@ class TestScanMatchesPerSizeSampler:
         assert got == want
         assert [est.sampled for _, est in got] == [
             math.comb(n - n // 4, m) > budget for m in sizes]
+
+
+class TestWordMinima:
+    # triangles {0, 1, 2}, {3, 4, 5} and {6, 7, 8} are the strict local
+    # minima of size 3 at gamma = 10; 9, 10 and 11 are isolated
+    GRAPH = graph_from_edges(12, [e for t in ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+                                  for e in itertools.combinations(t, 2)])
+    ROWS = np.array([[0, 0, 1],     # a repeat: not taken
+                     [0, 1, 2],     # a minimum
+                     [9, 10, 11],   # column 0 fails the inside filter
+                     [3, 4, 5],     # a minimum, passing column 0's filter
+                     [6, 7, 8]])    # a minimum
+
+    @pytest.mark.parametrize("limit, count", [(1, 1), (2, 1), (3, 2), (4, 3), (9, 3)])
+    def test_no_row_after_the_limit_counts(self, limit, count):
+        words, adj, bits = word_tables(self.GRAPH, np.arange(12))
+        found, taken = _word_minima(words, adj, bits, self.ROWS, limit, GammaParam(10))
+        assert found == [frozenset(r) for r in self.ROWS[[1, 3, 4]][:count].tolist()]
+        assert taken == min(limit, 4)
 
 
 class TestNumpyBoundedDraws:
@@ -391,9 +410,9 @@ class TestKernelsMatchReference:
         assert argmins == [frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4}),
                            frozenset(range(5)), frozenset(range(5, 9))]
 
-    def test_brute_force_min_stays_below_ten_bytes_per_subset(self):
-        # edges uint16, sizes uint8 and a uint32 half range: an int64 energy
-        # array alone would be 8 bytes per subset
+    def test_brute_force_min_stays_below_four_bytes_per_subset(self):
+        # uint16 edge counts and the argmin search's one-byte compare, with
+        # no size table and no half range: about 3.3 MiB at n = 20
         g = gen_planted(20, 8, 0).graph
         tracemalloc.start()
         try:
@@ -401,7 +420,7 @@ class TestKernelsMatchReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10 * (1 << 20)
+        assert peak < 4 * (1 << 20)
 
     @pytest.mark.parametrize("n", [20, 64, 80, 130])
     @pytest.mark.parametrize("gamma", [2, 10])
@@ -415,16 +434,39 @@ class TestKernelsMatchReference:
                                                   3000, seed)
                 assert got == want, (seed, m)
 
-    def test_exhaustive_outside_check_over_many_blocks_matches_reference(self):
+    @pytest.mark.parametrize("density, minima", [(0.05, 900), (0.1, 150)])
+    def test_exhaustive_outside_check_over_many_blocks_matches_reference(
+            self, density, minima):
         # a sparse n = 300 graph (five words a row): every edge of the pool
-        # passes the inside filter at gamma = 10, about 2200 survivors against
-        # outside-check blocks of 349 rows, and about 1000 edges are minima
+        # passes the inside filter at gamma = 10, about 700 (density 0.05) or
+        # 1700 (0.1) survivors a 2^14-row chunk against outside-check blocks
+        # of 1165 rows, and about 1000 or 190 edges are minima
         rng = np.random.default_rng(0)
         pairs = np.array(list(itertools.combinations(range(300), 2)))
-        g = graph_from_edges(300, pairs[rng.random(len(pairs)) < 0.05].tolist())
+        g = graph_from_edges(300, pairs[rng.random(len(pairs)) < density].tolist())
         got = enumerate_local_minima(g, 2, range(10), GammaParam(10), 10**6)
-        assert not got[1].sampled and got[1].observed_count > 900
+        assert not got[1].sampled and got[1].observed_count > minima
         assert got == ref_enumerate_local_minima(g, 2, range(10), GammaParam(10), 10**6)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_outside_check_finds_known_minima_across_words(self, m):
+        # 20 disjoint edges, 20 triangles and 12 K4s on shuffled vertices of
+        # an n = 150 graph (three words a row): at gamma = 10 the minima of
+        # size 2 are the edges and those of size 3 the triangles, since the
+        # fourth vertex of a K4 has degree 3 into the others, forbidden or not
+        perm = np.random.default_rng(5).permutation(150).tolist()
+        parts = [perm[i : i + 2] for i in range(0, 40, 2)]
+        parts += [perm[i : i + 3] for i in range(40, 100, 3)]
+        parts += [perm[i : i + 4] for i in range(100, 148, 4)]
+        g = graph_from_edges(150, [e for c in parts for e in itertools.combinations(c, 2)])
+        forbidden = [perm[0], perm[40], perm[100]]  # one vertex of each kind of part
+        got = enumerate_local_minima(g, m, forbidden, GammaParam(10), 10**6)
+        assert not got[1].sampled
+        assert sorted(got[0], key=sorted) == sorted(
+            (frozenset(c) for c in parts if len(c) == m and not set(c) & set(forbidden)),
+            key=sorted)
+        assert {v // 64 for s in got[0] for v in s} == {0, 1, 2}
+        assert got == ref_enumerate_local_minima(g, m, forbidden, GammaParam(10), 10**6)
 
     def test_sizes_past_255_count_bits_without_wrapping(self):
         # the planted 257-clique is the one strict local minimum of its size;
