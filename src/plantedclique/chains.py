@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .energy import GammaParam, SubsetState, apply_flip, init_state
+from .energy import SCALAR_FLIPS, GammaParam, SubsetState, apply_flip, init_state
 from .graphs import CHAIN_STREAM, Graph, PlantedInstance, gen_coupled, stream_rng
 
 __all__ = [
@@ -155,21 +155,10 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _choose(candidates: np.ndarray, u: float) -> int:
-    """Uniform pick from a sorted candidate array using one uniform draw
-    u < 1 (so int(u * size) < size)."""
-    return int(candidates[int(u * candidates.size)])
-
-
-def _gd_pick(state: SubsetState, u: float, plateau_budget: int,
-             plateau_used: int) -> Optional[tuple[int, int]]:
-    """The best flip delta and the flip draw u picks among its vertices, or
-    None when a gd step stays: the delta is positive, or zero with
-    ``plateau_used`` >= ``plateau_budget``."""
-    dmin, candidates = state.best_flips()
-    if dmin > 0 or dmin == 0 and plateau_used >= plateau_budget:
-        return None
-    return dmin, _choose(candidates, u)
+def _choose(candidates: Union[np.ndarray, list], u: float) -> int:
+    """Uniform pick from sorted candidates (an array or a list) using one
+    uniform draw u < 1 (so int(u * size) < size)."""
+    return int(candidates[int(u * len(candidates))])
 
 
 def gd_step(state: SubsetState, rng: np.random.Generator,
@@ -179,10 +168,10 @@ def gd_step(state: SubsetState, rng: np.random.Generator,
     strict argmin of the n single-flip deltas, or stay if the minimum is
     positive, or zero with ``plateau_used`` >= ``plateau_budget``. The state
     is mutated in place. Consumes exactly one uniform draw."""
-    pick = _gd_pick(state, rng.random(), plateau_budget, plateau_used)
-    if pick is None:
+    u, (dmin, candidates) = rng.random(), state.best_flips()
+    if dmin > 0 or dmin == 0 and plateau_used >= plateau_budget:
         return _STAY, state
-    dmin, x = pick
+    x = _choose(candidates, u)
     kind = "remove" if state.member[x] else "add"
     apply_flip(state, x, dmin)
     return Move(kind, x, dmin), state
@@ -349,19 +338,41 @@ class _ChainDriver:
 
     def descend(self, rng, max_steps: int) -> None:
         """Take gradient-descent moves until absorption or step ``max_steps``,
-        one draw each, with the counters in locals until the run ends."""
+        one draw each, with the counters in locals until the run ends.
+
+        A removal of x at the least key lo lowers other keys by at most one and
+        lifts x's by n; keys outside U stay >= n > lo. So the least key is then
+        lo - 1, held by lo's class filtered by key < lo, if x had a neighbour in
+        it, else >= lo; a carried class moves while it beats ``hi_bound``'s add."""
         state, k, every, rows = self.state, self.k, self.record_every, self.rows
-        budget, member, draw = self.kind.plateau_budget, state.member, rng.random
+        budget, member, draw, key = self.kind.plateau_budget, state.member, rng.random, state.key
+        n, p, w = state.graph.n, state.gamma.p, state.gamma.edge_weight
         t, n1, n2, used = self.steps, self.n1, self.n2, self.plateau_used
         first_pc, last = self.first_pc_step, None  # last: the move not yet in a row
+        lo = least = None  # after a removal: lo <= every key, and the vertices at lo if known
         while t < max_steps:
-            pick = _gd_pick(state, draw(), budget, used)
-            if pick is None:
+            s, hi, dmin = state.size, state.hi_bound, None
+            if lo is not None and hi is not None and w * lo - p * (s - 1) < p * s - w * (hi - n):
+                if least is None:  # lo is the least key iff some key equals it
+                    least = (key == lo).nonzero()[0].tolist()
+                if least:
+                    dmin, at = w * lo - p * (s - 1), least
+            if dmin is None:
+                dmin, at = state.best_flips()
+            if dmin > 0 or dmin == 0 and used >= budget:
                 self.absorbed = True
                 break
-            dmin, x = pick
+            x = _choose(at, draw())
             kind, step = ("remove", -1) if member[x] else ("add", 1)
             apply_flip(state, x, dmin)
+            if step > 0:
+                lo = least = None
+            elif len(at) > SCALAR_FLIPS:  # too many to filter one by one: keep the bound
+                lo, least = (dmin + p * (s - 1)) // w - 1, None
+            else:  # x's key was lo; keys outside U, x's now too, are >= n > lo
+                lo = (dmin + p * (s - 1)) // w
+                least = [y for y in at if key[y] < lo]
+                lo, least = (lo - 1, least) if least else (lo, None)
             t, used = t + 1, used + (dmin == 0)
             if x < k:
                 n1 += step

@@ -260,9 +260,10 @@ def scan_local_minima(graph: Graph, sizes: Iterable[int], forbidden: Iterable[in
         if total > budget:
             left[m] = [budget, 0, set(), np.empty(0, dtype=np.int64)]
             continue
-        found, it = [], itertools.combinations(range(pool.size), m)
-        while chunk := list(itertools.islice(it, _BLOCK)):
-            found += _word_minima(words, adj, bits, np.array(chunk), _BLOCK, gamma)[0]
+        found = []  # the combinations' values in order, _BLOCK rows a chunk
+        values = itertools.chain.from_iterable(itertools.combinations(range(pool.size), m))
+        while (chunk := np.fromiter(itertools.islice(values, _BLOCK * m), np.int64)).size:
+            found += _word_minima(words, adj, bits, chunk.reshape(-1, m), _BLOCK, gamma)[0]
         out[m] = found, ComplexityEstimate(
             m=m, observed_count=len(found), count_estimate=float(len(found)),
             stderr=0.0, predicted_exponent=_predicted_exponent(graph.n, m, gamma),

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plantedclique import (CoupledResult, GammaParam, GibbsChain,
                            GradientDescent, Graph, Move, SubsetState,
@@ -455,6 +457,45 @@ class TestGdRun:
                 assert traj.stay_rows.size == 0
 
 
+class TestCarriedLeastClass:
+    """``descend`` takes most removals from the least-key class it carries
+    across moves; on small, tie-heavy instances it must take the moves of the
+    public ``gd_step``. At gamma 11/10 adds compete with removals, so the
+    carried class often loses to the add bound and the full scan decides; a
+    full start on a cycle carries classes of more than ``SCALAR_FLIPS``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 40),
+           st.sampled_from([0.0, 0.1, 0.5, 0.9, "cycle", "planted"]),
+           st.sampled_from([GammaParam(11, 10), GammaParam(2), GammaParam(4),
+                            GammaParam(7, 2)]),
+           st.integers(0, 3), st.sampled_from(["full", "empty", "random", "explicit"]),
+           st.sampled_from([1, 3]), st.one_of(st.integers(1, 40), st.just(10**4)))
+    # a class of 40 whose least key falls; an add-delta equal to the class's
+    @example(0, 40, "cycle", GammaParam(11, 10), 0, "full", 1, 10**4)
+    @example(7, 39, 0.5, GammaParam(2), 0, "random", 1, 10**4)
+    def test_matches_gd_steps(self, seed, n, graph, gamma, budget, init,
+                              record_every, max_steps):
+        rng = np.random.default_rng(seed)
+        if graph == "planted":
+            inst = gen_planted(n, int(rng.integers(1, n + 1)), seed)
+        elif graph == "cycle":  # every key ties at a full start
+            order = rng.permutation(n).tolist()
+            inst = graph_from_edges(n, set(zip(order, order[1:] + order[:1])) if n > 2 else ())
+        else:  # G(n, q) edges
+            inst = graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                        if rng.random() < graph])
+        if init == "random":
+            init = tuple(np.flatnonzero(rng.random(n) < rng.random()).tolist())
+        elif init == "explicit":
+            init = tuple(sorted({0, n // 3, n // 2, n - 1}))
+        traj = run_chain(inst, init, GradientDescent(budget), gamma, max_steps,
+                         seed, record_every=record_every)
+        ref = reference_run(inst, init, gamma, gd_steps(budget, seed),
+                            max_steps, record_every)
+        assert_rows_match(traj, ref, getattr(inst, "labels", None))
+
+
 class TestRunChain:
     def test_pc_equals_v_absorbs_at_step_zero(self):
         inst = gen_planted(8, 8, 0)
@@ -877,8 +918,9 @@ class TestDeltaCacheUse:
         traj = run_chain(inst, "full", GradientDescent(), GammaParam(4), 10**4, 2)
         assert traj.absorbed and traj.steps > 300
         assert len(degree_builds) == 1  # init_state's
-        assert len(keys) == traj.steps + 1
-        # one key array, updated in place: every step saw new values in it
+        # most moves come from the carried least-key class, not a full scan
+        assert len(keys) < traj.steps
+        # one key array, updated in place: every scan saw new values in it
         assert all(k is keys[0][0] for k, _ in keys)
         assert all(s is states[0] for s in states)
         assert all(not np.array_equal(a, b)
