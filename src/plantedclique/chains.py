@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -267,31 +267,60 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     consumes exactly one uniform draw. With ``max_stays`` L > 1 (``rng`` a
     ``_Uniforms``) it takes up to L steps, one draw each, from this one
     probability vector: the run of stays and the move that ends it. The
-    cumsum skips the flips of weight 0.0, which add exactly: the same pick."""
-    stay, total, at, flips, deltas = _gibbs_support(state, beta)
+    cumsum skips the flips of weight 0.0, which add exactly: the same pick.
+    A cold step (see ``_COLD``) reads only the flips of weight 1.0 and
+    carries the least-key class in ``state.least`` across its removals."""
+    scale, reach, table = _weighing(beta, state.gamma.q_den, state.graph.n)
+    if table is None:
+        stay, total, at, flips, deltas = _gibbs_support(state, beta)
+    else:  # the unit weights, d = dmin
+        least, (lo, d_lo, hi, d_hi) = state.least, state._extremes(reach)
+        dmin = min(d_lo, d_hi, 0)
+        at, deltas = state.all_flip_deltas(dmin, (lo, hi))
+        at = (deltas == dmin).nonzero()[0] if at is None else at  # None: every delta came back
+        stay, m = math.exp(-scale * (0 - dmin)), len(at)
+        total = float(m + (stay == 1.0))
     stay /= total  # correctly rounded: the normalised vector's value
     r = rng.random() if max_stays == 1 else rng.random(stay, max_stays)
     if r < stay:
         return _STAY, state
-    if type(flips) is list:  # the same sequential sums as numpy's cumsum
-        acc = list(accumulate([f / total for f in flips]))
-        j = bisect_right(acc, r - stay)
-    else:
-        acc = (flips / total).cumsum()
-        j = int(acc.searchsorted(r - stay, side="right"))
+    # Cold, the cumsum of all n + 1 weights / total is below 2**-54 / total before the
+    # first unit; from it on each tiny term is under half an ulp and rounds away. So at
+    # the units it is the sequential sums of 1 / total over the units alone, and a draw
+    # at least 2**-54 / total above the stay finds the same flip, or runs past the end.
+    cold = table is not None and (r - stay) * total >= 2**-54
+    if cold:  # the cumsum of the units alone (numpy's cumsum adds in sequence too)
+        acc = (list(accumulate(repeat(1 / total, m))) if m <= SCALAR_FLIPS
+               else np.full(m, 1 / total).cumsum())
+    else:  # warm, or a cold draw that may land on a tiny weight before the first unit
+        if table is not None:
+            _, _, at, flips, deltas = _gibbs_support(state, beta)
+        acc = (list(accumulate([f / total for f in flips])) if type(flips) is list
+               else (flips / total).cumsum())
+    j = bisect_right(acc, r - stay)  # searchsorted(side="right"), on a list too
     # a search past the end is float round-off at the top end: take the last vertex
-    x, delta = ((j if at is None else int(at[j]), int(deltas[j])) if j < len(acc)
-                else (state.graph.n - 1, None))
+    x, delta = ((j if at is None else int(at[j]), dmin if cold else int(deltas[j]))
+                if j < len(acc) else (state.graph.n - 1, None))
     kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
     apply_flip(state, x, delta)
+    # the units are the least class when no add ties or beats them (then lo < n)
+    if cold and j < m <= SCALAR_FLIPS and dmin == d_lo < d_hi:  # x left it: see ``descend``
+        key = state.key
+        state.least = [y for y in (least or at.tolist()) if key[y] < lo] or None
     return Move(kind, x, state.scaled_energy - energy), state
 
 
 def _peel_step_u(state: SubsetState, u: float) -> Move:
-    """Remove a uniformly random min-degree member (the least keys)."""
-    key, energy = state.key, state.scaled_energy
-    x = _choose(np.flatnonzero(key == key[key.argmin()]), u)
+    """Remove a uniformly random min-degree member (the least keys),
+    carrying a class of at most ``SCALAR_FLIPS`` in ``state.least``."""
+    key, energy, least = state.key, state.scaled_energy, state.least
+    if least is None:
+        least = np.flatnonzero(key == key[key.argmin()])
+        least = least.tolist() if least.size <= SCALAR_FLIPS else least
+    lo, x = key[least[0]], _choose(least, u)
     apply_flip(state, x)
+    if type(least) is list:  # x left the least class at lo: see ``descend``
+        state.least = [y for y in least if key[y] < lo] or None
     return Move("remove", x, state.scaled_energy - energy)
 
 

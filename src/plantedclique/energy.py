@@ -99,11 +99,14 @@ class SubsetState:
     int64 (see ``check_fits``).
     ``hi_bound`` is None or an upper bound on the keys: ``key_extremes`` sets
     it to the greatest key and ``apply_flip`` keeps it a bound.
+    ``least`` is None or every vertex at the least key, an ascending list of
+    at most ``SCALAR_FLIPS``: a cold ``gibbs_step`` or a peel removal sets
+    it, ``apply_flip`` clears it.
     Single-owner: never mutate one state concurrently.
     """
 
     __slots__ = ("graph", "gamma", "member", "size", "scaled_energy", "key",
-                 "key_rows", "hi_bound")
+                 "key_rows", "hi_bound", "least")
 
     def __init__(self, graph: Graph, gamma: GammaParam, member: np.ndarray,
                  size: int, key: np.ndarray, scaled_energy: int):
@@ -111,7 +114,7 @@ class SubsetState:
         self.key_rows = np.zeros((-(-graph.n // 8), 8), dtype=np.int32)
         self.key = self.key_rows.reshape(-1)[:graph.n]
         self.key[:] = key
-        self.size, self.scaled_energy, self.hi_bound = size, scaled_energy, None
+        self.size, self.scaled_energy, self.hi_bound, self.least = size, scaled_energy, None, None
 
     def _delta_at(self, key: int) -> int:
         """Scaled delta of flipping a vertex whose key is ``key``."""
@@ -125,12 +128,15 @@ class SubsetState:
         int or inf), ``(at, deltas)`` of the flips with delta <= ``upto``, or
         of all flips (``at`` None) when those are more than n / 2; ``deltas``
         is a list of ints for at most ``SCALAR_FLIPS`` flips. ``keys`` bounds
-        the keys (lo, hi); the scan skips a side of the support they rule out."""
+        the keys (lo, hi); the scan skips a side of the support they rule out,
+        and is skipped when ``least`` is exactly the flips ``upto`` admits."""
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
-        member, key, at = self.member, self.key, None
+        member, key, at, least = self.member, self.key, None, self.least
         if upto is not None and upto < p * s:  # p * s bounds every delta
             a = min((upto + p * (s - 1)) // w, n - 1)  # in U: w key - p(s-1) <= upto
             b = n - (upto - p * s) // w  # out of U: p s - w(key-n) <= upto
+            if least is not None and b > keys[1] and a == key[least[0]] and 2 * len(least) <= n:
+                return np.array(least), [w * a - p * (s - 1)] * len(least)  # what a pass finds
             hit = (key >= b if a < keys[0] else key <= a if b > keys[1]
                    else (key <= a) | (key >= b)).nonzero()[0]
             if 2 * hit.size <= n:  # gathering more flips costs more than a dense pass
@@ -156,7 +162,7 @@ class SubsetState:
         and d_hi its add-delta, a lower bound on every add-delta."""
         key, p, n, s = self.key, self.gamma.p, self.graph.n, self.size
         w = p + self.gamma.q_den
-        lo = key[key.argmin()]  # int32: quick to compare
+        lo = key[key.argmin() if self.least is None else self.least[0]]  # int32: quick to compare
         d_lo = w * int(lo) - p * (s - 1) if lo < n else p * s - w * (int(lo) - n)
         hi = self.hi_bound
         if hi is not None and p * s - w * (hi - n) > d_lo + reach:
@@ -211,6 +217,6 @@ def apply_flip(state: SubsetState, x: int,
     if state.hi_bound is not None:  # other keys fall by a remove, rise by 1 at most
         state.hi_bound = max(state.hi_bound, int(key[x])) if remove else state.hi_bound + 1
     state.size += -1 if remove else 1
-    state.member[x] = not remove
+    state.member[x], state.least = not remove, None
     state.scaled_energy += delta
     return state

@@ -457,6 +457,18 @@ class TestGdRun:
                 assert traj.stay_rows.size == 0
 
 
+def small_instance(rng, n, graph, seed):
+    """A planted instance, a cycle in random order (every key ties at a full
+    start) or G(n, q) for ``graph`` = q."""
+    if graph == "planted":
+        return gen_planted(n, int(rng.integers(1, n + 1)), seed)
+    if graph == "cycle":
+        order = rng.permutation(n).tolist()
+        return graph_from_edges(n, set(zip(order, order[1:] + order[:1])) if n > 2 else ())
+    return graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < graph])
+
+
 class TestCarriedLeastClass:
     """``descend`` takes most removals from the least-key class it carries
     across moves; on small, tie-heavy instances it must take the moves of the
@@ -477,14 +489,7 @@ class TestCarriedLeastClass:
     def test_matches_gd_steps(self, seed, n, graph, gamma, budget, init,
                               record_every, max_steps):
         rng = np.random.default_rng(seed)
-        if graph == "planted":
-            inst = gen_planted(n, int(rng.integers(1, n + 1)), seed)
-        elif graph == "cycle":  # every key ties at a full start
-            order = rng.permutation(n).tolist()
-            inst = graph_from_edges(n, set(zip(order, order[1:] + order[:1])) if n > 2 else ())
-        else:  # G(n, q) edges
-            inst = graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
-                                        if rng.random() < graph])
+        inst = small_instance(rng, n, graph, seed)
         if init == "random":
             init = tuple(np.flatnonzero(rng.random(n) < rng.random()).tolist())
         elif init == "explicit":
@@ -494,6 +499,165 @@ class TestCarriedLeastClass:
         ref = reference_run(inst, init, gamma, gd_steps(budget, seed),
                             max_steps, record_every)
         assert_rows_match(traj, ref, getattr(inst, "labels", None))
+
+
+def fresh_gibbs_steps(beta, seed):
+    """``gibbs_step`` on a fresh copy of the state each step, so no least-key
+    class (nor key bound) is ever carried; the move is then applied."""
+    rng = stream_rng(seed, CHAIN_STREAM)
+
+    def step(state):
+        fresh = init_state(state.graph, state.member.copy(), state.gamma)
+        move = gibbs_step(fresh, beta, rng)[0]
+        if move.vertex is not None:
+            apply_flip(state, move.vertex)
+        return move
+    return step
+
+
+def cold_scale(n):
+    """The least scale = beta / q_den at which a Gibbs step is cold."""
+    return math.log(n + 1) + 54 * math.log(2)
+
+
+class _StubDraw:
+    """An rng whose every uniform draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestColdGibbsCarriedClass:
+    """A cold ``gibbs_step`` picks among the unit weights only and carries
+    the least-key class in ``state.least`` across its removals; ``run_chain``
+    must take the moves of steps that see a fresh state every time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 40),
+           st.sampled_from([0.0, 0.1, 0.5, 0.9, "cycle", "planted"]),
+           st.sampled_from([GammaParam(11, 10), GammaParam(2), GammaParam(4),
+                            GammaParam(7, 2)]),
+           st.sampled_from([1e-9, 0.5, 5, 100, -0.5]),  # -0.5: just below cold
+           st.sampled_from(["full", "empty", "random"]), st.sampled_from([1, 3]),
+           st.integers(0, 12), st.integers(1, 300))
+    # a full start on a cycle: a class of 40, never carried
+    @example(0, 40, "cycle", GammaParam(4), 5, "full", 1, 3, 300)
+    def test_matches_fresh_steps(self, seed, n, graph, gamma, offset, init,
+                                 record_every, hold, max_steps):
+        rng = np.random.default_rng(seed)
+        inst = small_instance(rng, n, graph, seed)
+        if init == "random":
+            init = tuple(np.flatnonzero(rng.random(n) < rng.random()).tolist())
+        beta = (cold_scale(n) + offset) * gamma.q_den
+        traj = run_chain(inst, init, GibbsChain(beta), gamma, max_steps, seed,
+                         hold_window=hold, record_every=record_every)
+        ref = reference_run(inst, init, gamma, fresh_gibbs_steps(beta, seed),
+                            max_steps, record_every, hold)
+        assert_rows_match(traj, ref, getattr(inst, "labels", None))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 60), st.integers(0, 5))
+    def test_peel_matches_fresh_scans(self, seed, n, stop):
+        inst = gen_planted(n, int(np.random.default_rng(seed).integers(1, n + 1)), seed)
+        traj, _ = run_peel(inst, stop, seed, gamma=GammaParam(4))
+        ref = reference_run(inst, "full", GammaParam(4),
+                            peel_steps(inst.k, stop, seed), n + 1, stop_reason="stopped")
+        assert_rows_match(traj, ref, inst.labels)
+
+    def test_cold_step_carries_the_class(self):
+        inst, gam = gen_planted(300, 30, 1), GammaParam(4)
+        state = init_state(inst.graph, range(300), gam)
+        rng, carried = stream_rng(1, CHAIN_STREAM), 0
+        for _ in range(200):
+            gibbs_step(state, 10 * math.log(300), rng)
+            if state.least is not None:
+                carried += 1
+                key = state.key
+                assert state.least == np.flatnonzero(key == key.min()).tolist()
+        assert carried > 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 30), st.sampled_from([0.1, 0.5, 0.9]),
+           st.sampled_from([GammaParam(11, 10), GammaParam(2), GammaParam(4)]))
+    @example(1, 5, 0.5, GammaParam(2))  # the least remove-delta ties an add-delta, -2
+    def test_scans_read_a_carried_class(self, seed, n, q, gamma):
+        rng = np.random.default_rng(seed)
+        graph = graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                     if rng.random() < q])
+        members = rng.random(n) < rng.random()
+        members[int(rng.integers(n))] = True
+        state, plain = (init_state(graph, members.copy(), gamma) for _ in range(2))
+        key = state.key
+        least = np.flatnonzero(key == key.min()).tolist()
+        if len(least) > 30:
+            return
+        state.least = least
+        extremes = state.key_extremes()
+        assert extremes == plain.key_extremes()
+        lo, d_lo, hi, d_hi = extremes
+        for upto in {d_lo - 1, d_lo, min(d_lo, d_hi, 0), d_lo + 7, d_hi, math.inf}:
+            got, want = (s.all_flip_deltas(upto, (lo, hi)) for s in (state, plain))
+            assert type(got[0]) is type(want[0]) and type(got[1]) is type(want[1])
+            assert np.array_equal(np.asarray(got[1]), np.asarray(want[1]))
+            assert (got[0] is None) == (want[0] is None)
+            assert got[0] is None or np.array_equal(got[0], want[0])
+        assert state.best_flips()[0] == plain.best_flips()[0]
+
+    @staticmethod
+    def _full_support_pick(state, beta, r):
+        """The vertex a draw r past the stay picks by the cumsum of every flip
+        that may weigh above 0.0."""
+        stay, total, at, flips, _ = chains._gibbs_support(state, beta)
+        j = int((np.asarray(flips) / total).cumsum().searchsorted(r - stay / total, side="right"))
+        return j if at is None else int(at[j])
+
+    def test_draw_at_the_stay_takes_the_full_support(self):
+        # all 20 vertices in U; keys 1 at vertices 0 and 19, 0 elsewhere. gamma 4:
+        # removing 1..18 weighs 1.0, removing 0 or 19 exp(-5 scale) > 0.0, and the
+        # stay exp(-76 scale) = 0.0. A draw of exactly 0.0 is not a stay and lands on
+        # the first flip, vertex 0, not on the first unit, vertex 1.
+        graph, gam, beta = graph_from_edges(20, [(0, 19)]), GammaParam(4), 100.0
+        state = init_state(graph, range(20), gam)
+        stay, _, at, flips, _ = chains._gibbs_support(state, beta)
+        assert beta > cold_scale(20) and stay == 0.0 and at is None
+        assert 0.0 < flips[0] < 2.0**-54 and flips[1] == 1.0
+        assert self._full_support_pick(state, beta, 0.0) == 0
+        assert gibbs_step(state, beta, _StubDraw(0.0))[0] == Move("remove", 0, -71)
+        assert state.least is None
+        # other draws past the stay pick among the units, as the full support does
+        for r in (2.0**-50, 0.25, 0.5, 1 - 2.0**-53):
+            state = init_state(graph, range(20), gam)
+            x = self._full_support_pick(state, beta, r)
+            assert 1 <= x <= 18
+            assert gibbs_step(state, beta, _StubDraw(r))[0] == Move("remove", x, -76)
+
+
+    @pytest.mark.parametrize("other", ["apply_flip", "gd_step", "replay"])
+    def test_other_flips_drop_the_class(self, other):
+        inst, gam, beta = gen_planted(200, 25, 3), GammaParam(4), 10 * math.log(200)
+        state = init_state(inst.graph, range(200), gam)
+        rng, steps = stream_rng(3, CHAIN_STREAM), 0
+        while state.least is None or len(state.least) < 2:
+            steps += gibbs_step(state, beta, rng)[0].vertex is not None
+        if other == "apply_flip":  # a removal outside the class leaves it stale
+            apply_flip(state, int(np.flatnonzero(state.member)[-1]))
+        elif other == "gd_step":
+            assert gd_step(state, rng)[0].kind == "remove"
+        else:  # the same moves replayed: only replay's own flips
+            traj = run_chain(inst, "full", GibbsChain(beta), gam, steps, 3)
+            replayed = replay(inst, traj, gam)
+            assert np.array_equal(replayed.key, state.key)
+            state = replayed
+        assert state.least is None
+        fresh = init_state(inst.graph, state.member.copy(), gam)
+        for seed in range(20):  # the class is carried again from the next removal on
+            a = gibbs_step(state, beta, stream_rng(seed, CHAIN_STREAM))[0]
+            b = gibbs_step(fresh, beta, stream_rng(seed, CHAIN_STREAM))[0]
+            assert a == b and state.least == fresh.least
+            assert np.array_equal(state.key, fresh.key)
 
 
 class TestRunChain:
