@@ -10,9 +10,11 @@
 * Min-degree peeling: repeatedly delete a uniformly random minimum-degree
   vertex of the current induced subgraph, with degree-retention diagnostics.
 
-Step t of every chain takes draw t of ``CHAIN_STREAM``, so chains sharing a
-seed on coupled graphs make identical choices while their candidate sets
-agree.
+Each is a move function stepped by one loop, ``_ChainDriver.run``, which
+keeps the trajectory: a call takes the stays and the move of one visit (or
+ends the run) and returns them. Step t of every chain takes draw t of
+``CHAIN_STREAM``, so chains sharing a seed on coupled graphs make identical
+choices while their candidate sets agree.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
@@ -304,7 +307,7 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
     apply_flip(state, x, delta)
     # the units are the least class when no add ties or beats them (then lo < n)
-    if cold and j < m <= SCALAR_FLIPS and dmin == d_lo < d_hi:  # x left it: see ``descend``
+    if cold and j < m <= SCALAR_FLIPS and dmin == d_lo < d_hi:  # x left it: see ``_descent``
         key = state.key
         state.least = [y for y in (least or at.tolist()) if key[y] < lo] or None
     return Move(kind, x, state.scaled_energy - energy), state
@@ -319,9 +322,59 @@ def _peel_step_u(state: SubsetState, u: float) -> Move:
         least = least.tolist() if least.size <= SCALAR_FLIPS else least
     lo, x = key[least[0]], _choose(least, u)
     apply_flip(state, x)
-    if type(least) is list:  # x left the least class at lo: see ``descend``
+    if type(least) is list:  # x left the least class at lo: see ``_descent``
         state.least = [y for y in least if key[y] < lo] or None
     return Move("remove", x, state.scaled_energy - energy)
+
+
+def _descent(state: SubsetState, rng, budget: int):
+    """Gradient descent as a chain of ``_ChainDriver.run``: a generator, started
+    by ``next``, whose ``send`` takes a move on one draw, or yields "absorbed".
+
+    A removal of x at the least key lo lowers other keys by at most one and
+    lifts x's by n; keys outside U stay >= n > lo. So the least key is then
+    lo - 1, held by lo's class filtered by key < lo, if x had a neighbour in
+    it, else >= lo; a carried class moves while it beats ``hi_bound``'s add."""
+    member, draw, key = state.member, rng.random, state.key
+    n, p, w = state.graph.n, state.gamma.p, state.gamma.edge_weight
+    used = 0  # zero-delta moves taken, against the plateau budget
+    lo = least = None  # after a removal: lo <= every key, and the vertices at lo if known
+    yield
+    while True:
+        s, hi, dmin = state.size, state.hi_bound, None
+        if lo is not None and hi is not None and w * lo - p * (s - 1) < p * s - w * (hi - n):
+            if least is None:  # lo is the least key iff some key equals it
+                least = (key == lo).nonzero()[0].tolist()
+            if least:
+                dmin, at = w * lo - p * (s - 1), least
+        if dmin is None:
+            dmin, at = state.best_flips()
+        if dmin > 0 or dmin == 0 and used >= budget:
+            yield "absorbed"
+            continue
+        x = _choose(at, draw())
+        kind = "remove" if member[x] else "add"
+        apply_flip(state, x, dmin)
+        if kind == "add":
+            lo = least = None
+        elif len(at) > SCALAR_FLIPS:  # too many to filter one by one: keep the bound
+            lo, least = (dmin + p * (s - 1)) // w - 1, None
+        else:  # x's key was lo; keys outside U, x's now too, are >= n > lo
+            lo = (dmin + p * (s - 1)) // w
+            least = [y for y in at if key[y] < lo]
+            lo, least = (lo - 1, least) if least else (lo, None)
+        used += dmin == 0
+        yield 0, kind, x
+
+
+def _gibbs(state: SubsetState, beta: float, rng: _Uniforms):
+    """The Gibbs chain of ``_ChainDriver.run``: a generator, started by
+    ``next``, whose ``send(steps)`` is one ``gibbs_step`` of up to ``steps`` draws."""
+    steps = yield
+    while True:
+        drawn = rng.drawn
+        kind, x, _ = gibbs_step(state, beta, rng, max_stays=steps)[0]
+        steps = yield rng.drawn - drawn - (x is not None), kind, x
 
 
 # ---------------------------------------------------------------------------
@@ -341,129 +394,71 @@ def _resolve_init(init, n: int):
 
 
 class _ChainDriver:
-    """Steps one chain and maintains its trajectory bookkeeping: overlap
-    counts, the run-length trajectory rows and clique visits. Gibbs and
-    peeling (``kind`` None) step through it; gradient descent takes its
-    moves in one ``descend``."""
+    """Runs one chain and keeps its trajectory: overlap counts, rows, stay
+    runs and clique visits. A chain is a callable ``chain(steps)`` that takes
+    up to ``steps - 1`` stays and one move and returns ``(stays, kind, vertex)``
+    (vertex None: the ``steps`` draws were all stays), or a stop reason."""
 
-    def __init__(self, graph: Graph, k: int, init, kind: Optional[ChainKind],
-                 gamma: GammaParam, record_every: int = 1):
+    def __init__(self, graph: Graph, k: int, init, gamma: GammaParam,
+                 record_every: int = 1):
         members, self.init_spec = _resolve_init(init, graph.n)
-        self.state = init_state(graph, members, gamma)
-        self.kind, self.k, self.record_every = kind, k, record_every
-        self.n1 = int(np.count_nonzero(self.state.member[:k]))
-        self.n2 = self.state.size - self.n1
-        self.plateau_used = self.steps = self.pc_run = 0
-        self.absorbed, self.pending = False, None  # pending: the last move, without a row
-        self.at_pc = k > 0 and self.n1 == k and self.n2 == 0
-        self.first_pc_step = 0 if self.at_pc else None
-        self.rows, self.stays = [], {}  # rows: (t, n1, n2, energy, kind, x); stays: row -> count
-        self._record(0, _STAY, self.state.scaled_energy)
+        state = self.state = init_state(graph, members, gamma)
+        self.k, self.record_every, self.steps, self.pc_run = k, record_every, 0, 0
+        self.n1 = n1 = int(np.count_nonzero(state.member[:k]))
+        self.n2 = n2 = state.size - n1
+        self.first_pc_step = 0 if n1 == k > 0 and n2 == 0 else None
+        # rows: (t, n1, n2, energy, kind, x); pending: the last row is an off-grid
+        # move's with no stays after it, which the next move's row replaces
+        self.rows, self.pending = [(0, n1, n2, state.scaled_energy, "stay", -1)], False
+        self.stays = Counter()  # row -> the stays that follow it
 
-    def _record(self, t: int, move: Move, energy: int) -> None:
-        x = move.vertex
-        self.rows.append((t, self.n1, self.n2, energy, move.kind, -1 if x is None else x))
-        self.pending = None
-
-    def descend(self, rng, max_steps: int) -> None:
-        """Take gradient-descent moves until absorption or step ``max_steps``,
-        one draw each, with the counters in locals until the run ends.
-
-        A removal of x at the least key lo lowers other keys by at most one and
-        lifts x's by n; keys outside U stay >= n > lo. So the least key is then
-        lo - 1, held by lo's class filtered by key < lo, if x had a neighbour in
-        it, else >= lo; a carried class moves while it beats ``hi_bound``'s add."""
-        state, k, every, rows = self.state, self.k, self.record_every, self.rows
-        budget, member, draw, key = self.kind.plateau_budget, state.member, rng.random, state.key
-        n, p, w = state.graph.n, state.gamma.p, state.gamma.edge_weight
-        t, n1, n2, used = self.steps, self.n1, self.n2, self.plateau_used
-        first_pc, last = self.first_pc_step, None  # last: the move not yet in a row
-        lo = least = None  # after a removal: lo <= every key, and the vertices at lo if known
+    def run(self, chain, max_steps, hold: int = 0) -> str:
+        """Call ``chain`` until step ``max_steps``, its stop reason or ``hold``
+        further steps at the clique (0: none); returns "max_steps", "held" or
+        the chain's reason. A later call resumes the run."""
+        state, k, every, rows, stays_at = (
+            self.state, self.k, self.record_every, self.rows, self.stays)
+        t, n1, n2, first_pc, pc_run, pending = (
+            self.steps, self.n1, self.n2, self.first_pc_step, self.pc_run, self.pending)
+        at_pc, reason = n1 == k > 0 and n2 == 0, "max_steps"
         while t < max_steps:
-            s, hi, dmin = state.size, state.hi_bound, None
-            if lo is not None and hi is not None and w * lo - p * (s - 1) < p * s - w * (hi - n):
-                if least is None:  # lo is the least key iff some key equals it
-                    least = (key == lo).nonzero()[0].tolist()
-                if least:
-                    dmin, at = w * lo - p * (s - 1), least
-            if dmin is None:
-                dmin, at = state.best_flips()
-            if dmin > 0 or dmin == 0 and used >= budget:
-                self.absorbed = True
+            move = chain(min(max_steps - t, hold - pc_run) if hold and at_pc else max_steps - t)
+            if type(move) is str:
+                reason = move
                 break
-            x = _choose(at, draw())
-            kind, step = ("remove", -1) if member[x] else ("add", 1)
-            apply_flip(state, x, dmin)
-            if step > 0:
-                lo = least = None
-            elif len(at) > SCALAR_FLIPS:  # too many to filter one by one: keep the bound
-                lo, least = (dmin + p * (s - 1)) // w - 1, None
-            else:  # x's key was lo; keys outside U, x's now too, are >= n > lo
-                lo = (dmin + p * (s - 1)) // w
-                least = [y for y in at if key[y] < lo]
-                lo, least = (lo - 1, least) if least else (lo, None)
-            t, used = t + 1, used + (dmin == 0)
-            if x < k:
-                n1 += step
-            else:
-                n2 += step
-            if first_pc is None and n1 == k > 0 and n2 == 0:
-                first_pc = t
-            last = (kind, x, dmin)
-            if t % every == 0:
-                rows.append((t, n1, n2, state.scaled_energy, kind, x))
-                last = None
-        if t > self.steps:  # a move was taken: ``pending`` is the last one, unless recorded
-            self.pending = None if last is None else Move(*last)
-        self.steps, self.n1, self.n2, self.plateau_used = t, n1, n2, used
-        self.first_pc_step, self.at_pc = first_pc, n1 == k > 0 and n2 == 0
-
-    def step(self, rng, max_stays: int = 1) -> Move:
-        """Take step ``steps + 1`` (past up to ``max_stays - 1`` leading
-        Gibbs stays); returns the applied move."""
-        t, chain, was_at_pc = self.steps + 1, self.kind, self.at_pc
-        if isinstance(chain, GibbsChain):
-            drawn, energy = rng.drawn, self.state.scaled_energy
-            move, _ = gibbs_step(self.state, chain.beta, rng, max_stays=max_stays)
-            stays = rng.drawn - drawn - (move.vertex is not None)
-            if stays:  # at the state of step t - 1, before the move
-                if self.pending is not None:
-                    self._record(t - 1, self.pending, energy)
-                row = len(self.rows) - 1
-                self.stays[row] = self.stays.get(row, 0) + stays
-                self.pc_run += stays if self.at_pc else 0
-                t += stays
-            if move.vertex is None:  # the draws ran out on a stay
-                self.steps = t - 1
-                return move
-        else:
-            move = _peel_step_u(self.state, rng.random())
-        self.steps = t
-        kind, x, _ = move
-        if x < self.k:
-            self.n1 += 1 if kind == "add" else -1
-        else:
-            self.n2 += 1 if kind == "add" else -1
-        self.at_pc = self.n1 == self.k > 0 and self.n2 == 0
-        if self.at_pc and self.first_pc_step is None:
-            self.first_pc_step = t
-        # count steps that start and end at the clique: the *further* steps there
-        self.pc_run = self.pc_run + 1 if self.at_pc and was_at_pc else 0
-        self.pending = move
-        if t % self.record_every == 0:
-            self._record(t, move, self.state.scaled_energy)
-        return move
+            stays, kind, x = move
+            if stays:  # at the state of step t: the last row's, which then keeps its place
+                stays_at[len(rows) - 1] += stays
+                pc_run += stays if at_pc else 0
+                t, pending = t + stays, False
+            if x is not None:  # a flip: the run at the clique ends or starts
+                t, pc_run = t + 1, 0
+                step = 1 if kind == "add" else -1
+                n1, n2 = (n1 + step, n2) if x < k else (n1, n2 + step)
+                at_pc = n1 == k > 0 and n2 == 0
+                if at_pc and first_pc is None:
+                    first_pc = t
+                row = (t, n1, n2, state.scaled_energy, kind, x)
+                if pending:
+                    rows[-1] = row
+                else:
+                    rows.append(row)
+                pending = t % every != 0
+            if hold and pc_run >= hold:
+                reason = "held"
+                break
+        self.steps, self.n1, self.n2, self.first_pc_step, self.pc_run, self.pending = (
+            t, n1, n2, first_pc, pc_run, pending)
+        return reason
 
     def finish(self, stop_reason: str) -> Trajectory:
-        if self.pending is not None:
-            self._record(self.steps, self.pending, self.state.scaled_energy)
         stays = np.array(list(self.stays.items()), dtype=np.int64).reshape(-1, 2)
         t, n1, n2, energy, kind, vertex = zip(*self.rows)
         return Trajectory(
             *(np.array(col, dtype=np.int64) for col in (t, n1, n2)),
             np.array(energy, dtype=object), np.array(kind),
             np.array(vertex, dtype=np.int64), stays[:, 0], stays[:, 1],
-            self.record_every, self.absorbed, self.first_pc_step is not None,
+            self.record_every, stop_reason == "absorbed", self.first_pc_step is not None,
             self.steps, self.first_pc_step, stop_reason, self.init_spec,
             self.state.size, self.n1, self.n2)
 
@@ -488,22 +483,14 @@ def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,
         raise ValueError("hold_window must be >= 0")
     graph, k = (instance, 0) if isinstance(instance, Graph) else (instance.graph, instance.k)
     rng, hold = _Uniforms(stream_rng(seed, CHAIN_STREAM)), 0
-    if isinstance(kind, GibbsChain):
-        hold = 10 * graph.n if hold_window is None else hold_window
-    driver = _ChainDriver(graph, k, init, kind, gamma, record_every)
+    driver = _ChainDriver(graph, k, init, gamma, record_every)
     if isinstance(kind, GradientDescent):
-        driver.descend(rng, max_steps)
-        return driver.finish("absorbed" if driver.absorbed else "max_steps")
-    reason = "max_steps"
-    while driver.steps < max_steps:
-        cap = max_steps - driver.steps
-        if hold and driver.at_pc:
-            cap = min(cap, hold - driver.pc_run)
-        driver.step(rng, cap)
-        if hold and driver.pc_run >= hold:
-            reason = "held"
-            break
-    return driver.finish(reason)
+        chain = _descent(driver.state, rng, kind.plateau_budget)
+    else:
+        hold = 10 * graph.n if hold_window is None else hold_window
+        chain = _gibbs(driver.state, kind.beta, rng)
+    next(chain)
+    return driver.finish(driver.run(chain.send, max_steps, hold))
 
 
 # ---------------------------------------------------------------------------
@@ -541,24 +528,28 @@ def run_peel(instance: PlantedInstance, stop: Optional[int] = None,
     do). ``gamma`` only prices the trajectory's energy column (default 2).
     """
     threshold = stop or 0
-    rng = stream_rng(seed, CHAIN_STREAM)
+    rng = _Uniforms(stream_rng(seed, CHAIN_STREAM))
     graph, k = instance.graph, instance.k
     cont = instance.contamination
-    m = cont.m if cont else 0
-    q = cont.q if cont else 0.5
+    m, q = (cont.m, cont.q) if cont else (0, 0.5)
     sqrt_n = math.sqrt(graph.n)
-    driver = _ChainDriver(graph, k, "full", None, gamma or GammaParam(2, 1))
-    state = driver.state
-    violated = np.zeros(k, dtype=bool)
-    while driver.n2 > threshold and state.size > 0:
-        n1, n23 = driver.n1, driver.n2
+    driver = _ChainDriver(graph, k, "full", gamma or GammaParam(2, 1))
+    state, violated = driver.state, np.zeros(k, dtype=bool)
+
+    def peel(steps):
+        n1 = int(np.count_nonzero(state.member[:k]))
+        n23 = state.size - n1
+        if n23 <= threshold or state.size == 0:
+            return "stopped"
         # Retention check on surviving clique vertices, before this removal.
         if c1 is not None and n1 > 0:
             n2v = np.count_nonzero(state.member[k:k + m])  # contaminated
             bound = (n1 - 1) + q * n2v + 0.5 * (n23 - n2v) - c1 * sqrt_n
-            violated |= state.member[:k] & (state.key[:k] < bound)  # degrees
-        driver.step(rng)
-    traj = driver.finish("stopped")
+            violated[:] |= state.member[:k] & (state.key[:k] < bound)  # degrees
+        kind, x, _ = _peel_step_u(state, rng.random())
+        return 0, kind, x
+
+    traj = driver.finish(driver.run(peel, math.inf))
 
     # Every step is a removal with its own row, so row t is the set after step t.
     vertex = traj.move_vertex

@@ -97,7 +97,7 @@ class SubsetState:
     and viewed as (ceil(n / 8), 8), so a flip adds a packed row byte by byte.
     Keys stay below 2n, so int32 holds them; products with w are taken in
     int64 (see ``check_fits``).
-    ``hi_bound`` is None or an upper bound on the keys: ``key_extremes`` sets
+    ``hi_bound`` is None or an upper bound on the keys: ``_extremes`` sets
     it to the greatest key and ``apply_flip`` keeps it a bound.
     ``least`` is None or every vertex at the least key, an ascending list of
     at most ``SCALAR_FLIPS``: a cold ``gibbs_step`` or a peel removal sets
@@ -152,14 +152,11 @@ class SubsetState:
         deltas.setflags(write=False)
         return deltas if upto is None else (at, deltas)
 
-    def key_extremes(self) -> tuple:
-        """The least and greatest key (int32) and their deltas: (lo, d_lo, hi, d_hi)."""
-        return self._extremes(math.inf)
-
     def _extremes(self, reach: float) -> tuple:
-        """``key_extremes``, setting ``hi_bound`` to hi, but with no argmax when the
-        bound puts every add-delta above d_lo + ``reach``: hi is then the bound
-        and d_hi its add-delta, a lower bound on every add-delta."""
+        """The least and greatest key (int32) and their deltas, (lo, d_lo, hi, d_hi),
+        setting ``hi_bound`` to hi; with no argmax when the bound puts every
+        add-delta above d_lo + ``reach`` (never at inf): hi is then the bound and
+        d_hi its add-delta, a lower bound on every add-delta."""
         key, p, n, s = self.key, self.gamma.p, self.graph.n, self.size
         w = p + self.gamma.q_den
         lo = key[key.argmin() if self.least is None else self.least[0]]  # int32: quick to compare

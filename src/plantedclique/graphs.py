@@ -114,12 +114,6 @@ class Graph:
         graph.n, graph._rows, graph._coins, graph._clique = coins.n, None, coins, clique
         return graph
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-        _set_edges(rows, np.asarray(list(edges), dtype=np.int64).reshape(-1, 2))
-        return cls(n, rows)
-
     @property
     def packed_rows(self) -> np.ndarray:
         if self._rows is None:
@@ -151,9 +145,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.bitwise_count(self.packed_rows).sum(axis=1, dtype=np.int64)
-
-    def num_edges(self) -> int:
-        return int(self.degrees().sum()) // 2
 
     def deg_into(self, member: np.ndarray) -> np.ndarray:
         """|E(x, U)| for every vertex x, where U is given as a boolean mask.
@@ -191,7 +182,7 @@ class Graph:
     def __repr__(self) -> str:
         if self._rows is None:  # counting edges would draw every row
             return f"Graph(n={self.n}, rows not drawn)"
-        return f"Graph(n={self.n}, edges={self.num_edges()})"
+        return f"Graph(n={self.n}, edges={int(self.degrees().sum()) // 2})"
 
 
 @dataclass(frozen=True)

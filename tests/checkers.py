@@ -6,7 +6,8 @@ samples from. ``verify_removal_phase`` and ``verify_hamming_descent`` replay
 or read a trajectory and check the paper's two phases of a full-init
 descent. ``per_size_local_minima`` is the local-minima scan of one size
 with a fresh sampler stream, which ``scan_local_minima`` must match, and
-``word_tables`` builds the bit tables its kernel reads.
+``word_tables`` builds the bit tables its kernel reads. ``num_edges``
+counts a graph's edges.
 """
 
 import itertools
@@ -22,6 +23,11 @@ from plantedclique.energy import apply_flip, init_state
 from plantedclique.graphs import SAMPLER_STREAM, stream_rng
 from plantedclique.landscape import (ComplexityEstimate, _bit_words,
                                      _predicted_exponent, _word_minima)
+
+
+def num_edges(graph) -> int:
+    """The edge count: half the set bits of the packed rows."""
+    return int(np.bitwise_count(graph.packed_rows).sum()) // 2
 
 
 def gibbs_probabilities(state: SubsetState, beta: float) -> np.ndarray:

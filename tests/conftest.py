@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from plantedclique import Graph, Move, apply_flip
+from plantedclique.graphs import _set_edges
 
 
 def py_edges_inside(dense, members) -> int:
@@ -107,7 +108,7 @@ def reference_gibbs_support(state, beta):
     flips within floor(750 / scale) of dmin weighed with one ``np.exp`` and
     scattered into n + 1 zeros (or every flip, past n / 2 of them), then the
     full-length pairwise sum. Returns (weights, total, at, flips)."""
-    _, d_lo, _, d_hi = state.key_extremes()
+    _, d_lo, _, d_hi = state._extremes(math.inf)
     n, p, s = state.graph.n, state.gamma.p, state.size
     dmin, scale = min(d_lo, d_hi, 0), beta / state.gamma.q_den
     cut = 750 / scale if scale else math.inf
@@ -142,7 +143,10 @@ def reference_gibbs_step(state, beta, rng, *, max_stays=1):
 
 
 def graph_from_edges(n, edges) -> Graph:
-    return Graph.from_edges(n, edges)
+    """The graph on n vertices with the given edges, built as packed rows."""
+    rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    _set_edges(rows, np.asarray(list(edges), dtype=np.int64).reshape(-1, 2))
+    return Graph(n, rows)
 
 
 def random_dense(n, rng) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from plantedclique import (CoupledResult, GammaParam, GibbsChain,
                            GradientDescent, Graph, Move, SubsetState,
-                           Trajectory, apply_flip, gd_step,
+                           Trajectory, apply_flip, gd_step, gen_contaminated,
                            gen_coupled, gen_er, gen_planted, gibbs_step,
                            init_state, local_min_check, replay, run_chain,
                            run_coupled_gd, run_peel, stream_rng)
@@ -328,7 +328,7 @@ class TestEventSkippingGibbs:
 class TestTracedNames:
     """The benchmark's tracer wraps ``chains.apply_flip``, ``chains.gibbs_step``
     and ``SubsetState.all_flip_deltas`` and reads each call as one unit of
-    work: one flip per applied move, one Gibbs step per driver step and one
+    work: one flip per applied move, one Gibbs step per visited state and one
     support scan per Gibbs step."""
 
     @staticmethod
@@ -348,14 +348,15 @@ class TestTracedNames:
     def test_one_call_per_unit_of_work(self, monkeypatch, kind, init):
         calls = {}
         for owner, name in ((chains, "apply_flip"), (chains, "gibbs_step"),
-                            (SubsetState, "all_flip_deltas"), (_ChainDriver, "step")):
+                            (SubsetState, "all_flip_deltas")):
             self._count(monkeypatch, owner, name, calls)
         traj = run_chain(gen_planted(300, 40, 4), init, kind, GammaParam(4),
                          3000, 4, hold_window=200)
         moves = int(np.count_nonzero(traj.move_kind != "stay"))
         assert moves > 20 and calls["apply_flip"] == moves
         if isinstance(kind, GibbsChain):
-            assert calls["gibbs_step"] == calls["step"] < traj.steps
+            # a visit ends on a move, or on the run's last stays
+            assert calls["gibbs_step"] == moves + (traj.kind[-1] == "stay") < traj.steps
             assert calls["all_flip_deltas"] == calls["gibbs_step"]
         else:
             assert "gibbs_step" not in calls and "all_flip_deltas" not in calls
@@ -595,8 +596,8 @@ class TestColdGibbsCarriedClass:
         if len(least) > 30:
             return
         state.least = least
-        extremes = state.key_extremes()
-        assert extremes == plain.key_extremes()
+        extremes = state._extremes(math.inf)
+        assert extremes == plain._extremes(math.inf)
         lo, d_lo, hi, d_hi = extremes
         for upto in {d_lo - 1, d_lo, min(d_lo, d_hi, 0), d_lo + 7, d_hi, math.inf}:
             got, want = (s.all_flip_deltas(upto, (lo, hi)) for s in (state, plain))
@@ -878,54 +879,140 @@ class TestPeel:
             assert kind == "remove" and v_gd == v_peel
 
 
-class _SharedDraw:
-    """Stands in for the generator: every chain stepped with it reads the
-    same draw."""
+class TestResumedRun:
+    """A run taken in several ``_ChainDriver.run`` calls, each resuming where
+    the last stopped, ends as one call does: the coupled lockstep reference
+    steps its chains this way."""
 
-    def __init__(self, u):
-        self.u = u
+    @pytest.fixture(params=["every-step", "random"])
+    def split(self, request, monkeypatch):
+        """A call that turns every later ``_ChainDriver.run`` call into calls
+        that stop at each step, or at random increments of 1 to 8, then at
+        the call's own end; it returns the list of the cuts taken."""
+        rng, calls, whole = np.random.default_rng(11), [], _ChainDriver.run
+
+        def cuts():
+            if request.param == "every-step":
+                return itertools.count(1)
+            return itertools.accumulate(iter(lambda: int(rng.integers(1, 9)), None))
+
+        def run(self, chain, max_steps, hold=0):
+            for cut in cuts():
+                if cut >= max_steps:
+                    break
+                calls.append(cut)
+                reason = whole(self, chain, cut, hold)
+                if reason != "max_steps":
+                    return reason
+            return whole(self, chain, max_steps, hold)
+
+        def start():
+            monkeypatch.setattr(_ChainDriver, "run", run)
+            return calls
+        return start
+
+    @staticmethod
+    def assert_same_run(parts, whole):
+        """The same CSV and summary, and the same run-length rows."""
+        assert parts.csv_text() == whole.csv_text()
+        assert parts.summary_dict() == whole.summary_dict()
+        for name in ("move_t", "stay_rows", "stay_counts"):
+            assert getattr(parts, name).tolist() == getattr(whole, name).tolist(), name
+
+    @pytest.mark.parametrize("init", ["full", "empty"])
+    @pytest.mark.parametrize("budget", [0, 3])
+    @pytest.mark.parametrize("max_steps", [60, 20000])
+    def test_gradient_descent(self, split, init, budget, max_steps):
+        args = (gen_planted(150, 25, 2), init, GradientDescent(budget),
+                GammaParam(4), max_steps, 2)
+        whole = run_chain(*args)
+        calls = split()
+        parts = run_chain(*args)
+        assert calls
+        self.assert_same_run(parts, whole)
+
+    @pytest.mark.parametrize("n, k, init, beta, max_steps, hold, seed", [
+        (200, 30, "full", HOT_200, 4000, 2000, 0),  # cold: stays, then held
+        (200, 30, "full", HOT_200, 1200, 2000, 0),  # max_steps inside the hold
+        (100, 20, "empty", 3.0, 800, 40, 6),  # warm
+        (80, 0, "empty", 2.0, 500, 800, 7)])  # warm, a bare graph
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_gibbs(self, split, n, k, init, beta, max_steps, hold, seed, record_every):
+        instance = gen_planted(n, k, seed) if k else gen_er(n, seed)
+        args = (instance, init, GibbsChain(beta), GammaParam(4), max_steps, seed)
+        kwargs = dict(hold_window=hold, record_every=record_every)
+        whole = run_chain(*args, **kwargs)
+        calls = split()
+        parts = run_chain(*args, **kwargs)
+        assert len(calls) > 10
+        self.assert_same_run(parts, whole)
+
+    @pytest.mark.parametrize("c1", [None, 2.0])
+    def test_peel(self, split, c1):
+        inst = gen_contaminated(120, 20, 20, 0.7, 3)
+        whole, diag = run_peel(inst, stop=10, seed=3, c1=c1)
+        calls = split()
+        parts, parts_diag = run_peel(inst, stop=10, seed=3, c1=c1)
+        assert len(calls) > 10
+        self.assert_same_run(parts, whole)
+        assert parts_diag == diag
+
+
+class _SharedDraw:
+    """Stands in for the generator: every chain made with it reads the
+    draw last set in ``u``."""
+
+    u = None
 
     def random(self):
         return self.u
 
 
-def descend_once(driver, u, t):
-    """Step t of the driver's descent on draw u, as a Move read off its row;
-    None on absorption."""
-    energy = driver.state.scaled_energy
-    driver.descend(u, t)
-    if driver.absorbed:
-        return None
-    _, _, _, after, kind, x = driver.rows[-1]
-    return Move(kind, x, after - energy)
+class _LockstepDescent:
+    """A driver and its persistent descent chain, taken one step per call."""
+
+    def __init__(self, graph, k, init, gamma, plateau_budget, draw):
+        self.driver = _ChainDriver(graph, k, init, gamma)
+        moves = chains._descent(self.driver.state, draw, plateau_budget)
+        next(moves)
+        self.chain, self.reason = moves.send, "max_steps"
+
+    def step(self, t):
+        """Step t on the shared draw, as a Move read off the driver's row;
+        None once absorbed."""
+        if self.reason == "absorbed":
+            return None
+        energy = self.driver.state.scaled_energy
+        self.reason = self.driver.run(self.chain, t)
+        if self.reason == "absorbed":
+            return None
+        _, _, _, after, kind, x = self.driver.rows[-1]
+        return Move(kind, x, after - energy)
 
 
 def lockstep_coupled_gd(n, k, gamma, plateau_budget, max_steps, seed, init):
-    """Reference for ``run_coupled_gd``: one loop steps both drivers one move
+    """Reference for ``run_coupled_gd``: one loop steps both chains one move
     at a time, hands draw t of CHAIN_STREAM to step t of each and compares
     the moves."""
     g0, instance = gen_coupled(n, k, seed)
-    rng = stream_rng(seed, CHAIN_STREAM)
-    kind = GradientDescent(plateau_budget)
-    a = _ChainDriver(instance.graph, k, init, kind, gamma)
-    b = _ChainDriver(g0, k, init, kind, gamma)
-    tau = 0 if a.n1 > 0 else None
+    rng, draw = stream_rng(seed, CHAIN_STREAM), _SharedDraw()
+    a, b = (_LockstepDescent(g, k, init, gamma, plateau_budget, draw)
+            for g in (instance.graph, g0))
+    tau = 0 if a.driver.n1 > 0 else None
     first_div = None
     for t in range(1, max_steps + 1):
-        if a.absorbed and b.absorbed:
+        if a.reason == b.reason == "absorbed":
             break
-        u = _SharedDraw(rng.random())
-        move_a = descend_once(a, u, t) if not a.absorbed else None
-        move_b = descend_once(b, u, t) if not b.absorbed else None
+        draw.u = rng.random()
+        move_a, move_b = a.step(t), b.step(t)
         if first_div is None and move_a != move_b:
             first_div = t
-        if tau is None and a.n1 > 0:
+        if tau is None and a.driver.n1 > 0:
             tau = t
-    traj_a = a.finish("absorbed" if a.absorbed else "max_steps")
-    traj_b = b.finish("absorbed" if b.absorbed else "max_steps")
+    traj_a, traj_b = a.driver.finish(a.reason), b.driver.finish(b.reason)
     before_tau_ok = first_div is None or tau is None or first_div >= tau
-    through_ok = (first_div is None and a.absorbed and b.absorbed
-                  and np.array_equal(a.state.member, b.state.member))
+    through_ok = (first_div is None and a.reason == b.reason == "absorbed"
+                  and np.array_equal(a.driver.state.member, b.driver.state.member))
     return CoupledResult(traj_a, traj_b, tau, first_div, before_tau_ok, through_ok)
 
 

@@ -389,7 +389,7 @@ def test_supports_around_the_scalar_size(m, dmin_zero):
     dmin = 0 the stay is one of the units."""
     state = _support_state(m, dmin_zero)
     beta = 10 * math.log(state.graph.n)
-    lo, d_lo, hi, d_hi = state.key_extremes()
+    lo, d_lo, hi, d_hi = state._extremes(math.inf)
     dmin = min(d_lo, d_hi, 0)
     upto = dmin + math.floor(750 / beta)
     at, deltas = state.all_flip_deltas(upto, (lo, hi))
@@ -544,14 +544,14 @@ def test_a_tight_key_bound_keeps_the_edge_of_the_support():
     edges = 0
     for state in list(_crafted_states(60)) + list(_states(24)):
         n = state.graph.n
-        lo, d_lo, hi, d_hi = _twin(state).key_extremes()
+        lo, d_lo, hi, d_hi = _twin(state)._extremes(math.inf)
         if not (lo < n <= hi and d_lo < 0 and d_hi > d_lo):
             continue  # the bound rules out the adds only above a remove
         best_adds = np.flatnonzero(state.all_flip_deltas() == d_hi)
         for cut in (d_hi - d_lo, d_hi - d_lo - 1):
             beta = _beta_with_cut(cut, state.gamma.q_den)
             tight = _twin(state)
-            tight.key_extremes()
+            tight._extremes(math.inf)
             got = chains._gibbs_support(tight, beta)
             for a, b in zip(got, chains._gibbs_support(_twin(state), beta)):
                 assert type(a) is type(b) and np.array_equal(a, b)
