@@ -14,7 +14,9 @@ Each is a move function stepped by one loop, ``_ChainDriver.run``, which
 keeps the trajectory: a call takes the stays and the move of one visit (or
 ends the run) and returns them. Step t of every chain takes draw t of
 ``CHAIN_STREAM``, so chains sharing a seed on coupled graphs make identical
-choices while their candidate sets agree.
+choices while their candidate sets agree. Gradient descent, a cold Gibbs
+step and the peel read the least-key class that the state keeps across its
+removals (``SubsetState.least``); none keeps a class of its own.
 """
 
 from __future__ import annotations
@@ -271,13 +273,12 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     ``_Uniforms``) it takes up to L steps, one draw each, from this one
     probability vector: the run of stays and the move that ends it. The
     cumsum skips the flips of weight 0.0, which add exactly: the same pick.
-    A cold step (see ``_COLD``) reads only the flips of weight 1.0 and
-    carries the least-key class in ``state.least`` across its removals."""
+    A cold step (see ``_COLD``) reads only the flips of weight 1.0."""
     scale, reach, table = _weighing(beta, state.gamma.q_den, state.graph.n)
     if table is None:
         stay, total, at, flips, deltas = _gibbs_support(state, beta)
     else:  # the unit weights, d = dmin
-        least, (lo, d_lo, hi, d_hi) = state.least, state._extremes(reach)
+        lo, d_lo, hi, d_hi = state._extremes(reach)
         dmin = min(d_lo, d_hi, 0)
         at, deltas = state.all_flip_deltas(dmin, (lo, hi))
         at = (deltas == dmin).nonzero()[0] if at is None else at  # None: every delta came back
@@ -306,63 +307,31 @@ def gibbs_step(state: SubsetState, beta: float, rng,
                 if j < len(acc) else (state.graph.n - 1, None))
     kind, energy = "remove" if state.member[x] else "add", state.scaled_energy
     apply_flip(state, x, delta)
-    # the units are the least class when no add ties or beats them (then lo < n)
-    if cold and j < m <= SCALAR_FLIPS and dmin == d_lo < d_hi:  # x left it: see ``_descent``
-        key = state.key
-        state.least = [y for y in (least or at.tolist()) if key[y] < lo] or None
     return Move(kind, x, state.scaled_energy - energy), state
 
 
 def _peel_step_u(state: SubsetState, u: float) -> Move:
-    """Remove a uniformly random min-degree member (the least keys),
-    carrying a class of at most ``SCALAR_FLIPS`` in ``state.least``."""
-    key, energy, least = state.key, state.scaled_energy, state.least
-    if least is None:
-        least = np.flatnonzero(key == key[key.argmin()])
-        least = least.tolist() if least.size <= SCALAR_FLIPS else least
-    lo, x = key[least[0]], _choose(least, u)
+    """Remove a uniformly random min-degree member (the least keys)."""
+    energy, x = state.scaled_energy, _choose(state.least_class(), u)
     apply_flip(state, x)
-    if type(least) is list:  # x left the least class at lo: see ``_descent``
-        state.least = [y for y in least if key[y] < lo] or None
     return Move("remove", x, state.scaled_energy - energy)
 
 
 def _descent(state: SubsetState, rng, budget: int):
     """Gradient descent as a chain of ``_ChainDriver.run``: a generator, started
-    by ``next``, whose ``send`` takes a move on one draw, or yields "absorbed".
-
-    A removal of x at the least key lo lowers other keys by at most one and
-    lifts x's by n; keys outside U stay >= n > lo. So the least key is then
-    lo - 1, held by lo's class filtered by key < lo, if x had a neighbour in
-    it, else >= lo; a carried class moves while it beats ``hi_bound``'s add."""
-    member, draw, key = state.member, rng.random, state.key
-    n, p, w = state.graph.n, state.gamma.p, state.gamma.edge_weight
+    by ``next``, whose ``send`` takes a move by ``gd_step``'s rule on one draw,
+    or yields "absorbed"."""
+    best, member, draw = state.best_flips, state.member, rng.random
     used = 0  # zero-delta moves taken, against the plateau budget
-    lo = least = None  # after a removal: lo <= every key, and the vertices at lo if known
     yield
     while True:
-        s, hi, dmin = state.size, state.hi_bound, None
-        if lo is not None and hi is not None and w * lo - p * (s - 1) < p * s - w * (hi - n):
-            if least is None:  # lo is the least key iff some key equals it
-                least = (key == lo).nonzero()[0].tolist()
-            if least:
-                dmin, at = w * lo - p * (s - 1), least
-        if dmin is None:
-            dmin, at = state.best_flips()
+        dmin, at = best()
         if dmin > 0 or dmin == 0 and used >= budget:
             yield "absorbed"
             continue
         x = _choose(at, draw())
         kind = "remove" if member[x] else "add"
         apply_flip(state, x, dmin)
-        if kind == "add":
-            lo = least = None
-        elif len(at) > SCALAR_FLIPS:  # too many to filter one by one: keep the bound
-            lo, least = (dmin + p * (s - 1)) // w - 1, None
-        else:  # x's key was lo; keys outside U, x's now too, are >= n > lo
-            lo = (dmin + p * (s - 1)) // w
-            least = [y for y in at if key[y] < lo]
-            lo, least = (lo - 1, least) if least else (lo, None)
         used += dmin == 0
         yield 0, kind, x
 

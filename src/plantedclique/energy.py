@@ -99,14 +99,17 @@ class SubsetState:
     int64 (see ``check_fits``).
     ``hi_bound`` is None or an upper bound on the keys: ``_extremes`` sets
     it to the greatest key and ``apply_flip`` keeps it a bound.
-    ``least`` is None or every vertex at the least key, an ascending list of
-    at most ``SCALAR_FLIPS``: a cold ``gibbs_step`` or a peel removal sets
-    it, ``apply_flip`` clears it.
+    ``lo_bound`` is None or a lower bound on the keys, and ``least`` None or
+    every vertex at it, an ascending list of at most ``SCALAR_FLIPS`` (then
+    the bound is the least key); ``least_class`` sets them. A removal of x
+    lowers the other keys by one at most and lifts x's by n, so the least key
+    is then lo - 1, held by the class filtered by key < lo, if that is not
+    empty, else at least lo: ``apply_flip`` keeps these. An add drops both.
     Single-owner: never mutate one state concurrently.
     """
 
     __slots__ = ("graph", "gamma", "member", "size", "scaled_energy", "key",
-                 "key_rows", "hi_bound", "least")
+                 "key_rows", "hi_bound", "lo_bound", "least")
 
     def __init__(self, graph: Graph, gamma: GammaParam, member: np.ndarray,
                  size: int, key: np.ndarray, scaled_energy: int):
@@ -114,7 +117,8 @@ class SubsetState:
         self.key_rows = np.zeros((-(-graph.n // 8), 8), dtype=np.int32)
         self.key = self.key_rows.reshape(-1)[:graph.n]
         self.key[:] = key
-        self.size, self.scaled_energy, self.hi_bound, self.least = size, scaled_energy, None, None
+        self.size, self.scaled_energy = size, scaled_energy
+        self.hi_bound = self.lo_bound = self.least = None
 
     def _delta_at(self, key: int) -> int:
         """Scaled delta of flipping a vertex whose key is ``key``."""
@@ -135,7 +139,7 @@ class SubsetState:
         if upto is not None and upto < p * s:  # p * s bounds every delta
             a = min((upto + p * (s - 1)) // w, n - 1)  # in U: w key - p(s-1) <= upto
             b = n - (upto - p * s) // w  # out of U: p s - w(key-n) <= upto
-            if least is not None and b > keys[1] and a == key[least[0]] and 2 * len(least) <= n:
+            if least is not None and b > keys[1] and a == self.lo_bound and 2 * len(least) <= n:
                 return np.array(least), [w * a - p * (s - 1)] * len(least)  # what a pass finds
             hit = (key >= b if a < keys[0] else key <= a if b > keys[1]
                    else (key <= a) | (key >= b)).nonzero()[0]
@@ -152,31 +156,45 @@ class SubsetState:
         deltas.setflags(write=False)
         return deltas if upto is None else (at, deltas)
 
+    def least_class(self) -> Union[list, np.ndarray]:
+        """Every vertex at the least key, ascending: ``least``, else one pass at
+        ``lo_bound`` (the least key iff it finds some), else an argmin and that pass."""
+        key, lo, at = self.key, self.lo_bound, self.least
+        if at is None:
+            if lo is None or not (at := (key == lo).nonzero()[0]).size:
+                lo = key[key.argmin()]  # int32: quick to compare
+                at = (key == lo).nonzero()[0]
+            self.lo_bound, self.least = int(lo), at.tolist() if at.size <= SCALAR_FLIPS else None
+        return at
+
     def _extremes(self, reach: float) -> tuple:
-        """The least and greatest key (int32) and their deltas, (lo, d_lo, hi, d_hi),
+        """The least and greatest key and their deltas, (lo, d_lo, hi, d_hi),
         setting ``hi_bound`` to hi; with no argmax when the bound puts every
         add-delta above d_lo + ``reach`` (never at inf): hi is then the bound and
         d_hi its add-delta, a lower bound on every add-delta."""
-        key, p, n, s = self.key, self.gamma.p, self.graph.n, self.size
+        if self.least is None:
+            self.least_class()  # sets lo_bound to the least key
+        key, p, n, s, lo = self.key, self.gamma.p, self.graph.n, self.size, self.lo_bound
         w = p + self.gamma.q_den
-        lo = key[key.argmin() if self.least is None else self.least[0]]  # int32: quick to compare
-        d_lo = w * int(lo) - p * (s - 1) if lo < n else p * s - w * (int(lo) - n)
+        d_lo = w * lo - p * (s - 1) if lo < n else p * s - w * (lo - n)
         hi = self.hi_bound
-        if hi is not None and p * s - w * (hi - n) > d_lo + reach:
-            return lo, d_lo, hi, p * s - w * (hi - n)
+        if hi is not None and (d_hi := p * s - w * (hi - n)) > d_lo + reach:
+            return lo, d_lo, hi, d_hi
         hi = key[key.argmax()]
         self.hi_bound = int(hi)
         d_hi = w * int(hi) - p * (s - 1) if hi < n else p * s - w * (int(hi) - n)
         return lo, d_lo, hi, d_hi
 
-    def best_flips(self) -> tuple[int, np.ndarray]:
-        """``min(d)`` and ``flatnonzero(d == min(d))`` for
-        ``d = all_flip_deltas()``: the best flip delta and its vertices."""
+    def best_flips(self) -> tuple[int, Union[list, np.ndarray]]:
+        """``min(d)`` and ``flatnonzero(d == min(d))`` for ``d = all_flip_deltas()``:
+        the best flip delta and its vertices (``least_class()`` if they are it)."""
         lo, d_lo, hi, d_hi = self._extremes(0)
-        hit = self.key == (lo if d_lo <= d_hi else hi)
+        if d_lo < d_hi:
+            return d_lo, self.least or self.least_class()
+        hit = self.key == hi
         if d_lo == d_hi and lo != hi:  # the best remove ties the best add
-            hit |= self.key == hi
-        return min(d_lo, d_hi), hit.nonzero()[0]
+            hit |= self.key == lo
+        return d_hi, hit.nonzero()[0]
 
 
 def init_state(graph: Graph, u: Union[Iterable[int], np.ndarray],
@@ -213,7 +231,15 @@ def apply_flip(state: SubsetState, x: int,
     key[x] += n if remove else -n
     if state.hi_bound is not None:  # other keys fall by a remove, rise by 1 at most
         state.hi_bound = max(state.hi_bound, int(key[x])) if remove else state.hi_bound + 1
+    if not remove:
+        state.lo_bound = state.least = None
+    elif state.least is not None:  # see ``SubsetState``
+        lo = state.lo_bound
+        least = [y for y in state.least if key[y] < lo]
+        state.lo_bound, state.least = (lo - 1, least) if least else (lo, None)
+    elif state.lo_bound is not None:
+        state.lo_bound -= 1
     state.size += -1 if remove else 1
-    state.member[x], state.least = not remove, None
+    state.member[x] = not remove
     state.scaled_energy += delta
     return state

@@ -226,14 +226,14 @@ class LandscapeConfig(_Config):
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 errors.append(("gammas", str(exc)))
         elif not 1 <= self.k <= self.n:
-            errors.append(("k", f"need 1 <= k <= n"))
+            errors.append(("k", f"need 1 <= k <= n, got k={self.k}, n={self.n}"))
         if self.mode == "brute" and self.n > _BRUTE_FORCE_LIMIT:
             errors.append(("n", f"brute mode is limited to n <= {_BRUTE_FORCE_LIMIT}"))
         if self.mode == "scan":
             try:
                 if not self.m_list():
                     errors.append(("m_values", "scan mode needs subset sizes"))
-                for m in self.m_list():
+                for m in self.m_list() if 1 <= self.k <= self.n else ():  # else k's error
                     if not 1 <= m <= self.n - self.k:
                         raise ValueError(f"subset size {m} is outside 1..n - k = "
                                          f"1..{self.n - self.k}")
@@ -539,13 +539,15 @@ def run_sweep(config: ExperimentConfig, param: str,
     """Run the experiment once per value of ``param``, any config field but
     out_dir, each into its own subdirectory ``param=value`` of the config's
     output directory. Values parse as in a config file, and every cell is
-    validated before any runs."""
+    validated before any runs. A repeated value is refused: it names one cell."""
     if param == "out_dir":
         raise ConfigError([("param", "out_dir names the sweep's own directories")])
     if param == "beta" and config.chain != "gibbs":
         raise ConfigError([("param", f"beta does nothing for chain = {config.chain}")])
     if not values:
         raise ConfigError([("values", "no values to sweep")])
+    if (repeat := _first_repeat([str(v) for v in values])) is not None:
+        raise ConfigError([("values", f"value {repeat} is repeated")])
     base = config.resolved_out_dir()
     cells = {}
     for value in values:

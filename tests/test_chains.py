@@ -18,6 +18,7 @@ from plantedclique import chains, graphs
 from plantedclique.harness import ConfigError, ExperimentConfig
 from plantedclique.chains import (TRAJECTORY_CSV_HEADER, _ChainDriver,
                                   _peel_step_u, _Uniforms)
+from plantedclique.energy import SCALAR_FLIPS
 from plantedclique.graphs import CHAIN_STREAM
 
 from checkers import (gibbs_probabilities, verify_hamming_descent,
@@ -210,13 +211,19 @@ def gibbs_steps(beta, seed):
 
 
 def gd_steps(plateau_budget, seed):
-    """The public ``gd_step``, one draw per step; None on absorption."""
+    """The public ``gd_step`` on a fresh copy of the state each step, so no
+    key bound nor least-key class is ever carried; one draw per step, the
+    move then applied; None on absorption."""
     rng, plateau = stream_rng(seed, CHAIN_STREAM), [0]
 
     def step(state):
-        move, _ = gd_step(state, rng, plateau_budget, plateau[0])
+        fresh = init_state(state.graph, state.member.copy(), state.gamma)
+        move, _ = gd_step(fresh, rng, plateau_budget, plateau[0])
         plateau[0] += move.kind != "stay" and move.scaled_delta == 0
-        return None if move.kind == "stay" else move
+        if move.kind == "stay":
+            return None
+        apply_flip(state, move.vertex)
+        return move
     return step
 
 
@@ -471,11 +478,12 @@ def small_instance(rng, n, graph, seed):
 
 
 class TestCarriedLeastClass:
-    """``descend`` takes most removals from the least-key class it carries
-    across moves; on small, tie-heavy instances it must take the moves of the
-    public ``gd_step``. At gamma 11/10 adds compete with removals, so the
-    carried class often loses to the add bound and the full scan decides; a
-    full start on a cycle carries classes of more than ``SCALAR_FLIPS``."""
+    """A descent takes most removals from the least-key class its state
+    carries across moves; on small, tie-heavy instances it must take the
+    moves of ``gd_step`` on a fresh state each step. At gamma 11/10 adds
+    compete with removals, so the carried class often loses to the add bound
+    and the full scan decides; a full start on a cycle has classes of more
+    than ``SCALAR_FLIPS``, of which only the bound is carried."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 40),
@@ -532,9 +540,10 @@ class _StubDraw:
 
 
 class TestColdGibbsCarriedClass:
-    """A cold ``gibbs_step`` picks among the unit weights only and carries
-    the least-key class in ``state.least`` across its removals; ``run_chain``
-    must take the moves of steps that see a fresh state every time."""
+    """A cold ``gibbs_step`` picks among the unit weights only, and reads
+    them off the least-key class its state carries across removals;
+    ``run_chain`` must take the moves of steps that see a fresh state every
+    time."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 40),
@@ -595,7 +604,7 @@ class TestColdGibbsCarriedClass:
         least = np.flatnonzero(key == key.min()).tolist()
         if len(least) > 30:
             return
-        state.least = least
+        state.lo_bound, state.least = int(key.min()), least
         extremes = state._extremes(math.inf)
         assert extremes == plain._extremes(math.inf)
         lo, d_lo, hi, d_hi = extremes
@@ -637,13 +646,13 @@ class TestColdGibbsCarriedClass:
 
 
     @pytest.mark.parametrize("other", ["apply_flip", "gd_step", "replay"])
-    def test_other_flips_drop_the_class(self, other):
+    def test_other_flips_keep_the_class_true(self, other):
         inst, gam, beta = gen_planted(200, 25, 3), GammaParam(4), 10 * math.log(200)
         state = init_state(inst.graph, range(200), gam)
         rng, steps = stream_rng(3, CHAIN_STREAM), 0
         while state.least is None or len(state.least) < 2:
             steps += gibbs_step(state, beta, rng)[0].vertex is not None
-        if other == "apply_flip":  # a removal outside the class leaves it stale
+        if other == "apply_flip":  # a removal outside the class
             apply_flip(state, int(np.flatnonzero(state.member)[-1]))
         elif other == "gd_step":
             assert gd_step(state, rng)[0].kind == "remove"
@@ -652,13 +661,102 @@ class TestColdGibbsCarriedClass:
             replayed = replay(inst, traj, gam)
             assert np.array_equal(replayed.key, state.key)
             state = replayed
-        assert state.least is None
+        assert_carried_bounds(state)
         fresh = init_state(inst.graph, state.member.copy(), gam)
-        for seed in range(20):  # the class is carried again from the next removal on
+        for seed in range(20):  # moves as from a state that carries nothing
             a = gibbs_step(state, beta, stream_rng(seed, CHAIN_STREAM))[0]
             b = gibbs_step(fresh, beta, stream_rng(seed, CHAIN_STREAM))[0]
-            assert a == b and state.least == fresh.least
-            assert np.array_equal(state.key, fresh.key)
+            assert a == b and np.array_equal(state.key, fresh.key)
+            assert_carried_bounds(state)
+
+
+def assert_carried_bounds(state):
+    """``lo_bound`` and ``hi_bound`` bound the keys; ``least`` is every
+    vertex at the least key, which is then ``lo_bound``."""
+    key = state.key
+    assert state.lo_bound is None or state.lo_bound <= key.min()
+    assert state.hi_bound is None or state.hi_bound >= key.max()
+    if state.least is not None:
+        assert state.least == np.flatnonzero(key == key.min()).tolist()
+        assert state.lo_bound == key.min() and len(state.least) <= SCALAR_FLIPS
+
+
+class TestStateCarriesTheLeastClass:
+    """``SubsetState`` is the one keeper of the least-key class: whatever
+    flips it takes, from whichever caller, the class it carries is true."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 40),
+           st.sampled_from([0.1, 0.5, 0.9, "cycle", "planted"]),
+           st.sampled_from([GammaParam(11, 10), GammaParam(2), GammaParam(4)]),
+           st.sampled_from(["full", "empty", "random"]),
+           st.lists(st.tuples(st.sampled_from(["add", "remove", "remove", "gd", "cold",
+                                               "warm", "peel", "replay", "query"]),
+                              st.integers(0, 2**16)), max_size=60))
+    # a full start on a cycle: a class of 40, of which only the bound is kept
+    @example(0, 40, "cycle", GammaParam(4), "full", [("peel", 5)] * 3 + [("gd", 1)] * 3)
+    def test_any_flip_sequence(self, seed, n, graph, gamma, init, ops):
+        rng = np.random.default_rng(seed)
+        inst = small_instance(rng, n, graph, seed)
+        g = getattr(inst, "graph", inst)
+        members = (range(n) if init == "full" else () if init == "empty"
+                   else np.flatnonzero(rng.random(n) < 0.5))
+        state = init_state(g, members, gamma)
+        for op, v in ops:
+            inside = np.flatnonzero(state.member)
+            outside = np.flatnonzero(~state.member)
+            draws = stream_rng(v, CHAIN_STREAM)
+            if op == "add" and outside.size:
+                apply_flip(state, int(outside[v % outside.size]))
+            elif op == "remove" and inside.size:
+                apply_flip(state, int(inside[v % inside.size]))
+            elif op == "gd":
+                gd_step(state, draws, 1)
+            elif op in ("cold", "warm"):
+                beta = (cold_scale(n) + 1) * gamma.q_den if op == "cold" else 0.5
+                gibbs_step(state, beta, draws)
+            elif op == "peel" and inside.size:
+                degs = state.key[inside]
+                x = _peel_step_u(state, v / 2**17).vertex
+                assert x in inside[degs == degs.min()]
+            elif op == "replay":
+                traj = run_chain(g, tuple(inside.tolist()), GradientDescent(1), gamma,
+                                 1 + v % 5, v)
+                state = replay(g, traj, gamma)
+            elif op == "query":
+                fresh = init_state(g, state.member.copy(), gamma)
+                got, want = state.best_flips(), fresh.best_flips()
+                assert got[0] == want[0] and list(got[1]) == list(want[1])
+                if inside.size:
+                    assert list(state.least_class()) == list(fresh.least_class())
+            assert np.array_equal(state.key, init_state(g, state.member.copy(), gamma).key)
+            assert_carried_bounds(state)
+
+
+class TestPeelIdentity:
+    def test_gd_from_full_peels_until_an_add_competes(self):
+        """With one seed, gd from the full set applies ``run_peel``'s
+        removals up to its first step where a best add ties or beats the best
+        removal: before it, both pick with one draw among the least-key class.
+        That step is read off the replayed state, for each seed."""
+        gamma = GammaParam(4)
+        for seed in range(3):
+            inst = gen_planted(200, 30, seed)
+            gd = run_chain(inst, "full", GradientDescent(), gamma, 10**4, seed)
+            peel, _ = run_peel(inst, None, seed, gamma=gamma)
+            state = init_state(inst.graph, range(200), gamma)
+            switch = 0
+            while switch < gd.steps:
+                _, d_lo, _, d_hi = state._extremes(math.inf)
+                if d_hi <= d_lo:
+                    break
+                switch += 1
+                apply_flip(state, int(gd.move_vertex[switch]))
+            same = min(switch, peel.steps)
+            assert same > 100
+            assert gd.move_kind[1:same + 1].tolist() == ["remove"] * same
+            assert np.array_equal(gd.move_vertex[:same + 1], peel.move_vertex[:same + 1])
+            assert np.array_equal(gd.move_energy[:same + 1], peel.move_energy[:same + 1])
 
 
 class TestRunChain:
@@ -1155,22 +1253,22 @@ class TestDeltaCacheUse:
         assert len(moved) == 60 and all(m.kind == "remove" for m in moved)
 
     def test_gd_run_builds_degrees_once(self, monkeypatch):
-        degree_builds, keys, states = [], [], []
+        degree_builds, keys, states, carried = [], [], [], []
         real_deg_into = Graph.deg_into
         real_best = SubsetState.best_flips
         monkeypatch.setattr(Graph, "deg_into", lambda self, member: (
             degree_builds.append(1) or real_deg_into(self, member)))
         monkeypatch.setattr(SubsetState, "best_flips", lambda self: (
             keys.append((self.key, self.key.copy())) or states.append(self)
-            or real_best(self)))
+            or carried.append(self.least is not None) or real_best(self)))
         monkeypatch.setattr(SubsetState, "all_flip_deltas", lambda self: (
             pytest.fail("a gd step read every delta")))
         inst = gen_planted(400, 50, 2)
         traj = run_chain(inst, "full", GradientDescent(), GammaParam(4), 10**4, 2)
         assert traj.absorbed and traj.steps > 300
         assert len(degree_builds) == 1  # init_state's
-        # most moves come from the carried least-key class, not a full scan
-        assert len(keys) < traj.steps
+        # about half the moves read the carried least-key class, with no pass
+        assert 3 * sum(carried) > traj.steps
         # one key array, updated in place: every scan saw new values in it
         assert all(k is keys[0][0] for k, _ in keys)
         assert all(s is states[0] for s in states)

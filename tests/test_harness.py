@@ -99,6 +99,7 @@ class TestConfigFormat:
         ("landscape", dict(mode="kappa", gammas=""), "gammas"),
         ("landscape", dict(mode="kappa", gammas="2,x"), "gammas"),
         ("landscape", dict(k="0"), "k"),
+        ("landscape", dict(mode="scan", n="30", k="40", m_values="3"), "k"),
         ("landscape", dict(n="25"), "n"),
         ("landscape", dict(mode="scan", m_values=""), "m_values"),
         ("landscape", dict(mode="scan", m_values="3", budget="0"), "budget"),
@@ -110,6 +111,13 @@ class TestConfigFormat:
         with pytest.raises(ConfigError) as err:
             parse_config_text(config_lines(base, **overrides))
         assert [f for f, _ in err.value.errors] == [field]
+
+    def test_k_out_of_range_names_k_and_n(self):
+        # the subset-size range 1..n - k is not checked against a bad k
+        cfg = LandscapeConfig(mode="scan", n=30, k=40, m_values="3", seeds="0")
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert err.value.errors == [("k", "need 1 <= k <= n, got k=40, n=30")]
 
     @pytest.mark.parametrize("seeds, repeat", [
         ("1,1,2", 1), ("0..4,2", 2), ("7,3..5,4,7", 7), ("2..3,1..2", 2)])
@@ -256,6 +264,10 @@ class TestRunExperiment:
                 "param" if param == "out_dir" else param]
         with pytest.raises(ConfigError, match="no values"):
             run_sweep(tiny_config(tmp_path), "k", [])
+        # a repeated value was run once, under one summary
+        with pytest.raises(ConfigError) as err:
+            run_sweep(tiny_config(tmp_path), "n", ["40", "60", "40"])
+        assert err.value.errors == [("values", "value 40 is repeated")]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("param, values, overrides", [
