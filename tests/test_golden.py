@@ -60,6 +60,10 @@ CALLS = {
     "run-gibbs-record-every": run_call(chain="gibbs", beta=30.0,
                                        max_steps=900, hold_window=60,
                                        record_every=7, seeds="0..1"),
+    # beta = 60 > ln 121 + 54 ln 2: cold steps. Seeds 0 and 1 hold with one
+    # 1000-step stay run across t = 999 -> 1000; seed 2 leaves 342 short runs
+    "run-gibbs-cold-hold": run_call(chain="gibbs", beta=60.0, max_steps=1500,
+                                    hold_window=1000),
     "run-contaminated": run_call(model="contaminated", m=12, q=0.7,
                                  gamma="7/2"),
     "run-er": run_call(model="er", k=0, init="empty", tie="drift:1",
@@ -273,6 +277,16 @@ GOLDEN = {
             'f64af6f0a8f8a27f98ea96af9098c59f3b289d8b0c8bd9a72199520a031bd54a',
         'traj_s1.csv':
             'ba10ac112b631283ce73bdb62b74fa0822c03c28c2844f0b38d3dc3d9d0d332b',
+    },
+    'run-gibbs-cold-hold': {
+        'summary.json':
+            '991d12a7bb5630c6092be977b777a13b9799a985bd13b087c8df63130d07df85',
+        'traj_s0.csv':
+            'ef0de84afac50b51ede75d85afa74e21ccbbe4d3fb58cd63459ec93102cd1f5c',
+        'traj_s1.csv':
+            '06b8a6829db078481741c6be891bd38e90b0d0c815b866792f2baf49a6c6a7a1',
+        'traj_s2.csv':
+            '6ba7cf74d2c137345a5b330d0a19469a9997d2e993e8a23b043985ed4416b031',
     },
     'run-jobs-2': {
         'summary.json':
