@@ -278,7 +278,8 @@ def gibbs_step(state: SubsetState, beta: float, rng,
     if table is None:
         stay, total, at, flips, deltas = _gibbs_support(state, beta)
     else:  # the unit weights, d = dmin
-        lo, d_lo, hi, d_hi = state._extremes(reach)
+        state.least_class()  # for the scan to read
+        lo, d_lo, hi, d_hi = state._extremes(reach, state.lo_bound)
         dmin = min(d_lo, d_hi, 0)
         at, deltas = state.all_flip_deltas(dmin, (lo, hi))
         at = (deltas == dmin).nonzero()[0] if at is None else at  # None: every delta came back

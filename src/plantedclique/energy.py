@@ -167,14 +167,15 @@ class SubsetState:
             self.lo_bound, self.least = int(lo), at.tolist() if at.size <= SCALAR_FLIPS else None
         return at
 
-    def _extremes(self, reach: float) -> tuple:
+    def _extremes(self, reach: float, lo: Optional[int] = None) -> tuple:
         """The least and greatest key and their deltas, (lo, d_lo, hi, d_hi),
         setting ``hi_bound`` to hi; with no argmax when the bound puts every
         add-delta above d_lo + ``reach`` (never at inf): hi is then the bound and
-        d_hi its add-delta, a lower bound on every add-delta."""
-        if self.least is None:
-            self.least_class()  # sets lo_bound to the least key
-        key, p, n, s, lo = self.key, self.gamma.p, self.graph.n, self.size, self.lo_bound
+        d_hi its add-delta, a lower bound on every add-delta. The least key is
+        ``lo`` if given, else the carried class's, else one argmin's."""
+        key, p, n, s = self.key, self.gamma.p, self.graph.n, self.size
+        if lo is None:
+            lo = self.lo_bound if self.least is not None else int(key[key.argmin()])
         w = p + self.gamma.q_den
         d_lo = w * lo - p * (s - 1) if lo < n else p * s - w * (lo - n)
         hi = self.hi_bound
@@ -188,9 +189,10 @@ class SubsetState:
     def best_flips(self) -> tuple[int, Union[list, np.ndarray]]:
         """``min(d)`` and ``flatnonzero(d == min(d))`` for ``d = all_flip_deltas()``:
         the best flip delta and its vertices (``least_class()`` if they are it)."""
-        lo, d_lo, hi, d_hi = self._extremes(0)
+        least = self.least_class()
+        lo, d_lo, hi, d_hi = self._extremes(0, self.lo_bound)
         if d_lo < d_hi:
-            return d_lo, self.least or self.least_class()
+            return d_lo, least
         hit = self.key == hi
         if d_lo == d_hi and lo != hi:  # the best remove ties the best add
             hit |= self.key == lo
