@@ -74,6 +74,22 @@ ChainKind = Union[GradientDescent, GibbsChain]
 TRAJECTORY_CSV_HEADER = "t,n1,n2,scaled_energy,move_kind,move_vertex"
 
 
+def _step_lines(steps: np.ndarray) -> tuple:
+    """Ascending int64 steps >= 0 as one line "{t}\\n" each, and the offsets where
+    the lines end, after a 0: one block of ASCII digits and newlines per digit width."""
+    top = len(str(steps[-1])) if steps.size else 1
+    cuts = [0, *steps.searchsorted([10**w for w in range(1, top)]), steps.size]
+    ends = np.append(0, np.repeat(np.arange(2, top + 2), np.diff(cuts)).cumsum())
+    text = np.empty(ends[-1], dtype=np.uint8)
+    for width, lo, hi in zip(range(1, top + 1), cuts, cuts[1:]):
+        block = text[ends[lo]:ends[hi]].reshape(hi - lo, width + 1)
+        block[:, width], seg = ord("\n"), steps[lo:hi]
+        for col in range(width - 1, -1, -1):
+            seg, digit = np.divmod(seg, 10)
+            np.add(digit, ord("0"), out=block[:, col], casting="unsafe")
+    return str(text, "ascii"), ends
+
+
 @dataclass
 class Trajectory:
     """A run as run-length columns plus its terminal flags.
@@ -122,8 +138,9 @@ class Trajectory:
     vertex = property(lambda self: np.where(self._index[2], self.move_vertex[self._index[1]], -1))
 
     def to_csv(self, out, labels: Optional[np.ndarray] = None) -> None:
-        """Write the recorded rows as CSV to a text stream, a stay run in one
-        join; vertex column uses original labels when a label map is given."""
+        """Write the recorded rows as CSV to a text stream in one write, the stay
+        runs' steps rendered at once (``_step_lines``); vertex column uses original
+        labels when a label map is given."""
         t, every, last, vertex = self.move_t, self.record_every, self.steps, self.move_vertex
         if labels is not None:
             vertex = np.where(vertex < 0, -1, np.asarray(labels)[vertex])
@@ -133,16 +150,21 @@ class Trajectory:
                     t.tolist(), self.move_n1.tolist(), self.move_n2.tolist(),
                     self.move_energy, self.move_kind.tolist(), vertex.tolist(),
                     keep.tolist())]
-        out.write(TRAJECTORY_CSV_HEADER + "\n")
-        start = 0
-        for i, count in zip(self.stay_rows.tolist(), self.stay_counts.tolist()):
-            out.writelines(rows[start:i + 1])
-            start, a, b = i + 1, int(t[i]) + 1, int(t[i]) + count
-            ts = range(-(-a // every) * every, b + 1, every)
-            ts = [*ts, b] if b == last and b % every else ts  # the terminal row
-            suffix = f",{self.move_n1[i]},{self.move_n2[i]},{self.move_energy[i]},stay,\n"
-            out.write(suffix.join(map(str, ts)) + suffix if ts else "")
-        out.writelines(rows[start:])
+        at = self.stay_rows
+        b = t[at] + self.stay_counts  # each run's last stay
+        first = (t[at] + every) // every * every  # and its first multiple of every
+        count = (b - first) // every + 1 + ((b == last) & (last % every != 0))  # + terminal row
+        end = count.cumsum()
+        steps = np.repeat(first - every * (end - count), count) + every * np.arange(count.sum())
+        text, ends = _step_lines(np.minimum(steps, last))  # a terminal row: the next step, capped
+        parts, start = [TRAJECTORY_CSV_HEADER + "\n"], 0
+        for i, a, b, n1, n2, e in zip(at.tolist(), ends[end - count].tolist(), ends[end].tolist(),
+                                      self.move_n1[at].tolist(), self.move_n2[at].tolist(),
+                                      self.move_energy[at]):
+            parts += rows[start:i + 1]
+            parts.append(text[a:b].replace("\n", f",{n1},{n2},{e},stay,\n"))  # the run's suffix
+            start = i + 1
+        out.write("".join(parts + rows[start:]))
 
     def csv_text(self, labels: Optional[np.ndarray] = None) -> str:
         buf = io.StringIO()

@@ -440,6 +440,47 @@ class TestRunLengthTrajectory:
             assert_rows_match(traj, ref)
 
 
+class TestCsvWriter:
+    """``to_csv`` renders the steps of every stay run at once (``_step_lines``)
+    and splices each run's suffix into its lines."""
+
+    @given(start=st.one_of(
+               st.integers(0, 10**15),
+               st.builds(lambda p, d: max(10**p + d, 0), st.integers(0, 15), st.integers(-60, 60))),
+           length=st.integers(-3, 400), step=st.integers(1, 12),
+           n1=st.integers(0, 10**4), n2=st.integers(0, 10**4),
+           energy=st.one_of(st.integers(-10**9, 10**9), st.integers(-2**300, 2**300)))
+    @example(start=1950, length=19994, step=1, n1=60, n2=0, energy=-7080)  # a hold
+    @example(start=0, length=0, step=1, n1=0, n2=0, energy=0)  # no steps
+    @example(start=10**15 - 5, length=10, step=1, n1=1, n2=2, energy=-(2**80))
+    def test_step_lines_match_a_join(self, start, length, step, n1, n2, energy):
+        ts = range(start, start + length, step)
+        suffix = f",{n1},{n2},{energy},stay,\n"
+        text, ends = chains._step_lines(np.arange(ts.start, ts.stop, ts.step, dtype=np.int64))
+        assert text.replace("\n", suffix) == "".join(f"{t}{suffix}" for t in ts)
+        assert ends.tolist() == [0, *itertools.accumulate(len(f"{t}\n") for t in ts)]
+
+    def test_to_csv_writes_the_csv_text_into_a_file(self, tmp_path):
+        # seed 2 does not hold the clique: short stay runs up to max_steps. The
+        # last run follows an unrecorded move at 1489 and holds the grid step
+        # 1491, then the terminal 1492
+        inst = gen_planted(120, 20, 2)
+        traj = run_chain(inst, "full", GibbsChain(60.0), GammaParam(4), 1492, 2,
+                         hold_window=1000, record_every=7)
+        assert traj.stay_rows.size > 100 and traj.steps == 1492
+        assert traj.move_t[traj.stay_rows[-1]] == 1489 and traj.stay_counts[-1] == 3
+        path = tmp_path / "traj.csv"
+        with open(path, "w") as out:
+            traj.to_csv(out, inst.labels)
+        text = path.read_text()
+        assert text == traj.csv_text(inst.labels)
+        assert text == RowTrajectory(list(zip(
+            traj.t.tolist(), traj.n1.tolist(), traj.n2.tolist(), traj.scaled_energy,
+            traj.kind.tolist(), traj.vertex.tolist())), {}).csv_text(inst.labels)
+        assert [line.split(",")[::4] for line in text.splitlines()[-3:]] == [
+            ["1484", "stay"], ["1491", "stay"], ["1492", "stay"]]
+
+
 class TestGdRun:
     """``run_chain`` takes a descent's moves in one driver call; it must
     equal the one-step public ``gd_step`` applied step by step, on sizes
