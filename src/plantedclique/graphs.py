@@ -499,15 +499,34 @@ def _check_adjacency(rows: np.ndarray, n: int) -> None:
         raise ValueError("adjacency has padding bits set past n")
 
 
+def _check_header(header: dict) -> None:
+    """Raise a ValueError naming the first field of a graph file's header that
+    ``save_graph`` cannot have written."""
+    def need(name, ok, want):
+        if not ok(value := header.get(name)):
+            raise ValueError(f"graph header field {name!r} must be {want}, got {value!r}")
+    n, k, m, is_int = header.get("n"), header.get("k"), header.get("m"), lambda v: type(v) is int
+    need("n", lambda v: is_int(v) and v >= 1, "an integer >= 1")
+    need("model", lambda v: v in ("er", "planted", "contaminated"), "er, planted or contaminated")
+    if header["model"] != "er":
+        need("k", lambda v: is_int(v) and 1 <= v <= n, f"an integer in [1, n = {n}]")
+        need("m", lambda v: is_int(v) and 0 <= v <= n - k, f"an integer in [0, n - k = {n - k}]")
+        need("q", lambda v: m == 0 or type(v) in (int, float) and 0.5 <= v < 1, "in [1/2, 1)")
+        need("seed", lambda v: is_int(v) and 0 <= v <= _MAX_SEED, "an integer in [0, 2**64)")
+        need("labels", lambda v: type(v) is list and len(v) == n and all(map(is_int, v)),
+             f"a list of n = {n} integers")
+
+
 def load_graph(path) -> Union[Graph, PlantedInstance]:
-    """Read a ``save_graph`` file, rejecting adjacency that is not symmetric,
-    has a self-loop or sets padding bits past n, and an instance whose labels
-    are not a permutation of range(n) or whose first k vertices are not a
-    clique."""
+    """Read a ``save_graph`` file, rejecting a header field it cannot have written,
+    adjacency that is not symmetric, has a self-loop or sets padding bits past n,
+    and an instance whose labels are not a permutation of range(n) or whose
+    first k vertices are not a clique."""
     with open(path, "rb") as f:
         header = json.loads(f.readline())
         if header.get("format") != _FORMAT:
             raise ValueError(f"unsupported graph format: {header.get('format')!r}")
+        _check_header(header)
         n = header["n"]
         row_bytes = (n + 7) // 8
         if os.fstat(f.fileno()).st_size - f.tell() != n * row_bytes:

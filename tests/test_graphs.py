@@ -443,6 +443,68 @@ def test_load_rejects_k_beyond_the_planted_clique(tmp_path):
         load_graph(path)
 
 
+_DROP = object()  # a header field to leave out
+_BAD_HEADERS = [
+    ("planted", dict(n=-5)),
+    ("planted", dict(n="8")),
+    ("planted", dict(n=True)),
+    ("planted", dict(n=0)),
+    ("planted", dict(n=12.0)),
+    ("planted", dict(n=_DROP)),
+    ("er", dict(n=None)),
+    ("planted", dict(model="gnp")),
+    ("planted", dict(model=_DROP)),
+    ("planted", dict(k="3")),
+    ("planted", dict(k=True)),
+    ("planted", dict(k=0)),
+    ("planted", dict(k=13)),
+    ("planted", dict(k=_DROP)),
+    ("planted", dict(m=-1)),
+    ("planted", dict(m=10)),  # k + m > n
+    ("planted", dict(m="0")),
+    ("contaminated", dict(q=1.0)),
+    ("contaminated", dict(q="0.7")),
+    ("contaminated", dict(q=None)),
+    ("planted", dict(seed=-1)),
+    ("planted", dict(seed=2**64)),
+    ("planted", dict(seed="4")),
+    ("planted", dict(seed=None)),
+    ("planted", dict(labels=_DROP)),
+    ("planted", dict(labels=None)),
+    ("planted", dict(labels=list(range(11)))),
+    ("planted", dict(labels=[*range(11), 11.0])),
+    ("planted", dict(labels=[*range(11), "11"])),
+]
+
+
+@pytest.mark.parametrize("model, fields", _BAD_HEADERS, ids=[
+    f"{model}-{name}-{'dropped' if v is _DROP else repr(v)[-12:]}"
+    for model, fields in _BAD_HEADERS for name, v in fields.items()])
+def test_load_names_a_malformed_header_field(tmp_path, model, fields):
+    path = tmp_path / "g.bin"
+    save_graph(path, {"er": gen_er(12, 4), "planted": gen_planted(12, 3, 4),
+                      "contaminated": gen_contaminated(12, 3, 4, 0.7, 4)}[model])
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(header), **fields}
+    header = {name: v for name, v in header.items() if v is not _DROP}
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+    (name,) = fields
+    with pytest.raises(ValueError, match=f"^graph header field '{name}' must be "):
+        load_graph(path)
+
+
+def test_load_reads_fields_it_does_not_use_unchecked(tmp_path):
+    # an er file holds no clique, and a plain planted one no contamination
+    for obj, fields in ((gen_er(12, 4), dict(k="3", labels=None, seed=None)),
+                        (gen_planted(12, 3, 4), dict(q="0.7"))):
+        path = tmp_path / "g.bin"
+        save_graph(path, obj)
+        _edit_header(path, **fields)
+        back = load_graph(path)
+        assert (back if isinstance(obj, Graph) else back.graph) == \
+            (obj if isinstance(obj, Graph) else obj.graph)
+
+
 def test_validate_passes_generated_instances():
     for inst in (gen_planted(70, 66, 1), gen_contaminated(70, 10, 60, 0.7, 2),
                  gen_planted(9, 1, 0)):
