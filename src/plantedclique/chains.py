@@ -157,14 +157,11 @@ class Trajectory:
         end = count.cumsum()
         steps = np.repeat(first - every * (end - count), count) + every * np.arange(count.sum())
         text, ends = _step_lines(np.minimum(steps, last))  # a terminal row: the next step, capped
-        parts, start = [TRAJECTORY_CSV_HEADER + "\n"], 0
-        for i, a, b, n1, n2, e in zip(at.tolist(), ends[end - count].tolist(), ends[end].tolist(),
-                                      self.move_n1[at].tolist(), self.move_n2[at].tolist(),
-                                      self.move_energy[at]):
-            parts += rows[start:i + 1]
-            parts.append(text[a:b].replace("\n", f",{n1},{n2},{e},stay,\n"))  # the run's suffix
-            start = i + 1
-        out.write("".join(parts + rows[start:]))
+        for i, lo, hi, n1, n2, e in zip(at.tolist(), ends[end - count].tolist(), ends[end].tolist(),
+                                        self.move_n1[at].tolist(), self.move_n2[at].tolist(),
+                                        self.move_energy[at]):
+            rows[i] += text[lo:hi].replace("\n", f",{n1},{n2},{e},stay,\n")  # the run's suffix
+        out.write("".join([TRAJECTORY_CSV_HEADER + "\n", *rows]))
 
     def csv_text(self, labels: Optional[np.ndarray] = None) -> str:
         buf = io.StringIO()

@@ -505,7 +505,8 @@ def _check_header(header: dict) -> None:
     def need(name, ok, want):
         if not ok(value := header.get(name)):
             raise ValueError(f"graph header field {name!r} must be {want}, got {value!r}")
-    n, k, m, is_int = header.get("n"), header.get("k"), header.get("m"), lambda v: type(v) is int
+    n, k, m = header.get("n"), header.get("k"), header.get("m")
+    is_int = lambda v: type(v) is int  # not a bool, which JSON also reads
     need("n", lambda v: is_int(v) and v >= 1, "an integer >= 1")
     need("model", lambda v: v in ("er", "planted", "contaminated"), "er, planted or contaminated")
     if header["model"] != "er":
@@ -524,6 +525,8 @@ def load_graph(path) -> Union[Graph, PlantedInstance]:
     first k vertices are not a clique."""
     with open(path, "rb") as f:
         header = json.loads(f.readline())
+        if not isinstance(header, dict):
+            raise ValueError("graph header must be a JSON object")
         if header.get("format") != _FORMAT:
             raise ValueError(f"unsupported graph format: {header.get('format')!r}")
         _check_header(header)

@@ -493,6 +493,14 @@ def test_load_names_a_malformed_header_field(tmp_path, model, fields):
         load_graph(path)
 
 
+@pytest.mark.parametrize("header", [b"[1, 2]", b'"pcgraph-v1"', b"null"])
+def test_load_rejects_a_header_that_is_no_object(tmp_path, header):
+    path = tmp_path / "g.bin"
+    path.write_bytes(header + b"\n")
+    with pytest.raises(ValueError, match="graph header must be a JSON object"):
+        load_graph(path)
+
+
 def test_load_reads_fields_it_does_not_use_unchecked(tmp_path):
     # an er file holds no clique, and a plain planted one no contamination
     for obj, fields in ((gen_er(12, 4), dict(k="3", labels=None, seed=None)),
