@@ -189,7 +189,7 @@ class SubsetState:
     def best_flips(self) -> tuple[int, Union[list, np.ndarray]]:
         """``min(d)`` and ``flatnonzero(d == min(d))`` for ``d = all_flip_deltas()``:
         the best flip delta and its vertices (``least_class()`` if they are it)."""
-        least = self.least_class()
+        least = self.least or self.least_class()
         lo, d_lo, hi, d_hi = self._extremes(0, self.lo_bound)
         if d_lo < d_hi:
             return d_lo, least
