@@ -151,16 +151,17 @@ class Trajectory:
                     self.move_energy, self.move_kind.tolist(), vertex.tolist(),
                     keep.tolist())]
         at = self.stay_rows
-        b = t[at] + self.stay_counts  # each run's last stay
-        first = (t[at] + every) // every * every  # and its first multiple of every
-        count = (b - first) // every + 1 + ((b == last) & (last % every != 0))  # + terminal row
-        end = count.cumsum()
-        steps = np.repeat(first - every * (end - count), count) + every * np.arange(count.sum())
-        text, ends = _step_lines(np.minimum(steps, last))  # a terminal row: the next step, capped
-        for i, lo, hi, n1, n2, e in zip(at.tolist(), ends[end - count].tolist(), ends[end].tolist(),
-                                        self.move_n1[at].tolist(), self.move_n2[at].tolist(),
-                                        self.move_energy[at]):
-            rows[i] += text[lo:hi].replace("\n", f",{n1},{n2},{e},stay,\n")  # the run's suffix
+        if at.size:  # else skip the numpy calls' fixed cost: a descent never stays
+            b = t[at] + self.stay_counts  # each run's last stay
+            first = (t[at] + every) // every * every  # and its first multiple of every
+            count = (b - first) // every + 1 + ((b == last) & (last % every != 0))  # + terminal
+            end = count.cumsum()
+            steps = np.repeat(first - every * (end - count), count) + every * np.arange(end[-1])
+            text, ends = _step_lines(np.minimum(steps, last))  # a terminal row: the next, capped
+            for i, lo, hi, n1, n2, e in zip(at.tolist(), ends[end - count].tolist(),
+                                            ends[end].tolist(), self.move_n1[at].tolist(),
+                                            self.move_n2[at].tolist(), self.move_energy[at]):
+                rows[i] += text[lo:hi].replace("\n", f",{n1},{n2},{e},stay,\n")  # the run's suffix
         out.write("".join([TRAJECTORY_CSV_HEADER + "\n", *rows]))
 
     def csv_text(self, labels: Optional[np.ndarray] = None) -> str:
