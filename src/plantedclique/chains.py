@@ -84,9 +84,10 @@ def _step_lines(steps: np.ndarray) -> tuple:
     for width, lo, hi in zip(range(1, top + 1), cuts, cuts[1:]):
         block = text[ends[lo]:ends[hi]].reshape(hi - lo, width + 1)
         block[:, width], seg = ord("\n"), steps[lo:hi]
-        for col in range(width - 1, -1, -1):
-            seg, digit = np.divmod(seg, 10)
-            np.add(digit, ord("0"), out=block[:, col], casting="unsafe")
+        for col in range(width - 1, -1, -1):  # numpy divides by a constant quickly,
+            quot = seg // 10  # but not in divmod or %
+            block[:, col] = seg - 10 * quot + ord("0")
+            seg = quot
     return str(text, "ascii"), ends
 
 
