@@ -72,6 +72,8 @@ ChainKind = Union[GradientDescent, GibbsChain]
 
 
 TRAJECTORY_CSV_HEADER = "t,n1,n2,scaled_energy,move_kind,move_vertex"
+# rows and lines per write of a trajectory CSV: bounds the text ``to_csv`` holds
+_ROWS = 4096
 
 
 def _step_lines(steps: np.ndarray) -> tuple:
@@ -139,31 +141,60 @@ class Trajectory:
     vertex = property(lambda self: np.where(self._index[2], self.move_vertex[self._index[1]], -1))
 
     def to_csv(self, out, labels: Optional[np.ndarray] = None) -> None:
-        """Write the recorded rows as CSV to a text stream in one write, the stay
-        runs' steps rendered at once (``_step_lines``); vertex column uses original
-        labels when a label map is given."""
+        """Write the recorded rows as CSV to a text stream, at most ``_ROWS`` rows
+        and ``_ROWS`` lines per write: move rows by f-string, the stay runs of a
+        block rendered at once (``_run_lines``), and a row with more lines alone,
+        its run in pieces. The vertex column uses original labels when a label
+        map is given."""
         t, every, last, vertex = self.move_t, self.record_every, self.steps, self.move_vertex
         if labels is not None:
             vertex = np.where(vertex < 0, -1, np.asarray(labels)[vertex])
         keep = (t % every == 0) | (t == last)  # else a row only for its stays' state
-        rows = [f"{s},{n1},{n2},{e},{kind},{'' if v < 0 else v}\n" if k else ""
-                for s, n1, n2, e, kind, v, k in zip(
-                    t.tolist(), self.move_n1.tolist(), self.move_n2.tolist(),
-                    self.move_energy, self.move_kind.tolist(), vertex.tolist(),
-                    keep.tolist())]
         at = self.stay_rows
         if at.size:  # else skip the numpy calls' fixed cost: a descent never stays
             b = t[at] + self.stay_counts  # each run's last stay
             first = (t[at] + every) // every * every  # and its first multiple of every
             count = (b - first) // every + 1 + ((b == last) & (last % every != 0))  # + terminal
-            end = count.cumsum()
-            steps = np.repeat(first - every * (end - count), count) + every * np.arange(end[-1])
-            text, ends = _step_lines(np.minimum(steps, last))  # a terminal row: the next, capped
-            for i, lo, hi, n1, n2, e in zip(at.tolist(), ends[end - count].tolist(),
-                                            ends[end].tolist(), self.move_n1[at].tolist(),
-                                            self.move_n2[at].tolist(), self.move_energy[at]):
-                rows[i] += text[lo:hi].replace("\n", f",{n1},{n2},{e},stay,\n")  # the run's suffix
-        out.write("".join([TRAJECTORY_CSV_HEADER + "\n", *rows]))
+            lines = keep.astype(np.int64)
+            lines[at] += count
+            ends = np.append(0, lines.cumsum())  # the lines before each row
+        out.write(TRAJECTORY_CSV_HEADER + "\n")
+        lo = 0
+        while lo < t.size:  # rows lo..hi - 1: the most whose lines fit, at least one
+            hi = min(lo + _ROWS, t.size)
+            if at.size:
+                hi = max(lo + 1, min(hi, int(ends.searchsorted(ends[lo] + _ROWS, "right")) - 1))
+            rows = [f"{s},{n1},{n2},{e},{kind},{'' if v < 0 else v}\n" if k else ""
+                    for s, n1, n2, e, kind, v, k in zip(
+                        t[lo:hi].tolist(), self.move_n1[lo:hi].tolist(),
+                        self.move_n2[lo:hi].tolist(), self.move_energy[lo:hi],
+                        self.move_kind[lo:hi].tolist(), vertex[lo:hi].tolist(),
+                        keep[lo:hi].tolist())]
+            runs = slice(*at.searchsorted([lo, hi]).tolist())  # the runs after those rows
+            if runs.stop > runs.start and lines[lo] > _ROWS:  # one row: its run in pieces
+                out.write(rows[0])
+                for p in range(0, count[runs.start], _ROWS):
+                    out.write(self._run_lines(at[runs], first[runs] + every * p,
+                                              np.minimum(count[runs] - p, _ROWS))[0])
+            else:
+                if runs.stop > runs.start:
+                    for i, text in zip((at[runs] - lo).tolist(),
+                                       self._run_lines(at[runs], first[runs], count[runs])):
+                        rows[i] += text
+                out.write("".join(rows))
+            lo = hi
+
+    def _run_lines(self, at: np.ndarray, first: np.ndarray, count: np.ndarray) -> list:
+        """The lines of the stay runs after rows ``at``: ``count`` steps each from
+        ``first`` on, every ``record_every``th, a step past ``steps`` written as
+        ``steps`` (a terminal row), all rendered by one ``_step_lines`` call."""
+        every, end = self.record_every, count.cumsum()
+        steps = np.repeat(first - every * (end - count), count) + every * np.arange(end[-1])
+        text, ends = _step_lines(np.minimum(steps, self.steps))
+        return [text[lo:hi].replace("\n", f",{n1},{n2},{e},stay,\n")  # the run's suffix
+                for lo, hi, n1, n2, e in zip(ends[end - count].tolist(), ends[end].tolist(),
+                                             self.move_n1[at].tolist(),
+                                             self.move_n2[at].tolist(), self.move_energy[at])]
 
     def csv_text(self, labels: Optional[np.ndarray] = None) -> str:
         buf = io.StringIO()
@@ -606,6 +637,9 @@ def replay(instance_graph: Union[Graph, PlantedInstance], trajectory: Trajectory
            gamma: GammaParam) -> SubsetState:
     """Rebuild the terminal state by replaying the trajectory's moves.
     Requires every move (``record_every`` 1)."""
+    if trajectory.record_every != 1:
+        raise ValueError(f"replay needs every move recorded (record_every = 1), "
+                         f"got record_every = {trajectory.record_every}")
     graph = instance_graph.graph if isinstance(instance_graph, PlantedInstance) else instance_graph
     members, _ = _resolve_init(trajectory.init_spec, graph.n)
     state = init_state(graph, members, gamma)

@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import os
-import statistics
+import shutil
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -377,6 +377,13 @@ def load_preset(name: str) -> Union[ExperimentConfig, LandscapeConfig]:
 # ---------------------------------------------------------------------------
 
 
+def _median(values: list):
+    """``statistics.median``: the middle value, or the mean of the middle two
+    (a float), without importing ``statistics``."""
+    values, mid = sorted(values), len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+
+
 @dataclass
 class RunSummary:
     """Per-seed terminal rows plus aggregates recomputable from them."""
@@ -388,7 +395,7 @@ class RunSummary:
     def compute_aggregates(rows: list[dict]) -> dict:
         def med(values):
             values = [v for v in values if v is not None]
-            return statistics.median(values) if values else None
+            return _median(values) if values else None
 
         total = len(rows)
         succ = sum(1 for r in rows if r.get("reached_pc"))
@@ -411,12 +418,19 @@ def build_instance(config: Union[ExperimentConfig, LandscapeConfig], seed: int):
     return gen_contaminated(config.n, config.k, config.m, config.q, seed)
 
 
-# A cell maps (config, seed) to (seed, summary row, {file name: text}); cells
-# are module-level so worker pools can pickle them. Every run-config row carries
-# the tau, first_divergence and retained_count keys, None where they do not apply.
+# A cell maps (config, seed, stage) to (seed, summary row) and writes its files
+# into the directory ``stage``; cells are module-level so worker pools can pickle
+# them. Every run-config row carries the tau, first_divergence and retained_count
+# keys, None where they do not apply.
 
 
-def _run_cell(config: ExperimentConfig, seed: int):
+def _write_csv(path: Path, traj, labels=None) -> None:
+    """A trajectory's CSV, streamed into a new file (``Trajectory.to_csv``)."""
+    with open(path, "w") as out:
+        traj.to_csv(out, labels)
+
+
+def _run_cell(config: ExperimentConfig, seed: int, stage: Path):
     instance = build_instance(config, seed)
     traj = run_chain(
         instance, config.init_value(), config.chain_kind(),
@@ -427,11 +441,12 @@ def _run_cell(config: ExperimentConfig, seed: int):
     labels = getattr(instance, "labels", None)
     row = {"seed": seed, **traj.summary_dict(),
            "tau": None, "first_divergence": None, "retained_count": None}
-    return seed, row, {f"traj_s{seed}.csv": traj.csv_text(labels)}
+    _write_csv(stage / f"traj_s{seed}.csv", traj, labels)
+    return seed, row
 
 
 def _peel_cell(stop_n2: int, c1: Optional[float], config: ExperimentConfig,
-               seed: int):
+               seed: int, stage: Path):
     instance = build_instance(config, seed)
     traj, diag = run_peel(instance, stop_n2, seed, c1=c1,
                           gamma=config.gamma_param())
@@ -449,14 +464,13 @@ def _peel_cell(stop_n2: int, c1: Optional[float], config: ExperimentConfig,
     row = {"seed": seed, **traj.summary_dict(), "tau": None,
            "first_divergence": None,
            "retained_count": diag_payload["retained_count"]}
-    return seed, row, {
-        f"peel_s{seed}.csv": traj.csv_text(instance.labels),
-        f"peel_counts_s{seed}.csv": header + "\n" + counts,
-        f"peel_diag_s{seed}.json": json.dumps(diag_payload, indent=2) + "\n",
-    }
+    _write_csv(stage / f"peel_s{seed}.csv", traj, instance.labels)
+    (stage / f"peel_counts_s{seed}.csv").write_text(header + "\n" + counts)
+    (stage / f"peel_diag_s{seed}.json").write_text(json.dumps(diag_payload, indent=2) + "\n")
+    return seed, row
 
 
-def _coupled_cell(config: ExperimentConfig, seed: int):
+def _coupled_cell(config: ExperimentConfig, seed: int, stage: Path):
     res = run_coupled_gd(config.n, config.k, config.gamma_param(),
                          config.plateau_budget(), config.max_steps, seed,
                          init=config.init_value())
@@ -465,31 +479,47 @@ def _coupled_cell(config: ExperimentConfig, seed: int):
            "identical_before_tau": res.identical_before_tau,
            "identical_through_absorption": res.identical_through_absorption,
            "retained_count": None}
-    return seed, row, {f"coupled_planted_s{seed}.csv": res.planted.csv_text(),
-                       f"coupled_unplanted_s{seed}.csv": res.unplanted.csv_text()}
+    _write_csv(stage / f"coupled_planted_s{seed}.csv", res.planted)
+    _write_csv(stage / f"coupled_unplanted_s{seed}.csv", res.unplanted)
+    return seed, row
 
 
 def _run_cells(config, cell, jobs: int = 1) -> list:
-    """Run ``cell`` for every seed, in a pool of ``jobs`` workers when > 1,
-    then create the output directory and write each cell's files; returns
-    the rows. Results are merged in seed order, so parallel and serial
-    outputs are identical, and a seed that fails leaves nothing written."""
+    """Run ``cell`` for every seed, in a pool of ``jobs`` workers when > 1. Each
+    writes its files into a staging directory on the output directory's
+    filesystem, which becomes the output directory once every seed has
+    succeeded (or whose files move into an existing one). Returns the rows in
+    seed order, so parallel and serial outputs are identical. A seed that fails
+    leaves nothing written, nor a directory this call made."""
     config.validate()
-    seeds = config.seed_list()
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~14 ms: only for a pool
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(cell, [config] * len(seeds), seeds))
-    else:
-        results = [cell(config, s) for s in seeds]
-    out_dir = config.resolved_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for _, row, files in sorted(results, key=lambda r: r[0]):
-        rows.append(row)
-        for name, text in files.items():
-            (out_dir / name).write_text(text)
-    return rows
+    seeds, out_dir = config.seed_list(), config.resolved_out_dir()
+    made = None if out_dir.exists() else out_dir  # the topmost directory this call makes
+    while made is not None and not made.parent.is_dir():
+        made = made.parent
+    home = out_dir if made is None else out_dir.parent
+    home.mkdir(parents=True, exist_ok=True)
+    stage = home / f".{out_dir.name}.stage-{os.urandom(4).hex()}"
+    stage.mkdir()  # not mkdtemp, whose mode 0o700 would become out_dir's
+    try:
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # ~14 ms: only for a pool
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(cell, [config] * len(seeds), seeds,
+                                        [stage] * len(seeds)))
+        else:
+            results = [cell(config, s, stage) for s in seeds]
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        if made not in (None, out_dir):
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+    if made is None:
+        for name in os.listdir(stage):
+            os.replace(stage / name, out_dir / name)
+        stage.rmdir()
+    else:  # one rename: the directory appears with every file in it
+        os.replace(stage, out_dir)
+    return [row for _, row in sorted(results, key=lambda r: r[0])]
 
 
 def _summary_json(config, **body) -> str:
@@ -562,17 +592,17 @@ def run_sweep(config: ExperimentConfig, param: str,
 # Landscape scans
 # ---------------------------------------------------------------------------
 
-def _brute_cell(config: LandscapeConfig, seed: int):
+def _brute_cell(config: LandscapeConfig, seed: int, stage: Path):
     instance = build_instance(config, seed)
     best, argmins = brute_force_min(instance.graph, config.gamma_param())
     pc = frozenset(range(config.k))
     row = {"seed": seed, "min_scaled_energy": best, "n_argmins": len(argmins),
            "argmin_is_pc": len(argmins) == 1 and argmins[0] == pc,
            "argmin_contains_pc": len(argmins) == 1 and pc <= argmins[0]}
-    return seed, row, {}
+    return seed, row
 
 
-def _scan_cell(config: LandscapeConfig, seed: int):
+def _scan_cell(config: LandscapeConfig, seed: int, stage: Path):
     """Local-minima counts of one seed's instance across the subset sizes;
     the row is a list, one dict per size."""
     instance = build_instance(config, seed)
@@ -589,7 +619,8 @@ def _scan_cell(config: LandscapeConfig, seed: int):
                      "count_estimate": est.count_estimate, "stderr": est.stderr,
                      "predicted_exponent": est.predicted_exponent,
                      "sampled": est.sampled})
-    return seed, rows, {f"scan_s{seed}.csv": text}
+    (stage / f"scan_s{seed}.csv").write_text(text)
+    return seed, rows
 
 
 def run_landscape(config: LandscapeConfig) -> list[dict]:

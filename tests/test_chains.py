@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -480,6 +481,60 @@ class TestCsvWriter:
         assert [line.split(",")[::4] for line in text.splitlines()[-3:]] == [
             ["1484", "stay"], ["1491", "stay"], ["1492", "stay"]]
 
+    @pytest.mark.parametrize("record_every", [1, 3, 7])
+    @pytest.mark.parametrize("chain, init, seed, max_steps", [
+        (GibbsChain(60.0), "full", 0, 1500), (GibbsChain(60.0), "full", 2, 1500),
+        (GibbsChain(60.0), "full", 2, 1492), (GradientDescent(), "full", 4, 1500)],
+        ids=["hold", "342-runs", "off-grid-end", "descent"])
+    def test_bounded_writes_match_the_row_reference(self, monkeypatch, tmp_path, chain, init,
+                                                    seed, max_steps, record_every):
+        # at 7 lines per write, move rows and stay runs straddle the block edges,
+        # and a held clique's 1000-step run is written in pieces
+        monkeypatch.setattr(chains, "_ROWS", 7)
+        inst = gen_planted(120, 20, seed)
+        traj = run_chain(inst, init, chain, GammaParam(4), max_steps, seed,
+                         hold_window=1000, record_every=record_every)
+        assert traj.move_t.size > 7
+        if (seed, max_steps, record_every) == (2, 1500, 1):
+            assert traj.stay_rows.size == 342
+        path, writes = tmp_path / "traj.csv", []
+        with open(path, "w") as out:
+            traj.to_csv(_CountedWrites(out, writes), inst.labels)
+        assert path.read_text() == RowTrajectory(list(zip(
+            traj.t.tolist(), traj.n1.tolist(), traj.n2.tolist(), traj.scaled_energy,
+            traj.kind.tolist(), traj.vertex.tolist())), {}).csv_text(inst.labels)
+        assert max(writes) <= 7 and sum(writes) == traj.t.size + 1
+
+    def test_a_long_hold_is_written_in_bounded_memory(self, tmp_path):
+        # n = 120, a cold hold of 10**6 steps: one stay run of about 23 MB of CSV
+        inst = gen_planted(120, 20, 0)
+        traj = run_chain(inst, "full", GibbsChain(60.0), GammaParam(4), 1005000, 0,
+                         hold_window=10**6)
+        assert traj.stop_reason == "held" and traj.stay_counts.max() >= 10**6
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            with open(path, "w") as out:
+                traj.to_csv(out, inst.labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2 * 10**7 and peak < size / 10
+        with open(path) as text:
+            assert sum(1 for _ in text) == traj.steps + 2
+
+
+class _CountedWrites:
+    """A text stream that passes each write on and keeps its count of lines."""
+
+    def __init__(self, out, lines: list):
+        self.out, self.lines = out, lines
+
+    def write(self, text: str) -> None:
+        self.lines.append(text.count("\n"))
+        self.out.write(text)
+
 
 class TestGdRun:
     """``run_chain`` takes a descent's moves in one driver call; it must
@@ -838,6 +893,13 @@ class TestRunChain:
         traj = run_chain(inst, "full", GradientDescent(), gam, 300, 5)
         replay(inst, traj, gam)  # raises at the first row it disagrees with
         assert np.all(np.abs(np.diff(traj.n1 + traj.n2)) <= 1)
+
+    def test_replay_refuses_a_thinned_trajectory(self):
+        # every 7th step is recorded, so the moves between are missing
+        inst, gam = gen_planted(300, 40, 4), GammaParam(4)
+        traj = run_chain(inst, "full", GradientDescent(), gam, 10**5, 4, record_every=7)
+        with pytest.raises(ValueError, match="record_every = 7"):
+            replay(inst, traj, gam)
 
     def test_terminal_energy_matches_oracle(self):
         inst = gen_planted(100, 20, 5)

@@ -1,12 +1,16 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import plantedclique
 from plantedclique import (ConfigError, ExperimentConfig, LandscapeConfig,
@@ -336,6 +340,88 @@ class TestPeelAndCoupledCells:
             assert row["identical_before_tau"]
 
 
+# the harness name each verb's cells call with the seed, and where the seed is
+SEEDED_KERNELS = {"run": ("run_chain", 5), "peel": ("run_peel", 2),
+                  "coupled": ("run_coupled_gd", 5), "scan": ("scan_local_minima", "seed"),
+                  "brute": ("build_instance", 1)}
+
+
+def run_verb(verb, tmp_path, jobs=1, out="out"):
+    """Run three seeds of ``verb``'s cells into ``tmp_path / out``."""
+    out_dir = str(tmp_path / out)
+    if verb in ("scan", "brute"):
+        return run_landscape(LandscapeConfig(
+            mode=verb, n=24 if verb == "scan" else 10, k=6, gamma="8",
+            m_values="3..4" if verb == "scan" else "", budget=3000, seeds="0..2",
+            out_dir=out_dir))
+    cfg = tiny_config(tmp_path, out_dir=out_dir, jobs=jobs)
+    if verb == "run":
+        return run_experiment(cfg)
+    if verb == "peel":
+        return run_peel_cells(cfg, stop_n2=10, c1=3.0)
+    return run_coupled_cells(dataclasses.replace(cfg, init="empty", tie_policy="drift:1"))
+
+
+class TestStagedOutputs:
+    """Cells write their files into a staging directory, which becomes a new
+    output directory, or whose files move into an existing one, once every
+    seed has succeeded."""
+
+    @pytest.mark.parametrize("verb, jobs", [
+        ("scan", 1), ("brute", 1), *itertools.product(("run", "peel", "coupled"), (1, 2))])
+    @pytest.mark.parametrize("out", ["out", "new/out"], ids=["new-dir", "new-parent"])
+    def test_a_failing_seed_writes_nothing(self, tmp_path, monkeypatch, verb, jobs, out):
+        # seeds 0 and 2 finish (in a pool too) and stage their files; seed 1 raises
+        kernel, at = SEEDED_KERNELS[verb]
+        real = getattr(harness, kernel)
+
+        def seed_1_fails(*args, **kwargs):
+            if (kwargs[at] if at in kwargs else args[at]) == 1:
+                raise RuntimeError("seed 1 fails")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, kernel, seed_1_fails)
+        with pytest.raises(RuntimeError, match="seed 1 fails"):
+            run_verb(verb, tmp_path, jobs, out)
+        assert os.listdir(tmp_path) == []  # no out_dir, no parent made for it, no stage
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_seed_leaves_an_existing_out_dir_as_it_was(self, tmp_path,
+                                                                  monkeypatch, jobs):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "traj_s0.csv").write_text("old\n")
+        real = harness._write_csv
+
+        def fails_after_writing(path, traj, labels=None):
+            real(path, traj, labels)
+            if path.name == "traj_s1.csv":
+                raise RuntimeError("seed 1 fails")
+
+        monkeypatch.setattr(harness, "_write_csv", fails_after_writing)
+        with pytest.raises(RuntimeError, match="seed 1 fails"):
+            run_verb("run", tmp_path, jobs)
+        assert os.listdir(tmp_path / "out") == ["traj_s0.csv"]
+        assert (tmp_path / "out" / "traj_s0.csv").read_text() == "old\n"
+
+    @pytest.mark.parametrize("verb, jobs, files", [
+        ("scan", 1, ["scan_s0.csv", "scan_s1.csv", "scan_s2.csv"]),
+        *(("run", jobs, ["summary.json", "traj_s0.csv", "traj_s1.csv", "traj_s2.csv"])
+          for jobs in (1, 2)),
+        *(("coupled", jobs, ["summary.json", *(f"coupled_{side}_s{s}.csv" for s in range(3)
+                                               for side in ("planted", "unplanted"))])
+          for jobs in (1, 2))])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_no_staging_directory_is_left(self, tmp_path, verb, jobs, files, existing):
+        (tmp_path / "made").mkdir()  # a directory of the default mode
+        if existing:
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "notes.txt").write_text("kept\n")
+        run_verb(verb, tmp_path, jobs)
+        assert sorted(os.listdir(tmp_path)) == ["made", "out"]
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(files + ["notes.txt"] * existing)
+        assert (tmp_path / "out").stat().st_mode == (tmp_path / "made").stat().st_mode
+
+
 class TestLandscapeRunner:
     def test_kappa_table_values(self, tmp_path):
         cfg = LandscapeConfig(mode="kappa", gammas="2,3,9,19",
@@ -373,26 +459,6 @@ class TestLandscapeRunner:
         lines = (tmp_path / "scan_s0.csv").read_text().strip().split("\n")
         assert lines[0] == "m,count_or_estimate,stderr,predicted_exponent,kappa,h_kappa,n,gamma"
         assert len(lines) == 3
-
-    @pytest.mark.parametrize("mode, kernel, per_seed", [
-        ("scan", "scan_local_minima", 1), ("brute", "brute_force_min", 1)])
-    def test_a_failing_seed_writes_nothing(self, tmp_path, monkeypatch, mode,
-                                           kernel, per_seed):
-        real, calls = getattr(harness, kernel), []
-
-        def second_seed_fails(*args, **kwargs):
-            calls.append(1)
-            if len(calls) > per_seed:
-                raise RuntimeError("seed 1 fails")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(harness, kernel, second_seed_fails)
-        cfg = LandscapeConfig(mode=mode, n=24 if mode == "scan" else 10, k=6,
-                              gamma="8", m_values="3..4" if mode == "scan" else "",
-                              budget=3000, seeds="0..1", out_dir=str(tmp_path / "out"))
-        with pytest.raises(RuntimeError, match="seed 1 fails"):
-            run_landscape(cfg)
-        assert not (tmp_path / "out").exists()
 
     def test_cells_call_the_wrapped_names(self, tmp_path, monkeypatch):
         # perfbench/tracer.py times landscape cells through these harness names:
@@ -725,11 +791,23 @@ class TestCli:
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    """The pool module is imported by a run with jobs > 1, not by every call."""
+    """The pool module is imported by a run with jobs > 1, not by every call,
+    and ``statistics`` not at all. (``decimal`` comes in with ``fractions``,
+    which parses gamma.)"""
     src = str(Path(plantedclique.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, plantedclique.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, plantedclique.cli; "
+            "print(sorted({'concurrent.futures', 'statistics'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+@given(st.lists(st.integers(-2**70, 2**70) | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1))
+@example([3, 1, 2])  # odd: the middle int
+@example([4, 1, 3, 2])  # even: the float mean of the middle pair
+def test_median_is_the_statistics_median(values):
+    expected, got = statistics.median(values), harness._median(values)
+    assert got == expected and type(got) is type(expected)
