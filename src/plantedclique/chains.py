@@ -24,7 +24,6 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
@@ -95,15 +94,16 @@ def _step_lines(steps: np.ndarray) -> tuple:
 
 @dataclass
 class Trajectory:
-    """A run as run-length columns plus its terminal flags.
+    """A run as its move rows plus its terminal flags.
 
     ``move_*`` row i is the state after step ``move_t[i]`` and the move it
-    applied (row 0: the initial state, a placeholder stay). ``stay_counts[j]``
-    stays follow row ``stay_rows[j]``. A move has a row if its step is a
-    multiple of ``record_every``, the last, or before stays. ``t``, ``n1``,
+    applied (row 0: the initial state, a placeholder stay). A move has a row
+    if its step is a multiple of ``record_every``, the last, or before stays.
+    The record grid is those multiples and ``steps``, the count of applied
+    steps (0 for a chain absorbed at once); each grid step shows the state of
+    the last row at or before it, a stay unless it moved then. ``t``, ``n1``,
     ``n2``, ``scaled_energy`` (exact ints), ``kind`` and ``vertex`` (-1: stay)
-    expand the recorded steps: those multiples and ``steps``, the count of
-    applied steps (0 for a chain absorbed at once).
+    expand the grid.
     """
 
     move_t: np.ndarray
@@ -112,8 +112,6 @@ class Trajectory:
     move_energy: np.ndarray
     move_kind: np.ndarray
     move_vertex: np.ndarray
-    stay_rows: np.ndarray
-    stay_counts: np.ndarray
     record_every: int
     absorbed: bool
     reached_pc: bool
@@ -125,14 +123,15 @@ class Trajectory:
     terminal_n1: int
     terminal_n2: int
 
-    @cached_property
-    def _index(self) -> tuple:
-        """The recorded steps, the move row of each and whether it moved then."""
-        t = np.arange(0, self.steps + 1, self.record_every)
-        t = t if t[-1] == self.steps else np.append(t, self.steps)
+    def _grid(self, lo: int, hi: int) -> tuple:
+        """Grid entries lo..hi - 1: each one's step, its move row and whether it moved then."""
+        every = self.record_every
+        t = np.minimum(np.arange(lo * every, hi * every, every, dtype=np.int64), self.steps)
         row = self.move_t.searchsorted(t, side="right") - 1
         return t, row, self.move_t[row] == t
 
+    _size = property(lambda self: -(-self.steps // self.record_every) + 1)  # grid entries
+    _index = cached_property(lambda self: self._grid(0, self._size))
     t = property(lambda self: self._index[0])
     n1 = property(lambda self: self.move_n1[self._index[1]])
     n2 = property(lambda self: self.move_n2[self._index[1]])
@@ -141,60 +140,33 @@ class Trajectory:
     vertex = property(lambda self: np.where(self._index[2], self.move_vertex[self._index[1]], -1))
 
     def to_csv(self, out, labels: Optional[np.ndarray] = None) -> None:
-        """Write the recorded rows as CSV to a text stream, at most ``_ROWS`` rows
-        and ``_ROWS`` lines per write: move rows by f-string, the stay runs of a
-        block rendered at once (``_run_lines``), and a row with more lines alone,
-        its run in pieces. The vertex column uses original labels when a label
-        map is given."""
-        t, every, last, vertex = self.move_t, self.record_every, self.steps, self.move_vertex
+        """Write the grid as CSV to a text stream, ``_ROWS`` entries per write: the
+        block's moves by f-string and all its stays by one ``_step_lines`` call,
+        each run of stays (entries of one row) spliced after the line before it.
+        The vertex column uses original labels when a label map is given."""
+        vertex = self.move_vertex
         if labels is not None:
             vertex = np.where(vertex < 0, -1, np.asarray(labels)[vertex])
-        keep = (t % every == 0) | (t == last)  # else a row only for its stays' state
-        at = self.stay_rows
-        if at.size:  # else skip the numpy calls' fixed cost: a descent never stays
-            b = t[at] + self.stay_counts  # each run's last stay
-            first = (t[at] + every) // every * every  # and its first multiple of every
-            count = (b - first) // every + 1 + ((b == last) & (last % every != 0))  # + terminal
-            lines = keep.astype(np.int64)
-            lines[at] += count
-            ends = np.append(0, lines.cumsum())  # the lines before each row
         out.write(TRAJECTORY_CSV_HEADER + "\n")
-        lo = 0
-        while lo < t.size:  # rows lo..hi - 1: the most whose lines fit, at least one
-            hi = min(lo + _ROWS, t.size)
-            if at.size:
-                hi = max(lo + 1, min(hi, int(ends.searchsorted(ends[lo] + _ROWS, "right")) - 1))
-            rows = [f"{s},{n1},{n2},{e},{kind},{'' if v < 0 else v}\n" if k else ""
-                    for s, n1, n2, e, kind, v, k in zip(
-                        t[lo:hi].tolist(), self.move_n1[lo:hi].tolist(),
-                        self.move_n2[lo:hi].tolist(), self.move_energy[lo:hi],
-                        self.move_kind[lo:hi].tolist(), vertex[lo:hi].tolist(),
-                        keep[lo:hi].tolist())]
-            runs = slice(*at.searchsorted([lo, hi]).tolist())  # the runs after those rows
-            if runs.stop > runs.start and lines[lo] > _ROWS:  # one row: its run in pieces
-                out.write(rows[0])
-                for p in range(0, count[runs.start], _ROWS):
-                    out.write(self._run_lines(at[runs], first[runs] + every * p,
-                                              np.minimum(count[runs] - p, _ROWS))[0])
-            else:
-                if runs.stop > runs.start:
-                    for i, text in zip((at[runs] - lo).tolist(),
-                                       self._run_lines(at[runs], first[runs], count[runs])):
-                        rows[i] += text
-                out.write("".join(rows))
-            lo = hi
-
-    def _run_lines(self, at: np.ndarray, first: np.ndarray, count: np.ndarray) -> list:
-        """The lines of the stay runs after rows ``at``: ``count`` steps each from
-        ``first`` on, every ``record_every``th, a step past ``steps`` written as
-        ``steps`` (a terminal row), all rendered by one ``_step_lines`` call."""
-        every, end = self.record_every, count.cumsum()
-        steps = np.repeat(first - every * (end - count), count) + every * np.arange(end[-1])
-        text, ends = _step_lines(np.minimum(steps, self.steps))
-        return [text[lo:hi].replace("\n", f",{n1},{n2},{e},stay,\n")  # the run's suffix
-                for lo, hi, n1, n2, e in zip(ends[end - count].tolist(), ends[end].tolist(),
-                                             self.move_n1[at].tolist(),
-                                             self.move_n2[at].tolist(), self.move_energy[at])]
+        for lo in range(0, self._size, _ROWS):
+            t, row, moved = self._grid(lo, min(lo + _ROWS, self._size))
+            at = row[moved]
+            lines = ["", *(f"{s},{n1},{n2},{e},{kind},{'' if v < 0 else v}\n"
+                           for s, n1, n2, e, kind, v in zip(
+                               t[moved].tolist(), self.move_n1[at].tolist(),
+                               self.move_n2[at].tolist(), self.move_energy[at],
+                               self.move_kind[at].tolist(), vertex[at].tolist()))]
+            stay = (~moved).nonzero()[0]
+            if stay.size:  # else skip the numpy calls' fixed cost: a descent never stays
+                text, ends = _step_lines(t[stay])
+                row = row[stay]  # a run of stays: a stretch of one row, after the line before it
+                first = [0, *((row[1:] != row[:-1]).nonzero()[0] + 1).tolist()]
+                at, cuts = row[first], ends[[*first, stay.size]].tolist()
+                for i, j, a, b, n1, n2, e in zip(stay[first].tolist(), first, cuts, cuts[1:],
+                                                 self.move_n1[at].tolist(),
+                                                 self.move_n2[at].tolist(), self.move_energy[at]):
+                    lines[i - j] += text[a:b].replace("\n", f",{n1},{n2},{e},stay,\n")
+            out.write("".join(lines))
 
     def csv_text(self, labels: Optional[np.ndarray] = None) -> str:
         buf = io.StringIO()
@@ -416,8 +388,8 @@ def _resolve_init(init, n: int):
 
 
 class _ChainDriver:
-    """Runs one chain and keeps its trajectory: overlap counts, rows, stay
-    runs and clique visits. A chain is a callable ``chain(steps)`` that takes
+    """Runs one chain and keeps its trajectory: overlap counts, move rows and
+    clique visits. A chain is a callable ``chain(steps)`` that takes
     up to ``steps - 1`` stays and one move and returns ``(stays, kind, vertex)``
     (vertex None: the ``steps`` draws were all stays), or a stop reason."""
 
@@ -432,14 +404,12 @@ class _ChainDriver:
         # rows: (t, n1, n2, energy, kind, x); pending: the last row is an off-grid
         # move's with no stays after it, which the next move's row replaces
         self.rows, self.pending = [(0, n1, n2, state.scaled_energy, "stay", -1)], False
-        self.stays = Counter()  # row -> the stays that follow it
 
     def run(self, chain, max_steps, hold: int = 0) -> str:
         """Call ``chain`` until step ``max_steps``, its stop reason or ``hold``
         further steps at the clique (0: none); returns "max_steps", "held" or
         the chain's reason. A later call resumes the run."""
-        state, k, every, rows, stays_at = (
-            self.state, self.k, self.record_every, self.rows, self.stays)
+        state, k, every, rows = self.state, self.k, self.record_every, self.rows
         t, n1, n2, first_pc, pc_run, pending = (
             self.steps, self.n1, self.n2, self.first_pc_step, self.pc_run, self.pending)
         at_pc, reason = n1 == k > 0 and n2 == 0, "max_steps"
@@ -450,7 +420,6 @@ class _ChainDriver:
                 break
             stays, kind, x = move
             if stays:  # at the state of step t: the last row's, which then keeps its place
-                stays_at[len(rows) - 1] += stays
                 pc_run += stays if at_pc else 0
                 t, pending = t + stays, False
             if x is not None:  # a flip: the run at the clique ends or starts
@@ -474,15 +443,13 @@ class _ChainDriver:
         return reason
 
     def finish(self, stop_reason: str) -> Trajectory:
-        stays = np.array(list(self.stays.items()), dtype=np.int64).reshape(-1, 2)
         t, n1, n2, energy, kind, vertex = zip(*self.rows)
         return Trajectory(
             *(np.array(col, dtype=np.int64) for col in (t, n1, n2)),
             np.array(energy, dtype=object), np.array(kind),
-            np.array(vertex, dtype=np.int64), stays[:, 0], stays[:, 1],
-            self.record_every, stop_reason == "absorbed", self.first_pc_step is not None,
-            self.steps, self.first_pc_step, stop_reason, self.init_spec,
-            self.state.size, self.n1, self.n2)
+            np.array(vertex, dtype=np.int64), self.record_every, stop_reason == "absorbed",
+            self.first_pc_step is not None, self.steps, self.first_pc_step, stop_reason,
+            self.init_spec, self.state.size, self.n1, self.n2)
 
 
 def run_chain(instance: Union[PlantedInstance, Graph], init, kind: ChainKind,

@@ -92,8 +92,7 @@ def _cmd_peel(args) -> int:
 
 
 def _cmd_coupled(args) -> int:
-    config = _experiment_from_flags(args, init_default="empty",
-                                    tie_default="drift:1")
+    config = _experiment_from_flags(args)
     summary = harness.run_coupled_cells(config)
     ident = sum(1 for r in summary.rows if r["identical_through_absorption"])
     print(json.dumps(summary.aggregates, indent=2))
@@ -121,13 +120,10 @@ def _cmd_landscape(args) -> int:
     return 0
 
 
-def _experiment_from_flags(args, init_default="full", tie_default="halt"):
-    model = "contaminated" if getattr(args, "m", 0) else "planted"
+def _experiment_from_flags(args):
     config = ExperimentConfig(
-        model=model, n=args.n, k=args.k, m=getattr(args, "m", 0),
-        q=getattr(args, "q", 0.5), chain="gd", gamma=args.gamma,
-        tie_policy=getattr(args, "tie", tie_default) or tie_default,
-        init=getattr(args, "init", init_default) or init_default,
+        model="contaminated" if args.m else "planted", n=args.n, k=args.k, m=args.m,
+        q=args.q, chain="gd", gamma=args.gamma, tie_policy=args.tie, init=args.init,
         max_steps=args.max_steps, seeds=args.seeds,
         out_dir=args.out_dir or "")
     config.validate()
@@ -189,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop once at most this many non-clique vertices remain")
     p.add_argument("--c1", type=float, default=None,
                    help="degree-retention slack in units of sqrt(n)")
-    p.set_defaults(fn=_cmd_peel)
+    p.set_defaults(fn=_cmd_peel, tie="halt", init="full")
 
     # no abbreviations: "--m" would otherwise be taken for --max-steps
     p = sub.add_parser("coupled", help="coupled planted/unplanted descents",
@@ -197,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--tie", default="drift:1")
     p.add_argument("--init", default="empty")
-    p.set_defaults(fn=_cmd_coupled)
+    p.set_defaults(fn=_cmd_coupled, m=0, q=0.5)
 
     # model flags default to the LandscapeConfig fields; none may join a config
     p = sub.add_parser("landscape", help="landscape scans and tables")

@@ -484,13 +484,14 @@ def _coupled_cell(config: ExperimentConfig, seed: int, stage: Path):
     return seed, row
 
 
-def _run_cells(config, cell, jobs: int = 1) -> list:
+def _run_cells(config, cell, jobs: int = 1, files=lambda rows: {}) -> list:
     """Run ``cell`` for every seed, in a pool of ``jobs`` workers when > 1. Each
     writes its files into a staging directory on the output directory's
-    filesystem, which becomes the output directory once every seed has
-    succeeded (or whose files move into an existing one). Returns the rows in
-    seed order, so parallel and serial outputs are identical. A seed that fails
-    leaves nothing written, nor a directory this call made."""
+    filesystem; ``files`` maps the rows to the call's own ``{name: text}``,
+    written there too. The stage becomes the output directory once all of it
+    is written (or its files move into an existing one). Returns the rows in
+    seed order, so parallel and serial outputs are identical. A seed or a
+    write that fails leaves nothing written, nor a directory this call made."""
     config.validate()
     seeds, out_dir = config.seed_list(), config.resolved_out_dir()
     made = None if out_dir.exists() else out_dir  # the topmost directory this call makes
@@ -508,6 +509,9 @@ def _run_cells(config, cell, jobs: int = 1) -> list:
                                         [stage] * len(seeds)))
         else:
             results = [cell(config, s, stage) for s in seeds]
+        rows = [row for _, row in sorted(results, key=lambda r: r[0])]
+        for name, text in files(rows).items():
+            (stage / name).write_text(text)
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
         if made not in (None, out_dir):
@@ -519,7 +523,7 @@ def _run_cells(config, cell, jobs: int = 1) -> list:
         stage.rmdir()
     else:  # one rename: the directory appears with every file in it
         os.replace(stage, out_dir)
-    return [row for _, row in sorted(results, key=lambda r: r[0])]
+    return rows
 
 
 def _summary_json(config, **body) -> str:
@@ -530,11 +534,9 @@ def _summary_json(config, **body) -> str:
 
 def _run_summary(config: ExperimentConfig, cell) -> RunSummary:
     """Run the cells and add one summary.json of their rows."""
-    rows = _run_cells(config, cell, config.jobs)
-    aggregates = RunSummary.compute_aggregates(rows)
-    (config.resolved_out_dir() / "summary.json").write_text(
-        _summary_json(config, rows=rows, aggregates=aggregates))
-    return RunSummary(rows, aggregates)
+    rows = _run_cells(config, cell, config.jobs, lambda rows: {"summary.json": _summary_json(
+        config, rows=rows, aggregates=RunSummary.compute_aggregates(rows))})
+    return RunSummary(rows, RunSummary.compute_aggregates(rows))
 
 
 def run_experiment(config: ExperimentConfig) -> RunSummary:
@@ -623,22 +625,23 @@ def _scan_cell(config: LandscapeConfig, seed: int, stage: Path):
     return seed, rows
 
 
+def _brute_files(config: LandscapeConfig, rows: list[dict]) -> dict:
+    """brute_force.csv and brute_force_summary.json, from the seeds' rows."""
+    lines = [",".join(rows[0])]  # the header is the row keys
+    lines += [",".join(str(int(v)) for v in r.values()) for r in rows]
+    freq = sum(r["argmin_is_pc"] for r in rows) / len(rows)
+    return {"brute_force.csv": "\n".join(lines) + "\n", "brute_force_summary.json":
+            _summary_json(config, unique_pc_frequency=freq, rows=len(rows))}
+
+
 def run_landscape(config: LandscapeConfig) -> list[dict]:
     """Drive the landscape module per the config's mode; returns the rows it
     wrote (one dict per CSV row). Brute and scan run one cell per seed."""
     if config.mode == "scan":
         return [row for rows in _run_cells(config, _scan_cell) for row in rows]
     if config.mode == "brute":
-        rows = _run_cells(config, _brute_cell)
-        out_dir = config.resolved_out_dir()
-        lines = [",".join(rows[0])]  # the header is the row keys
-        lines += [",".join(str(int(v)) for v in r.values()) for r in rows]
-        (out_dir / "brute_force.csv").write_text("\n".join(lines) + "\n")
-        freq = sum(r["argmin_is_pc"] for r in rows) / len(rows)
-        (out_dir / "brute_force_summary.json").write_text(
-            _summary_json(config, unique_pc_frequency=freq, rows=len(rows)))
-        return rows
-    config.validate()  # kappa mode: one table, no seeds
+        return _run_cells(config, _brute_cell, files=functools.partial(_brute_files, config))
+    config.validate()  # kappa mode: one table, no seeds, written in place
     rows = [{"gamma": str(g), "kappa": str(g.kappa), "h_kappa": binary_entropy(float(g.kappa))}
             for g in config.gamma_list()]
     out_dir = config.resolved_out_dir()

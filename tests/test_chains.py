@@ -32,6 +32,16 @@ ONE_EDGE3 = graph_from_edges(3, [(0, 1)])
 HOT_200 = 10 * math.log(200)  # low enough a temperature to hold the clique
 
 
+def stay_runs(traj):
+    """The runs of stays of a trajectory recorded at every step, each as the
+    step of the move (or start) it follows and its length."""
+    assert traj.record_every == 1
+    stay = np.append(traj.kind == "stay", False)
+    stay[0] = False  # step 0: the initial state
+    edge = np.diff(stay.astype(np.int8)).nonzero()[0]  # before each run, at its last stay
+    return list(zip(edge[::2].tolist(), (edge[1::2] - edge[::2]).tolist()))
+
+
 class TestTiePolicy:
     def test_validation(self):
         """The config's tie_policy is a plateau budget: halt 0, drift:<b> b >= 1."""
@@ -393,7 +403,8 @@ class TestRunLengthTrajectory:
                          5000, 4, record_every=record_every)
         ref = reference_run(inst, init, GammaParam(4),
                             gd_steps(policy.plateau_budget, 4), 5000, record_every)
-        assert traj.stay_rows.size == 0
+        every_step = run_chain(inst, init, policy, GammaParam(4), 5000, 4)
+        assert stay_runs(every_step) == []
         assert_rows_match(traj, ref, inst.labels)
 
     @pytest.mark.parametrize("record_every", [1, 3, 7, 5000])
@@ -408,7 +419,10 @@ class TestRunLengthTrajectory:
                          record_every=record_every)
         ref = reference_gibbs_run(inst, "full", HOT_200, GammaParam(4),
                                   max_steps, 0, hold, record_every)
-        assert traj.stay_counts.sum() > traj.move_t.size  # mostly stays
+        every_step = run_chain(inst, "full", GibbsChain(HOT_200), GammaParam(4),
+                               max_steps, 0, hold_window=hold)
+        stays = np.count_nonzero(every_step.kind[1:] == "stay")
+        assert stays > every_step.steps - stays + 1  # mostly stays
         assert_rows_match(traj, ref, inst.labels)
 
     @pytest.mark.parametrize("beta, record_every", [(0.0, 1), (0.0, 4), (1.5, 3)])
@@ -418,8 +432,23 @@ class TestRunLengthTrajectory:
                          hold_window=0, record_every=record_every)
         ref = reference_gibbs_run(inst, "empty", beta, GammaParam(2), 600, 1,
                                   0, record_every)
-        assert traj.stay_rows.size > 10
+        every_step = run_chain(inst, "empty", GibbsChain(beta), GammaParam(2), 600, 1,
+                               hold_window=0)
+        assert len(stay_runs(every_step)) > 10
         assert_rows_match(traj, ref, inst.labels)
+
+    @pytest.mark.parametrize("record_every", [3, 7])
+    def test_a_thinned_run_keeps_a_move_row_only_where_it_shows(self, record_every):
+        # a move off the grid keeps its row only when it is the last or stays
+        # follow it (they show its state), so a thinned run stays small
+        args = (gen_planted(120, 20, 3), "empty", GibbsChain(0.5), GammaParam(4), 1500, 3)
+        every_step, traj = (run_chain(*args, hold_window=1000, record_every=every)
+                            for every in (1, record_every))
+        kind = every_step.kind.tolist()
+        moves = [t for t in range(1, every_step.steps + 1) if kind[t] != "stay"]
+        kept = [t for t in moves
+                if t % record_every == 0 or t == moves[-1] or kind[t + 1] == "stay"]
+        assert len(kept) < len(moves) and traj.move_t.tolist() == [0, *kept]
 
     @pytest.mark.parametrize("stop", [None, 10])
     def test_peel(self, stop):
@@ -468,8 +497,9 @@ class TestCsvWriter:
         inst = gen_planted(120, 20, 2)
         traj = run_chain(inst, "full", GibbsChain(60.0), GammaParam(4), 1492, 2,
                          hold_window=1000, record_every=7)
-        assert traj.stay_rows.size > 100 and traj.steps == 1492
-        assert traj.move_t[traj.stay_rows[-1]] == 1489 and traj.stay_counts[-1] == 3
+        runs = stay_runs(run_chain(inst, "full", GibbsChain(60.0), GammaParam(4), 1492, 2,
+                                   hold_window=1000))
+        assert len(runs) > 100 and traj.steps == 1492 and runs[-1] == (1489, 3)
         path = tmp_path / "traj.csv"
         with open(path, "w") as out:
             traj.to_csv(out, inst.labels)
@@ -481,36 +511,40 @@ class TestCsvWriter:
         assert [line.split(",")[::4] for line in text.splitlines()[-3:]] == [
             ["1484", "stay"], ["1491", "stay"], ["1492", "stay"]]
 
-    @pytest.mark.parametrize("record_every", [1, 3, 7])
-    @pytest.mark.parametrize("chain, init, seed, max_steps", [
-        (GibbsChain(60.0), "full", 0, 1500), (GibbsChain(60.0), "full", 2, 1500),
-        (GibbsChain(60.0), "full", 2, 1492), (GradientDescent(), "full", 4, 1500)],
-        ids=["hold", "342-runs", "off-grid-end", "descent"])
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("chain, init, seed, max_steps, record_every", [
+        *((*case, every) for case, every in itertools.product([
+            (GibbsChain(60.0), "full", 0, 1500), (GibbsChain(60.0), "full", 2, 1500),
+            (GibbsChain(60.0), "full", 2, 1492), (GradientDescent(), "full", 4, 1500)],
+            [1, 3, 7])),
+        (GibbsChain(0.5), "empty", 3, 1500, 3)],
+        ids=[*(f"{case}-{every}" for case, every in itertools.product(
+            ["hold", "342-runs", "off-grid-end", "descent"], [1, 3, 7])), "warm-3"])
     def test_bounded_writes_match_the_row_reference(self, monkeypatch, tmp_path, chain, init,
-                                                    seed, max_steps, record_every):
-        # at 7 lines per write, move rows and stay runs straddle the block edges,
-        # and a held clique's 1000-step run is written in pieces
-        monkeypatch.setattr(chains, "_ROWS", 7)
+                                                    seed, max_steps, record_every, rows):
+        # at 1, 2 or 7 lines per write, moves and stay runs straddle the block
+        # edges, and a held clique's 1000-step run spans many blocks
+        monkeypatch.setattr(chains, "_ROWS", rows)
         inst = gen_planted(120, 20, seed)
         traj = run_chain(inst, init, chain, GammaParam(4), max_steps, seed,
                          hold_window=1000, record_every=record_every)
         assert traj.move_t.size > 7
         if (seed, max_steps, record_every) == (2, 1500, 1):
-            assert traj.stay_rows.size == 342
+            assert len(stay_runs(traj)) == 342
         path, writes = tmp_path / "traj.csv", []
         with open(path, "w") as out:
             traj.to_csv(_CountedWrites(out, writes), inst.labels)
         assert path.read_text() == RowTrajectory(list(zip(
             traj.t.tolist(), traj.n1.tolist(), traj.n2.tolist(), traj.scaled_energy,
             traj.kind.tolist(), traj.vertex.tolist())), {}).csv_text(inst.labels)
-        assert max(writes) <= 7 and sum(writes) == traj.t.size + 1
+        assert max(writes) <= rows and sum(writes) == traj.t.size + 1
 
     def test_a_long_hold_is_written_in_bounded_memory(self, tmp_path):
         # n = 120, a cold hold of 10**6 steps: one stay run of about 23 MB of CSV
         inst = gen_planted(120, 20, 0)
         traj = run_chain(inst, "full", GibbsChain(60.0), GammaParam(4), 1005000, 0,
                          hold_window=10**6)
-        assert traj.stop_reason == "held" and traj.stay_counts.max() >= 10**6
+        assert traj.stop_reason == "held" and max(n for _, n in stay_runs(traj)) >= 10**6
         path = tmp_path / "traj.csv"
         tracemalloc.start()
         try:
@@ -550,7 +584,7 @@ class TestGdRun:
             init = tuple(sorted({0, n // 3, n // 2, n - 1}))
         gamma = GammaParam(4)
         whole = run_chain(inst, init, GradientDescent(budget), gamma, 10**5, seed)
-        assert whole.absorbed
+        assert whole.absorbed and stay_runs(whole) == []
         for record_every in (1, 3, 7):
             for max_steps in sorted({1, max(1, whole.steps // 2), 10**5}):
                 traj = run_chain(inst, init, GradientDescent(budget), gamma,
@@ -558,7 +592,8 @@ class TestGdRun:
                 ref = reference_run(inst, init, gamma, gd_steps(budget, seed),
                                     max_steps, record_every)
                 assert_rows_match(traj, ref, inst.labels)
-                assert traj.stay_rows.size == 0
+                # no stays, so no move off the grid but the last keeps a row
+                assert (traj.move_t[:-1] % record_every == 0).all()
 
 
 def small_instance(rng, n, graph, seed):
@@ -1114,10 +1149,11 @@ class TestResumedRun:
 
     @staticmethod
     def assert_same_run(parts, whole):
-        """The same CSV and summary, and the same run-length rows."""
+        """The same CSV and summary, and the same move rows and expansions."""
         assert parts.csv_text() == whole.csv_text()
         assert parts.summary_dict() == whole.summary_dict()
-        for name in ("move_t", "stay_rows", "stay_counts"):
+        for name in ("move_t", "move_n1", "move_n2", "move_energy", "move_kind",
+                     "move_vertex", "t", "n1", "n2", "scaled_energy", "kind", "vertex"):
             assert getattr(parts, name).tolist() == getattr(whole, name).tolist(), name
 
     @pytest.mark.parametrize("init", ["full", "empty"])

@@ -403,6 +403,27 @@ class TestStagedOutputs:
         assert os.listdir(tmp_path / "out") == ["traj_s0.csv"]
         assert (tmp_path / "out" / "traj_s0.csv").read_text() == "old\n"
 
+    @pytest.mark.parametrize("verb, jobs", [
+        ("brute", 1), *itertools.product(("run", "peel", "coupled"), (1, 2))])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failing_summary_publishes_nothing(self, tmp_path, monkeypatch, verb, jobs,
+                                                 existing):
+        # every seed succeeds, then the call's own summary fails to be made
+        if existing:
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "traj_s0.csv").write_text("old\n")
+
+        def fails(*args, **kwargs):
+            raise OSError("the summary fails")
+
+        monkeypatch.setattr(harness, "_summary_json", fails)
+        with pytest.raises(OSError, match="the summary fails"):
+            run_verb(verb, tmp_path, jobs)
+        assert os.listdir(tmp_path) == ["out"] * existing
+        if existing:
+            assert os.listdir(tmp_path / "out") == ["traj_s0.csv"]
+            assert (tmp_path / "out" / "traj_s0.csv").read_text() == "old\n"
+
     @pytest.mark.parametrize("verb, jobs, files", [
         ("scan", 1, ["scan_s0.csv", "scan_s1.csv", "scan_s2.csv"]),
         *(("run", jobs, ["summary.json", "traj_s0.csv", "traj_s1.csv", "traj_s2.csv"])
@@ -688,6 +709,18 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, fields", [
+        (["--tie", ""], ["tie_policy"]), (["--init", ""], ["init"]),
+        (["--tie", "", "--init", ""], ["tie_policy", "init"])])
+    def test_coupled_verb_refuses_empty_tie_and_init(self, tmp_path, capsys, flags, fields):
+        # as the same empty values in a config are, not run with the flags' defaults
+        out = tmp_path / "out"
+        assert main(["coupled", "--n", "80", "--k", "8", "--seeds", "0", *flags,
+                     "--out-dir", str(out)]) == 2
+        assert [line.split(":")[1].strip() for line in
+                capsys.readouterr().err.splitlines()] == fields
+        assert not out.exists()
 
     def test_coupled_cells_need_planted_model(self, tmp_path):
         cfg = tiny_config(tmp_path, model="contaminated", m=5, q=0.9,
