@@ -16,6 +16,7 @@ directory is "runs", overridable per config or via $PLANTEDCLIQUE_OUT.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,16 +26,26 @@ from .harness import (ConfigError, ExperimentConfig, LandscapeConfig,
                       load_preset, parse_config, preset_names)
 
 
-def _load_config(args, expected):
-    if getattr(args, "preset", None):
-        config = load_preset(args.preset)
-    elif getattr(args, "config", None):
-        config = parse_config(args.config)
+def _config(args, cls, **fixed):
+    """The verb's config of type ``cls``: read from --config/--preset, or else
+    built from every parsed flag named like a field of ``cls`` plus the values
+    the verb sets itself (``fixed``). A verb with no such flags (run, sweep)
+    needs a file, and a field flag beside a file is refused. --out-dir and
+    --jobs override either source."""
+    names = {f.name for f in dataclasses.fields(cls)} - {"out_dir", "jobs"}
+    flags = {name: value for name, value in vars(args).items()
+             if name in names and value is not None}
+    if getattr(args, "config", None) or getattr(args, "preset", None):
+        if flags:
+            raise ConfigError([(f, "this flag cannot be combined with "
+                                   "--config or --preset") for f in flags])
+        config = load_preset(args.preset) if args.preset else parse_config(args.config)
+        if not isinstance(config, cls):
+            raise ConfigError([("task", f"this verb needs a task = {cls.task} config")])
+    elif names & vars(args).keys():
+        config = cls(**{**flags, **fixed})
     else:
         raise ConfigError([("config", "pass --config FILE or --preset NAME")])
-    if not isinstance(config, expected):
-        want = "run" if expected is ExperimentConfig else "landscape"
-        raise ConfigError([("task", f"this verb needs a task = {want} config")])
     if getattr(args, "out_dir", None):
         config.out_dir = args.out_dir
     if getattr(args, "jobs", None) is not None:  # 0 too: validate() rejects it
@@ -48,10 +59,8 @@ def _cmd_generate(args) -> int:
         print("nothing to do: pass --out and/or --edge-list", file=sys.stderr)
         return 2
     # a run config checks the flags, so bad ones exit 2 before any work
-    config = ExperimentConfig(model=args.model, n=args.n,
-                              k=0 if args.model == "er" else args.k,
-                              m=args.m, q=args.q, seeds=str(args.seed))
-    config.validate()
+    config = _config(args, ExperimentConfig, seeds=str(args.seed),
+                     k=0 if args.model == "er" else args.k)
     obj = harness.build_instance(config, args.seed)
     if args.out:
         save_graph(args.out, obj)
@@ -67,7 +76,7 @@ def _cmd_run(args) -> int:
         for name in preset_names():
             print(name)
         return 0
-    config = _load_config(args, ExperimentConfig)
+    config = _config(args, ExperimentConfig)
     summary = harness.run_experiment(config)
     print(json.dumps(summary.aggregates, indent=2))
     print(f"outputs in {config.resolved_out_dir()}")
@@ -75,7 +84,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args, ExperimentConfig)
+    config = _config(args, ExperimentConfig)
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     summaries = harness.run_sweep(config, args.param, values)
     for value, summary in summaries.items():
@@ -84,7 +93,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_peel(args) -> int:
-    config = _experiment_from_flags(args)
+    config = _config(args, ExperimentConfig, tie_policy=args.tie,
+                     model="contaminated" if args.m else "planted")
     summary = harness.run_peel_cells(config, args.stop_n2, args.c1)
     print(json.dumps(summary.aggregates, indent=2))
     print(f"outputs in {config.resolved_out_dir()}")
@@ -92,7 +102,7 @@ def _cmd_peel(args) -> int:
 
 
 def _cmd_coupled(args) -> int:
-    config = _experiment_from_flags(args)
+    config = _config(args, ExperimentConfig, tie_policy=args.tie)
     summary = harness.run_coupled_cells(config)
     ident = sum(1 for r in summary.rows if r["identical_through_absorption"])
     print(json.dumps(summary.aggregates, indent=2))
@@ -101,33 +111,11 @@ def _cmd_coupled(args) -> int:
     return 0
 
 
-_LANDSCAPE_FLAGS = ("mode", "n", "k", "gamma", "gammas", "m_values", "budget", "seeds")
-
-
 def _cmd_landscape(args) -> int:
-    given = {f: getattr(args, f) for f in _LANDSCAPE_FLAGS
-             if getattr(args, f) is not None}
-    if args.config or args.preset:
-        if given:
-            raise ConfigError([(f, "this flag cannot be combined with "
-                                   "--config or --preset") for f in given])
-        config = _load_config(args, LandscapeConfig)
-    else:
-        config = LandscapeConfig(**given, out_dir=args.out_dir or "")
-        config.validate()
+    config = _config(args, LandscapeConfig)
     rows = harness.run_landscape(config)
     print(f"{len(rows)} rows; outputs in {config.resolved_out_dir()}")
     return 0
-
-
-def _experiment_from_flags(args):
-    config = ExperimentConfig(
-        model="contaminated" if args.m else "planted", n=args.n, k=args.k, m=args.m,
-        q=args.q, chain="gd", gamma=args.gamma, tie_policy=args.tie, init=args.init,
-        max_steps=args.max_steps, seeds=args.seeds,
-        out_dir=args.out_dir or "")
-    config.validate()
-    return config
 
 
 def _add_config_flags(p, jobs=True):

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _check_int
 
 __all__ = ["GammaParam", "SubsetState", "init_state", "apply_flip"]
 
@@ -38,12 +38,7 @@ class GammaParam:
 
     def __post_init__(self):
         for name in ("p", "q_den"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
-        if self.p <= 0 or self.q_den <= 0:
-            raise ValueError("numerator and denominator must be positive")
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
         g = math.gcd(self.p, self.q_den)
         object.__setattr__(self, "p", self.p // g)
         object.__setattr__(self, "q_den", self.q_den // g)

@@ -29,6 +29,7 @@ generator as n grows.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -70,13 +71,20 @@ SAMPLER_STREAM = 3
 _MAX_SEED = 2**64 - 1
 
 
+def _check_int(name: str, value, lo: int, hi=math.inf) -> int:
+    """``value`` as an int in lo..hi: a TypeError for a bool or a non-integer,
+    a ValueError out of range, both naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if not lo <= int(value) <= hi:
+        raise ValueError(f"{name} must lie in {lo}..{hi}, got {value}")
+    return int(value)
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Return the generator for one named substream of a 64-bit master seed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= int(seed) <= _MAX_SEED:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
+    ss = np.random.SeedSequence(_check_int("seed", seed, 0, _MAX_SEED),
+                                spawn_key=(int(stream),))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -242,17 +250,8 @@ class PlantedInstance:
             raise ValueError("labels are not a permutation of range(n)")
 
 
-def _check_count(name: str, value: int, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer")
-    value = int(value)
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def _check_sizes(n: int, k: int, m: int = 0) -> tuple[int, int, int]:
-    n, k, m = _check_count("n", n, 1), _check_count("k", k, 1), _check_count("m", m)
+    n, k, m = _check_int("n", n, 1), _check_int("k", k, 1), _check_int("m", m, 0)
     if k + m > n:
         raise ValueError(f"k + m = {k} + {m} exceeds n = {n}")
     return n, k, m
@@ -398,7 +397,7 @@ def _choose_labels(n: int, k: int, m: int, rng: np.random.Generator,
 
 def gen_er(n: int, seed: int) -> Graph:
     """Erdos-Renyi G(n, 1/2), reproducible from the seed."""
-    n = _check_count("n", n, minimum=1)
+    n = _check_int("n", n, 1)
     return Graph._lazy(_CoinRows(n, stream_rng(seed, EDGE_STREAM)))
 
 

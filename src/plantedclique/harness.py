@@ -484,16 +484,18 @@ def _coupled_cell(config: ExperimentConfig, seed: int, stage: Path):
     return seed, row
 
 
-def _run_cells(config, cell, jobs: int = 1, files=lambda rows: {}) -> list:
+def _run_cells(config, cell=None, jobs: int = 1, files=lambda rows: {}) -> list:
     """Run ``cell`` for every seed, in a pool of ``jobs`` workers when > 1. Each
     writes its files into a staging directory on the output directory's
     filesystem; ``files`` maps the rows to the call's own ``{name: text}``,
-    written there too. The stage becomes the output directory once all of it
-    is written (or its files move into an existing one). Returns the rows in
-    seed order, so parallel and serial outputs are identical. A seed or a
-    write that fails leaves nothing written, nor a directory this call made."""
+    written there too (a call with no cell writes only these). The stage
+    becomes the output directory once all of it is written (or its files move
+    into an existing one). Returns the rows in seed order, so parallel and
+    serial outputs are identical. A seed or a write that fails leaves nothing
+    written, nor a directory this call made."""
     config.validate()
-    seeds, out_dir = config.seed_list(), config.resolved_out_dir()
+    seeds = config.seed_list() if cell else []
+    out_dir = config.resolved_out_dir()
     made = None if out_dir.exists() else out_dir  # the topmost directory this call makes
     while made is not None and not made.parent.is_dir():
         made = made.parent
@@ -641,11 +643,9 @@ def run_landscape(config: LandscapeConfig) -> list[dict]:
         return [row for rows in _run_cells(config, _scan_cell) for row in rows]
     if config.mode == "brute":
         return _run_cells(config, _brute_cell, files=functools.partial(_brute_files, config))
-    config.validate()  # kappa mode: one table, no seeds, written in place
+    config.validate()  # kappa mode: one table and no seeds, so no cell
     rows = [{"gamma": str(g), "kappa": str(g.kappa), "h_kappa": binary_entropy(float(g.kappa))}
             for g in config.gamma_list()]
-    out_dir = config.resolved_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "kappa_table.csv").write_text("gamma,kappa,h_kappa\n" + "".join(
-        f"{r['gamma']},{r['kappa']},{r['h_kappa']:.12g}\n" for r in rows))
+    _run_cells(config, files=lambda _: {"kappa_table.csv": "gamma,kappa,h_kappa\n" + "".join(
+        f"{r['gamma']},{r['kappa']},{r['h_kappa']:.12g}\n" for r in rows)})
     return rows

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .energy import GammaParam, init_state
-from .graphs import SAMPLER_STREAM, Graph, stream_rng
+from .graphs import SAMPLER_STREAM, Graph, _check_int, stream_rng
 
 __all__ = ["LocalMinReport", "ComplexityEstimate", "binary_entropy",
            "local_min_check", "brute_force_min", "enumerate_local_minima",
@@ -209,16 +209,6 @@ def check_sample_rate(pool: int, m: int, budget: int) -> None:
                          f"use a smaller m or a budget >= C({pool}, {m}) to enumerate")
 
 
-def _index(value, name: str, lo: int, hi) -> int:
-    """``value`` as an int in lo..hi: a TypeError for a bool or a non-integer,
-    a ValueError out of range, both naming the argument."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in {lo}..{hi}, got {value}")
-    return int(value)
-
-
 _SEGMENT, _BLOCK = 1 << 17, 1 << 14  # values a draw, rows a kernel call: no output moves
 
 
@@ -242,10 +232,10 @@ def scan_local_minima(graph: Graph, sizes: Iterable[int], forbidden: Iterable[in
     ``_word_minima`` kernel on ceil(n / 64) uint64 words a subset; no n x n
     array is built.
     """
-    budget = _index(budget, "budget", 1, math.inf)
-    forbidden = {_index(v, "forbidden vertex", 0, graph.n - 1) for v in forbidden}
+    budget = _check_int("budget", budget, 1)
+    forbidden = {_check_int("forbidden vertex", v, 0, graph.n - 1) for v in forbidden}
     pool = np.array([v for v in range(graph.n) if v not in forbidden], dtype=np.int64)
-    sizes = [_index(m, "subset size", 1, pool.size) for m in sizes]
+    sizes = [_check_int("subset size", m, 1, pool.size) for m in sizes]
     for m in sizes:
         check_sample_rate(pool.size, m, budget)
     # the word tables are built once per call, not once per size or block

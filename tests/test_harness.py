@@ -442,6 +442,40 @@ class TestStagedOutputs:
         assert sorted(os.listdir(tmp_path / "out")) == sorted(files + ["notes.txt"] * existing)
         assert (tmp_path / "out").stat().st_mode == (tmp_path / "made").stat().st_mode
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_kappa_table_is_published_from_a_stage(self, tmp_path, existing):
+        (tmp_path / "made").mkdir()  # a directory of the default mode
+        if existing:
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "notes.txt").write_text("kept\n")
+        run_landscape(LandscapeConfig(mode="kappa", gammas="2,3",
+                                      out_dir=str(tmp_path / "out")))
+        assert sorted(os.listdir(tmp_path)) == ["made", "out"]
+        assert sorted(os.listdir(tmp_path / "out")) == ["kappa_table.csv"] + ["notes.txt"] * existing
+        assert (tmp_path / "out").stat().st_mode == (tmp_path / "made").stat().st_mode
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failing_kappa_table_publishes_nothing(self, tmp_path, monkeypatch, existing):
+        if existing:
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "kappa_table.csv").write_text("old\n")
+        real = Path.write_text
+
+        def fails_half_written(path, text, *args, **kwargs):
+            if path.name != "kappa_table.csv":
+                return real(path, text, *args, **kwargs)
+            real(path, text[:10])
+            raise OSError("the table fails")
+
+        monkeypatch.setattr(Path, "write_text", fails_half_written)
+        with pytest.raises(OSError, match="the table fails"):
+            run_landscape(LandscapeConfig(mode="kappa", gammas="2,3",
+                                          out_dir=str(tmp_path / "out")))
+        assert os.listdir(tmp_path) == ["out"] * existing
+        if existing:
+            assert os.listdir(tmp_path / "out") == ["kappa_table.csv"]
+            assert (tmp_path / "out" / "kappa_table.csv").read_text() == "old\n"
+
 
 class TestLandscapeRunner:
     def test_kappa_table_values(self, tmp_path):
