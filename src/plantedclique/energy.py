@@ -94,12 +94,12 @@ class SubsetState:
     int64 (see ``check_fits``).
     ``hi_bound`` is None or an upper bound on the keys: ``_extremes`` sets
     it to the greatest key and ``apply_flip`` keeps it a bound.
-    ``lo_bound`` is None or a lower bound on the keys, and ``least`` None or
-    every vertex at it, an ascending list of at most ``SCALAR_FLIPS`` (then
-    the bound is the least key); ``least_class`` sets them. A removal of x
-    lowers the other keys by one at most and lifts x's by n, so the least key
-    is then lo - 1, held by the class filtered by key < lo, if that is not
-    empty, else at least lo: ``apply_flip`` keeps these. An add drops both.
+    ``lo_bound`` is None or a lower bound on the keys, and ``least`` None or every
+    vertex at it, an ascending list of at most ``SCALAR_FLIPS`` handed out as is,
+    which no reader mutates (then the bound is the least key); ``least_class`` sets
+    them. A removal of x lowers the other keys by one at most and lifts x's by n, so
+    the least key is then lo - 1, held by the class filtered by key < lo, if that is
+    not empty, else at least lo: ``apply_flip`` keeps these. An add drops both.
     Single-owner: never mutate one state concurrently.
     """
 
@@ -125,24 +125,24 @@ class SubsetState:
         """Scaled change of every single flip as a new read-only int64 array:
         the add-delta outside U, the remove-delta inside. With ``upto`` (an
         int or inf), ``(at, deltas)`` of the flips with delta <= ``upto``, or
-        of all flips (``at`` None) when those are more than n / 2; ``deltas``
-        is a list of ints for at most ``SCALAR_FLIPS`` flips. ``keys`` bounds
-        the keys (lo, hi); the scan skips a side of the support they rule out,
-        and is skipped when ``least`` is exactly the flips ``upto`` admits."""
+        of all flips (``at`` None) when those are more than n / 2: two lists of
+        ints for at most ``SCALAR_FLIPS`` flips. ``keys`` bounds the keys (lo, hi);
+        the scan skips a side of the support they rule out, and is skipped when
+        ``least`` is exactly the flips ``upto`` admits (``at`` is ``least`` itself)."""
         p, w, n, s = self.gamma.p, self.gamma.edge_weight, self.graph.n, self.size
         member, key, at, least = self.member, self.key, None, self.least
         if upto is not None and upto < p * s:  # p * s bounds every delta
             a = min((upto + p * (s - 1)) // w, n - 1)  # in U: w key - p(s-1) <= upto
             b = n - (upto - p * s) // w  # out of U: p s - w(key-n) <= upto
             if least is not None and b > keys[1] and a == self.lo_bound and 2 * len(least) <= n:
-                return np.array(least), [w * a - p * (s - 1)] * len(least)  # what a pass finds
+                return least, [w * a - p * (s - 1)] * len(least)  # what a pass finds
             hit = (key >= b if a < keys[0] else key <= a if b > keys[1]
                    else (key <= a) | (key >= b)).nonzero()[0]
             if 2 * hit.size <= n:  # gathering more flips costs more than a dense pass
                 if hit.size <= SCALAR_FLIPS:  # Python ints: cheaper than numpy calls
                     r, t = p * (s - 1), p * s + w * n
-                    return hit, [w * k - r if k < n else t - w * k
-                                 for k in key[hit].tolist()]
+                    return hit.tolist(), [w * k - r if k < n else t - w * k
+                                          for k in key[hit].tolist()]
                 at, member, key = hit, member[hit], key[hit]
         removes = np.multiply(key, w, dtype=np.int64)  # int32 can wrap
         removes -= p * (s - 1)
@@ -152,15 +152,15 @@ class SubsetState:
         return deltas if upto is None else (at, deltas)
 
     def least_class(self) -> Union[list, np.ndarray]:
-        """Every vertex at the least key, ascending: ``least``, else one pass at
-        ``lo_bound`` (the least key iff it finds some), else an argmin and that pass."""
+        """Every vertex at the least key, ascending: ``least``, else one pass at ``lo_bound``
+        (the least key iff it finds some), else an argmin and that pass; a list iff stored."""
         key, lo, at = self.key, self.lo_bound, self.least
         if at is None:
             if lo is None or not (at := (key == lo).nonzero()[0]).size:
                 lo = key[key.argmin()]  # int32: quick to compare
                 at = (key == lo).nonzero()[0]
             self.lo_bound, self.least = int(lo), at.tolist() if at.size <= SCALAR_FLIPS else None
-        return at
+        return self.least or at
 
     def _extremes(self, reach: float, lo: Optional[int] = None) -> tuple:
         """The least and greatest key and their deltas, (lo, d_lo, hi, d_hi),

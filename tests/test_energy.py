@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plantedclique import (GammaParam, GradientDescent, SubsetState, apply_flip,
@@ -406,3 +406,49 @@ class TestKeySelection:
             members ^= {v}
             assert energy == py_scaled_energy(dense, members, gam)
         assert traj.absorbed and traj.steps > 10
+
+
+def _int_list(values) -> bool:
+    return type(values) is list and all(type(v) is int for v in values)
+
+
+class TestSmallSupportLists:
+    """A support of at most ``SCALAR_FLIPS`` flips is two lists of Python ints,
+    whether the carried class answers (with ``least`` itself, no copy) or a
+    pass does, and ``least_class`` returns the list it stores."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 40),
+           st.sampled_from(["full", "random", "vertices"]),
+           st.lists(st.integers(0, 39), max_size=40),
+           st.sampled_from([GammaParam(11, 10), GammaParam(2), GammaParam(4)]))
+    @example(0, 40, "full", list(range(20)), GammaParam(4))  # removals carry the class
+    def test_small_supports_are_int_lists(self, seed, n, start, flips, gam):
+        g = gen_planted(n, max(1, n // 4), seed).graph
+        member = {"full": range(n),
+                  "random": np.random.default_rng(seed).random(n) < 0.5,
+                  "vertices": [v % n for v in (seed, seed // 7, 3)]}[start]
+        state = init_state(g, member, gam)
+        for v in [None] + flips:
+            if v is not None:
+                apply_flip(state, v % n)  # a removal carries the class, an add drops it
+            least = state.least_class()
+            if state.least is None:
+                assert type(least) is np.ndarray and least.size > energy.SCALAR_FLIPS
+                continue
+            assert least is state.least and _int_list(least)
+            assert state.least_class() is least
+            plain = SubsetState(g, gam, state.member.copy(), state.size,
+                                state.key.copy(), state.scaled_energy)
+            lo, d_lo, hi, d_hi = plain._extremes(math.inf)
+            if d_lo < d_hi and 2 * len(least) <= n:  # the cold step's scan: the class answers
+                at, deltas = state.all_flip_deltas(d_lo, (lo, hi))
+                assert at is state.least and _int_list(deltas)
+            values = np.unique(plain.all_flip_deltas()).tolist()
+            for upto in {min(d_lo, d_hi, 0), d_lo - 1, *values[:4], values[-1] - 1}:
+                for s, keys in ((state, (lo, hi)), (plain, (lo, hi)), (plain, (0, 2**31))):
+                    at, deltas = s.all_flip_deltas(upto, keys)
+                    if at is not None and len(at) <= energy.SCALAR_FLIPS:
+                        assert _int_list(at) and _int_list(deltas)
+                    else:
+                        assert type(deltas) is np.ndarray
